@@ -19,7 +19,13 @@ import sys
 from typing import Sequence
 
 from . import corpus
-from .contributions import DEFAULT_EXACT_CAP, UNDEFINED, contribution, method_by_name
+from .contributions import (
+    DEFAULT_EXACT_CAP,
+    UNDEFINED,
+    EvaluationCache,
+    contribution,
+    method_by_name,
+)
 from .errors import QBAGError, TooLarge
 from .fuzz import (
     DEFAULT_EDGE_PROB,
@@ -122,9 +128,12 @@ def cmd_contrib(args: argparse.Namespace) -> int:
     semantics = _resolve_semantics(args)
     method = _resolve_method(args)
     cap = _exact_cap()
+    cache = EvaluationCache(graph, semantics)
 
     def cell(contributor: str) -> str:
-        value = contribution(graph, semantics, method, args.topic, contributor, exact_cap=cap)
+        value = contribution(
+            graph, semantics, method, args.topic, contributor, exact_cap=cap, cache=cache
+        )
         return "undef" if value is UNDEFINED else _fmt(value)
 
     if args.contributor is not None:
@@ -143,8 +152,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     semantics = _resolve_semantics(args)
     topic = graph.index_of(args.topic)
     vary = graph.index_of(args.vary)
-    from .contributions import EvaluationCache
-
     cache = EvaluationCache(graph, semantics)
     out = sys.stdout
     out.write("epsilon,final_strength\n")

@@ -19,9 +19,21 @@ The gradient is total and gives the self-contribution a meaning.
 
 Exact Shapley enumeration memoizes subgraph evaluations by kept-set bitmask,
 so the two terms of each marginal share one cache and the whole table costs
-at most 2^(n-1) distinct evaluations.  Enumeration beyond ``exact_cap``
-arguments (default 20) raises :class:`TooLarge`; use the seeded permutation
-sampler instead for big graphs.
+at most 2^(n-1) distinct evaluations.  An argument with no directed path to
+the topic is a null player: every marginal of it is exactly 0.0, so its
+Shapley value is 0.0 without enumeration.  Enumeration beyond ``exact_cap``
+arguments (default 20) raises :class:`TooLarge`, on every call whether or
+not the cell is memoized; use the seeded permutation sampler instead for big
+graphs.
+
+An :class:`EvaluationCache` shared across calls on one (graph, semantics)
+pair memoizes strength vectors (per kept-set mask, severed argument,
+perturbation and grid sweep), gradients per topic, cells of the built-in
+methods per (method, topic, contributor), and each topic's ancestors and
+strictly-closer pairs.  Severing or perturbing one argument re-runs the
+forward pass over that argument's descendant cone only, starting from the
+unmodified vector, which gives bit-identical results.  Cells of callable
+methods are never memoized.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import TooLarge, UnknownArgument
-from .graph import QBAG
+from .graph import QBAG, ancestor_mask, descendant_cone, strictly_closer_pairs
 from .rng import SplitMix64
 from .semantics import GradualSemantics, _Compiled
 
@@ -98,6 +110,7 @@ _METHOD_NAMES = {
     ShapleySampled: "shapley-sampled",
     Gradient: "gradient",
 }
+_BUILT_IN = tuple(_METHOD_NAMES)
 
 
 def method_name(method: ContributionMethod) -> str:
@@ -124,9 +137,14 @@ class EvaluationCache:
     """Memoized evaluations for one (graph, semantics) pair.
 
     Holds final-strength vectors keyed by kept-set bitmask, by severed
-    argument (incoming edges removed), and by single-argument initial
-    strength perturbation, plus gradient vectors per topic.  Everything is
-    confined to the cache instance; the evaluator itself stays stateless.
+    argument (incoming edges removed), by single-argument initial strength
+    perturbation and by grid sweep of one initial strength, gradient vectors
+    per topic, contribution cells of the built-in methods per (method,
+    topic, contributor), each topic's ancestors and strictly-closer pairs,
+    and the results the principle checkers derive from these (``derived``).
+    Severing or perturbing one argument re-evaluates only its descendant
+    cone, starting from the unmodified vector.  Everything is confined to
+    the cache instance; the evaluator itself stays stateless.
     """
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
@@ -137,7 +155,13 @@ class EvaluationCache:
         self._by_mask: dict[int, tuple[float, ...]] = {}
         self._by_isolated: dict[int, tuple[float, ...]] = {}
         self._by_perturbation: dict[tuple[int, float], tuple[float, ...]] = {}
+        self._sweeps: dict[tuple[int, int], tuple[tuple[float, ...], ...]] = {}
         self._gradients: dict[int, tuple[float, ...]] = {}
+        self._cones: dict[int, tuple[int, ...]] = {}
+        self._ancestors: dict[int, int] = {}
+        self._closer_pairs: dict[int, list[tuple[int, int]]] = {}
+        self._cells: dict[tuple[ContributionMethod, int, int], ContributionValue] = {}
+        self.derived: dict[tuple, object] = {}
 
     def strengths(self, mask: int | None = None) -> tuple[float, ...]:
         key = self.full_mask if mask is None else mask
@@ -147,28 +171,70 @@ class EvaluationCache:
             self._by_mask[key] = hit
         return hit
 
+    def _cone(self, index: int) -> tuple[int, ...]:
+        hit = self._cones.get(index)
+        if hit is None:
+            hit = self._cones[index] = descendant_cone(self.graph, index)
+        return hit
+
+    def _reevaluate(self, index: int, **change) -> tuple[float, ...]:
+        """Full-graph strengths after changing one argument: only its
+        descendant cone is re-run, from the unmodified vector."""
+        return tuple(
+            self._comp.strengths(nodes=self._cone(index), start=self.strengths(), **change)
+        )
+
     def strengths_isolated(self, index: int) -> tuple[float, ...]:
         hit = self._by_isolated.get(index)
         if hit is None:
-            hit = tuple(self._comp.strengths(self.full_mask, isolate=index))
-            self._by_isolated[index] = hit
+            hit = self._by_isolated[index] = self._reevaluate(index, isolate=index)
         return hit
+
+    def _perturbed(self, index: int, value: float) -> tuple[float, ...]:
+        tau = list(self._comp.tau)
+        tau[index] = value
+        return self._reevaluate(index, tau=tau)
 
     def strengths_perturbed(self, index: int, value: float) -> tuple[float, ...]:
         key = (index, value)
         hit = self._by_perturbation.get(key)
         if hit is None:
-            tau = list(self._comp.tau)
-            tau[index] = value
-            hit = tuple(self._comp.strengths(self.full_mask, tau=tau))
-            self._by_perturbation[key] = hit
+            hit = self._by_perturbation[key] = self._perturbed(index, value)
         return hit
+
+    def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
+        """The topic's final strength as argument ``index``'s initial strength
+        takes the values j / (points - 1), j = 0 .. points - 1.  The sweep's
+        vectors are computed once per (argument, points) for every topic; a
+        topic the argument does not reach keeps its unmodified strength."""
+        if topic != index and not (self.ancestors(topic) >> index) & 1:
+            return (self.strengths()[topic],) * points
+        key = (index, points)
+        sweep = self._sweeps.get(key)
+        if sweep is None:
+            last = points - 1
+            sweep = self._sweeps[key] = tuple(self._perturbed(index, j / last) for j in range(points))
+        return tuple(vector[topic] for vector in sweep)
 
     def gradient(self, topic: int) -> tuple[float, ...]:
         hit = self._gradients.get(topic)
         if hit is None:
             hit = tuple(self._comp.gradient(topic))
             self._gradients[topic] = hit
+        return hit
+
+    def ancestors(self, topic: int) -> int:
+        """Bitmask of the arguments with a directed path to the topic."""
+        hit = self._ancestors.get(topic)
+        if hit is None:
+            hit = self._ancestors[topic] = ancestor_mask(self.graph, topic)
+        return hit
+
+    def closer_pairs(self, topic: int) -> list[tuple[int, int]]:
+        """The topic's strictly-closer (nearer, farther) index pairs."""
+        hit = self._closer_pairs.get(topic)
+        if hit is None:
+            hit = self._closer_pairs[topic] = strictly_closer_pairs(self.graph, topic)
         return hit
 
     def removal_delta(self, contributor: int, topic: int) -> float:
@@ -178,9 +244,37 @@ class EvaluationCache:
             - self.strengths(self.full_mask & ~(1 << contributor))[topic]
         )
 
+    def contribution(self, method: ContributionMethod, topic: int, contributor: int) -> ContributionValue:
+        """Memoized cell of a built-in method.  Callers apply ``exact_cap``
+        first; shapley cells of arguments that do not reach the topic are an
+        exact 0.0 (null players: every marginal is exactly 0.0)."""
+        key = (method, topic, contributor)
+        hit = self._cells.get(key)
+        if hit is None:
+            if isinstance(method, Gradient):
+                hit = self.gradient(topic)[contributor]
+            elif topic == contributor:
+                hit = UNDEFINED
+            elif isinstance(method, Removal):
+                hit = self.removal_delta(contributor, topic)
+            elif isinstance(method, IntrinsicRemoval):
+                hit = (
+                    self.strengths_isolated(contributor)[topic]
+                    - self.strengths(self.full_mask & ~(1 << contributor))[topic]
+                )
+            elif not (self.ancestors(topic) >> contributor) & 1:
+                hit = 0.0
+            elif isinstance(method, ShapleyExact):
+                hit = _shapley_exact(self, topic, contributor)
+            else:
+                hit = _shapley_sampled(self, topic, contributor, method.permutations, method.seed)
+            self._cells[key] = hit
+        return hit
 
-def _indices(graph: QBAG, topic: str, contributor: str) -> tuple[int, int]:
-    return graph.index_of(topic), graph.index_of(contributor)
+
+def _cell(graph, semantics, method, topic, contributor, cache) -> ContributionValue:
+    t, x = graph.index_of(topic), graph.index_of(contributor)
+    return (cache or EvaluationCache(graph, semantics)).contribution(method, t, x)
 
 
 def contrib_removal(
@@ -192,11 +286,7 @@ def contrib_removal(
     cache: EvaluationCache | None = None,
 ) -> ContributionValue:
     """Effect of deleting the contributor outright (undefined on itself)."""
-    t, x = _indices(graph, topic, contributor)
-    if t == x:
-        return UNDEFINED
-    cache = cache or EvaluationCache(graph, semantics)
-    return cache.removal_delta(x, t)
+    return _cell(graph, semantics, Removal(), topic, contributor, cache)
 
 
 def contrib_intrinsic_removal(
@@ -210,14 +300,7 @@ def contrib_intrinsic_removal(
     """Like removal, but measured from the graph in which the contributor's
     own incoming edges were already severed, so only its intrinsic strength
     counts (undefined on itself)."""
-    t, x = _indices(graph, topic, contributor)
-    if t == x:
-        return UNDEFINED
-    cache = cache or EvaluationCache(graph, semantics)
-    return (
-        cache.strengths_isolated(x)[t]
-        - cache.strengths(cache.full_mask & ~(1 << x))[t]
-    )
+    return _cell(graph, semantics, IntrinsicRemoval(), topic, contributor, cache)
 
 
 def _shapley_weights(num_players: int) -> list[float]:
@@ -245,18 +328,20 @@ def contrib_shapley_exact(
     Sums, over every subset X of the arguments other than topic and
     contributor, the weighted marginal effect of removing the contributor
     from the graph already restricted by removing X.  Subsets are visited in
-    increasing bitmask rank so the summation order is reproducible.
+    increasing bitmask rank so the summation order is reproducible.  The cap
+    applies to every call, memoized or not.
     """
     if len(graph) > exact_cap:
         raise TooLarge(
             f"exact enumeration is capped at {exact_cap} arguments, graph has {len(graph)}"
         )
-    t, x = _indices(graph, topic, contributor)
-    if t == x:
-        return UNDEFINED
-    cache = cache or EvaluationCache(graph, semantics)
-    others = [i for i in range(len(graph)) if i != t and i != x]
-    weights = _shapley_weights(len(graph) - 1)
+    return _cell(graph, semantics, ShapleyExact(), topic, contributor, cache)
+
+
+def _shapley_exact(cache: EvaluationCache, t: int, x: int) -> float:
+    n = len(cache.graph)
+    others = [i for i in range(n) if i != t and i != x]
+    weights = _shapley_weights(n - 1)
     full = cache.full_mask
     x_bit = 1 << x
     total = 0.0
@@ -287,14 +372,12 @@ def contrib_shapley_sampled(
     topic and takes the marginal effect of removing the contributor after
     the prefix preceding it has been removed.  Deterministic given the seed.
     """
-    if permutations < 1:
-        raise ValueError("permutation count must be at least 1")
-    t, x = _indices(graph, topic, contributor)
-    if t == x:
-        return UNDEFINED
-    cache = cache or EvaluationCache(graph, semantics)
+    return _cell(graph, semantics, ShapleySampled(permutations, seed), topic, contributor, cache)
+
+
+def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, seed: int) -> float:
     rng = SplitMix64(seed)
-    players = [i for i in range(len(graph)) if i != t]
+    players = [i for i in range(len(cache.graph)) if i != t]
     full = cache.full_mask
     x_bit = 1 << x
     total = 0.0
@@ -320,9 +403,7 @@ def contrib_gradient(
 ) -> ContributionValue:
     """Partial derivative of the topic's strength w.r.t. the contributor's
     initial strength; total, including the self-contribution."""
-    t, x = _indices(graph, topic, contributor)
-    cache = cache or EvaluationCache(graph, semantics)
-    return cache.gradient(t)[x]
+    return _cell(graph, semantics, Gradient(), topic, contributor, cache)
 
 
 def contribution(
@@ -338,21 +419,13 @@ def contribution(
     """Dispatch on the method.  A callable ``(graph, semantics, topic,
     contributor) -> value`` is accepted in place of a method, which lets
     tests probe the principle checkers with synthetic contribution
-    functions."""
-    if isinstance(method, Removal):
-        return contrib_removal(graph, semantics, topic, contributor, cache=cache)
-    if isinstance(method, IntrinsicRemoval):
-        return contrib_intrinsic_removal(graph, semantics, topic, contributor, cache=cache)
+    functions; its values are never memoized."""
     if isinstance(method, ShapleyExact):
         return contrib_shapley_exact(
             graph, semantics, topic, contributor, exact_cap=exact_cap, cache=cache
         )
-    if isinstance(method, ShapleySampled):
-        return contrib_shapley_sampled(
-            graph, semantics, topic, contributor, method.permutations, method.seed, cache=cache
-        )
-    if isinstance(method, Gradient):
-        return contrib_gradient(graph, semantics, topic, contributor, cache=cache)
+    if isinstance(method, _BUILT_IN):
+        return _cell(graph, semantics, method, topic, contributor, cache)
     if callable(method):
         return method(graph, semantics, topic, contributor)
     raise TypeError(f"unknown contribution method {method!r}")

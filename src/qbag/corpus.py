@@ -1264,7 +1264,7 @@ def verify_example(example_id: str, overrides: CheckConfig | None = None) -> Ver
 
 
 def verify_all(overrides: CheckConfig | None = None) -> list[VerificationReport]:
-    return [verify_example(example_id) for example_id, _, _ in list_examples()]
+    return [verify_example(example_id, overrides) for example_id, _, _ in list_examples()]
 
 
 def export_examples(destination: str | Path) -> list[Path]:

@@ -313,6 +313,54 @@ def strictly_closer(graph: QBAG, nearer: str, farther: str, topic: str) -> bool:
     return not reaches(without, farther, topic)
 
 
+def ancestor_mask(graph: QBAG, target: int, avoid: int = -1) -> int:
+    """Bitmask of the arguments with a directed path to argument index
+    ``target`` that does not pass through index ``avoid``; ``avoid`` itself
+    is never set."""
+    parents = (graph._attackers, graph._supporters)
+    seen = 1 << avoid if avoid >= 0 else 0
+    stack = [target]
+    while stack:
+        i = stack.pop()
+        for rows in parents:
+            for p in rows[i]:
+                if not (seen >> p) & 1:
+                    seen |= 1 << p
+                    stack.append(p)
+    return seen & ~(1 << avoid) if avoid >= 0 else seen
+
+
+def strictly_closer_pairs(graph: QBAG, topic: int) -> list[tuple[int, int]]:
+    """Every (nearer, farther) index pair for which :func:`strictly_closer`
+    holds toward argument index ``topic``, in the order of a double loop over
+    the argument list.  One reverse reachability from the topic per nearer
+    argument replaces a restricted graph per pair."""
+    ancestors = ancestor_mask(graph, topic)
+    n = len(graph)
+    pairs = []
+    for nearer in range(n):
+        if not (ancestors >> nearer) & 1:
+            continue  # off every path to the topic, so closer than nothing
+        cut = ancestors & ~ancestor_mask(graph, topic, nearer) & ~(1 << nearer)
+        pairs.extend((nearer, farther) for farther in range(n) if (cut >> farther) & 1)
+    return pairs
+
+
+def descendant_cone(graph: QBAG, index: int) -> tuple[int, ...]:
+    """Argument index ``index`` and every argument it reaches, in
+    topological order: the arguments whose final strength can depend on its
+    initial strength or its incoming edges."""
+    children = graph._children
+    cone = {index}
+    stack = [index]
+    while stack:
+        for child in children[stack.pop()]:
+            if child not in cone:
+                cone.add(child)
+                stack.append(child)
+    return tuple(sorted(cone, key=graph._topo_pos.__getitem__))
+
+
 def all_paths_pure_support(graph: QBAG, source: str, target: str) -> bool:
     """True iff no directed path from source to target uses an attack edge
     (vacuously true when no path exists)."""

@@ -26,8 +26,9 @@ from .contributions import (
     EvaluationCache,
     UNDEFINED,
     contribution,
+    method_name,
 )
-from .graph import QBAG, reaches, strictly_closer
+from .graph import QBAG
 from .semantics import GradualSemantics
 
 # e(eps)/eps must end below this for the quantitative-local-faithfulness
@@ -88,6 +89,9 @@ class CheckConfig:
             raise ValueError("grid_points must be at least 2")
 
 
+_DEFAULT_CONFIG = CheckConfig()
+
+
 @dataclass(frozen=True)
 class PrincipleReport:
     principle: PrincipleId
@@ -129,7 +133,7 @@ class _Session:
         self.method = method
         self.topic = topic
         self.t = graph.index_of(topic)
-        self.cfg = cfg or CheckConfig()
+        self.cfg = cfg or _DEFAULT_CONFIG
         self.cache = cache or EvaluationCache(graph, semantics)
         self.exact_cap = exact_cap
         self.base = self.cache.strengths()[self.t]
@@ -154,8 +158,6 @@ class _Session:
         return self.cache.strengths_perturbed(self.graph.index_of(contributor), value)[self.t]
 
     def method_label(self) -> str:
-        from .contributions import method_name
-
         try:
             return method_name(self.method)
         except KeyError:
@@ -225,8 +227,9 @@ def check_directionality(graph, semantics, method, topic, cfg=None, *, cache=Non
     """Violated when an argument with no directed path to the topic still has
     a nonzero contribution."""
     s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
+    ancestors = s.cache.ancestors(s.t)
     for x in s.others():
-        if reaches(graph, x, topic):
+        if (ancestors >> graph.index_of(x)) & 1:
             continue
         c = s.contrib(x)
         if c is not None and abs(c) > s.cfg.zero_tol:
@@ -381,32 +384,51 @@ def check_strong_faithfulness(graph, semantics, method, topic, cfg=None, *, cach
     promises (strictly better below, strictly worse above for positive
     contributions; flat everywhere for zero ones)."""
     s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    last = s.cfg.grid_points - 1
     for x in s.others():
         c = s.contrib(x)
         if c is None:
             continue
-        sign = _sign(c, s.cfg.zero_tol)
-        base_tau = graph.initial_strength(x)
-        for j in range(s.cfg.grid_points):
-            eps = j / last
-            if abs(eps - base_tau) <= 1e-12:
-                continue
-            diff = s.perturbed(x, eps) - s.base
-            if sign == 0:
-                bad = abs(diff) > s.cfg.eq_tol
-            elif sign > 0:
-                # want: strength strictly lower for eps < tau, higher above
-                bad = diff >= -s.cfg.eq_tol if eps < base_tau else diff <= s.cfg.eq_tol
-            else:
-                bad = diff <= s.cfg.eq_tol if eps < base_tau else diff >= -s.cfg.eq_tol
-            if bad:
-                return s.report(
-                    PrincipleId.STRONG_FAITHFULNESS,
-                    Verdict.VIOLATION,
-                    {"contributor": x, "contribution": c, "epsilon": eps, "strength_diff": diff},
-                )
+        hit = _first_contradiction(s, x, _sign(c, s.cfg.zero_tol))
+        if hit is not None:
+            eps, diff = hit
+            return s.report(
+                PrincipleId.STRONG_FAITHFULNESS,
+                Verdict.VIOLATION,
+                {"contributor": x, "contribution": c, "epsilon": eps, "strength_diff": diff},
+            )
     return s.report(PrincipleId.STRONG_FAITHFULNESS, Verdict.SATISFIED_ON_INSTANCE, {})
+
+
+def _first_contradiction(s: _Session, contributor: str, sign: int) -> tuple[float, float] | None:
+    """First grid point (epsilon, strength change) of the contributor's
+    sweep that contradicts ``sign``.  The scan depends on nothing but its
+    key, so every method with the same sign shares it through the cache."""
+    x = s.graph.index_of(contributor)
+    points, eq_tol = s.cfg.grid_points, s.cfg.eq_tol
+    key = ("strong-faithfulness", x, s.t, sign, points, eq_tol)
+    derived = s.cache.derived
+    if key in derived:
+        return derived[key]
+    found = None
+    base_tau = s.graph.initial_strength(contributor)
+    last = points - 1
+    for j, strength in enumerate(s.cache.sweep_column(x, s.t, points)):
+        eps = j / last
+        if abs(eps - base_tau) <= 1e-12:
+            continue
+        diff = strength - s.base
+        if sign == 0:
+            bad = abs(diff) > eq_tol
+        elif sign > 0:
+            # want: strength strictly lower for eps < tau, higher above
+            bad = diff >= -eq_tol if eps < base_tau else diff <= eq_tol
+        else:
+            bad = diff <= eq_tol if eps < base_tau else diff >= -eq_tol
+        if bad:
+            found = (eps, diff)
+            break
+    derived[key] = found
+    return found
 
 
 def check_proximity(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
@@ -414,7 +436,7 @@ def check_proximity(graph, semantics, method, topic, cfg=None, *, cache=None, ex
     contributor to the topic nevertheless contributes strictly less in
     magnitude."""
     s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    names = s.others()
+    names = graph.arguments
     contribs: dict[str, float | None] = {}
 
     def magnitude(name: str) -> float | None:
@@ -423,27 +445,23 @@ def check_proximity(graph, semantics, method, topic, cfg=None, *, cache=None, ex
         value = contribs[name]
         return None if value is None else abs(value)
 
-    for nearer in names:
-        for farther in names:
-            if nearer == farther:
-                continue
-            if not strictly_closer(graph, nearer, farther, topic):
-                continue
-            near_mag = magnitude(nearer)
-            far_mag = magnitude(farther)
-            if near_mag is None or far_mag is None:
-                continue
-            if near_mag + s.cfg.eq_tol < far_mag:
-                return s.report(
-                    PrincipleId.PROXIMITY,
-                    Verdict.VIOLATION,
-                    {
-                        "nearer": nearer,
-                        "farther": farther,
-                        "nearer_magnitude": near_mag,
-                        "farther_magnitude": far_mag,
-                    },
-                )
+    for i, j in s.cache.closer_pairs(s.t):
+        nearer, farther = names[i], names[j]
+        near_mag = magnitude(nearer)
+        far_mag = magnitude(farther)
+        if near_mag is None or far_mag is None:
+            continue
+        if near_mag + s.cfg.eq_tol < far_mag:
+            return s.report(
+                PrincipleId.PROXIMITY,
+                Verdict.VIOLATION,
+                {
+                    "nearer": nearer,
+                    "farther": farther,
+                    "nearer_magnitude": near_mag,
+                    "farther_magnitude": far_mag,
+                },
+            )
     return s.report(PrincipleId.PROXIMITY, Verdict.SATISFIED_ON_INSTANCE, {})
 
 
@@ -491,10 +509,7 @@ def is_monotonic_effect_numeric(
     x = graph.index_of(contributor)
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    cache = EvaluationCache(graph, semantics)
-    values = [
-        cache.strengths_perturbed(x, j / (grid_points - 1))[t] for j in range(grid_points)
-    ]
+    values = EvaluationCache(graph, semantics).sweep_column(x, t, grid_points)
     non_decreasing = all(b >= a - eq_tol for a, b in zip(values, values[1:]))
     non_increasing = all(b <= a + eq_tol for a, b in zip(values, values[1:]))
     return non_decreasing or non_increasing

@@ -210,21 +210,37 @@ def _influence_functions(
         return value, d_signal, d_initial
 
     if isinstance(kind, EulerBased):
+        # Past s ~ 709.78 exp(s) overflows; there the limits as s -> inf take
+        # over: the value tends to 1 (to 0, its constant, when w = 0), the
+        # signal derivative to 0, and the initial-strength derivative to 0
+        # (to exp(s), i.e. inf, when w = 0).  A squared denominator that
+        # overflows likewise leaves a derivative of 0.
 
         def value(w: float, s: float) -> float:
-            den = 1.0 + w * math.exp(s)
+            try:
+                den = 1.0 + w * math.exp(s)
+            except OverflowError:
+                return 1.0 if w > 0.0 else 0.0
             r = 1.0 - (1.0 - w * w) / den
             return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
 
         def d_signal(w: float, s: float) -> float:
-            e = math.exp(s)
+            try:
+                e = math.exp(s)
+            except OverflowError:
+                return 0.0
             den = 1.0 + w * e
-            return (1.0 - w * w) * w * e / (den * den)
+            den2 = den * den
+            return 0.0 if den2 == math.inf else (1.0 - w * w) * w * e / den2
 
         def d_initial(w: float, s: float) -> float:
-            e = math.exp(s)
+            try:
+                e = math.exp(s)
+            except OverflowError:
+                return 0.0 if w > 0.0 else math.inf
             den = 1.0 + w * e
-            return (2.0 * w * den + (1.0 - w * w) * e) / (den * den)
+            den2 = den * den
+            return 0.0 if den2 == math.inf else (2.0 * w * den + (1.0 - w * w) * e) / den2
 
         return value, d_signal, d_initial
 
@@ -298,19 +314,25 @@ class _Compiled:
         tau: Sequence[float] | None = None,
         isolate: int = -1,
         with_signals: bool = False,
+        nodes: Sequence[int] | None = None,
+        start: Sequence[float] | None = None,
     ):
         """Final strengths of the kept subgraph (entries of dropped arguments
         are meaningless zeros).  ``isolate`` treats one argument as parentless.
         With ``with_signals`` also returns each node's aggregate (or None for
-        parentless nodes)."""
+        parentless nodes).  ``nodes`` (a topologically ordered subset, by
+        default every argument) and ``start`` (the values every other entry
+        keeps) re-evaluate only part of the graph: given a descendant cone
+        and the unmodified vector, the result is bit-identical to a full
+        pass."""
         taus = self.tau if tau is None else tau
-        out = [0.0] * self.n
+        out = [0.0] * self.n if start is None else list(start)
         signals: list[float | None] = [None] * self.n if with_signals else []
         agg = self.agg
         value = self.value
         attackers = self.attackers
         supporters = self.supporters
-        for i in self.order:
+        for i in self.order if nodes is None else nodes:
             if not (mask >> i) & 1:
                 continue
             atts = attackers[i]

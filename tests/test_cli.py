@@ -28,6 +28,16 @@ class TestEval:
         # topological order: the source comes first, the topic last
         assert lines[0].startswith("e ") and lines[-1].startswith("a ")
 
+    def test_euler_overflow_is_not_an_error(self, tmp_path, capsys):
+        from qbag import save_graph
+        from qbag.corpus import supporters_graph
+
+        path = tmp_path / "supporters.json"
+        save_graph(supporters_graph(800), path)
+        code, out, err = run(capsys, "eval", str(path), "--semantics", "eb")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "a 0.500000 1.000000"
+
     def test_singleton(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text('{"arguments": [{"id": "a", "initial": 0.3}], "attacks": [], "supports": []}')
@@ -80,6 +90,19 @@ class TestContrib:
         )
         assert code == 0
         assert out.splitlines() == ["a: undef", "b: -0.312500", "c: -0.062500"]
+
+    def test_column_shares_one_cache(self, corpus_dir, capsys, monkeypatch):
+        from qbag.semantics import _Compiled
+
+        passes = []
+        gradient = _Compiled.gradient
+        monkeypatch.setattr(_Compiled, "gradient", lambda self, t: passes.append(t) or gradient(self, t))
+        code, out, _ = run(
+            capsys, "contrib", str(corpus_dir / "fig-intro.json"), "--semantics", "dfquad",
+            "--method", "gradient", "--topic", "a",
+        )
+        assert code == 0 and len(out.splitlines()) == 5
+        assert len(passes) == 1
 
     def test_single_cell_undef(self, corpus_dir, capsys):
         code, out, _ = run(

@@ -2,7 +2,15 @@ import dataclasses
 
 import pytest
 
-from qbag import QE, UNDEFINED, UnknownExample, contrib_shapley_exact, evaluate, parse_graph
+from qbag import (
+    QE,
+    UNDEFINED,
+    CheckConfig,
+    UnknownExample,
+    contrib_shapley_exact,
+    evaluate,
+    parse_graph,
+)
 from qbag.corpus import (
     Contribution,
     PrincipleVerdict,
@@ -93,6 +101,18 @@ class TestVerification:
                 report.example_id,
                 [(f.expectation, f.actual, f.delta) for f in report.failures],
             )
+
+    def test_verify_all_forwards_overrides(self, monkeypatch):
+        import qbag.corpus as corpus
+
+        seen = []
+        monkeypatch.setattr(
+            corpus, "verify_example", lambda example_id, overrides=None: seen.append(overrides)
+        )
+        cfg = CheckConfig(eq_tol=1e-6, grid_points=11)
+        verify_all(cfg)
+        assert len(seen) == len(list_examples())
+        assert all(overrides is cfg for overrides in seen)
 
     def test_table_example_has_42_expectations(self):
         report = verify_example("table-example")

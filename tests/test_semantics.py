@@ -23,6 +23,7 @@ from qbag import (
     reaches,
     semantics_by_name,
 )
+from qbag.corpus import supporters_graph
 from qbag.semantics import PRESETS
 
 from conftest import finite_difference_partials, random_graphs
@@ -109,6 +110,12 @@ class TestInfluence:
             for s in (-30.0, -1.0, 0.0, 1.0, 30.0):
                 value = influence(EulerBased(), w, s)
                 assert w * w - 1e-12 <= value <= 1.0
+
+    def test_euler_limits_past_exp_overflow(self):
+        # exp(s) overflows above s ~ 709.78; the limits as s -> inf take over
+        assert influence(EulerBased(), 0.5, 1000.0) == 1.0
+        assert influence(EulerBased(), 0.0, 1000.0) == 0.0
+        assert influence(EulerBased(), 0.5, 700.0) == 1.0
 
     def test_linear_domain_error(self):
         with pytest.raises(DomainError):
@@ -313,3 +320,23 @@ class TestKinkConventions:
         assert kink_margin(balanced, DFQUAD) == 0.0
         assert kink_margin(balanced, EB) == math.inf
         assert kink_margin(intro_graph(), DFQUAD) == pytest.approx(0.25)
+
+
+class TestEulerOverflow:
+    """800 unit supporters push the EB aggregate to 800, past exp's range."""
+
+    def test_evaluate(self):
+        g = supporters_graph(800)
+        assert evaluate(g, EB)["a"] == 1.0
+
+    def test_gradient(self):
+        grad = gradient_of_topic(supporters_graph(800), EB, "a")
+        assert grad["a"] == 0.0
+        assert all(grad[f"b{i}"] == 0.0 for i in range(1, 801))
+
+    def test_gradient_is_unchanged_below_overflow(self):
+        # 300 supporters keep exp and its square finite: the plain formulas apply
+        grad = gradient_of_topic(supporters_graph(300), EB, "a")
+        e = math.exp(300.0)
+        den = 1.0 + 0.5 * e
+        assert grad["b1"] == 0.75 * 0.5 * e / (den * den)
