@@ -44,11 +44,7 @@ from .errors import (
 from .fuzz import FuzzConfig, FuzzWitness, random_qbag, search_violation
 from .graph import (
     QBAG,
-    all_paths_pure_support,
     argument_mask,
-    build_qbag,
-    full_mask,
-    mask_members,
     reaches,
     remove_incoming,
     restrict,
@@ -71,7 +67,6 @@ from .principles import (
     check_quant_counterfactuality,
     check_quant_local_faithfulness,
     check_strong_faithfulness,
-    is_monotonic_effect_numeric,
     principle_by_name,
     run_check,
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 from typing import Sequence
 
@@ -60,14 +61,32 @@ def _exact_cap() -> int:
     return cap
 
 
-def _add_semantics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--semantics", help="preset name: qe, dfquad, sd-dfquad, eb, ebt")
-    parser.add_argument("--aggregation", choices=["sum", "product", "top"], help="custom aggregation")
-    parser.add_argument(
-        "--influence", choices=["linear", "euler-based", "p-max"], help="custom influence"
-    )
-    parser.add_argument("--k", type=float, default=1.0, help="k parameter for linear / p-max")
-    parser.add_argument("--p", type=int, default=2, help="p parameter for p-max")
+# Flag groups shared by several subcommands, each declared once: (flag,
+# add_argument options).  The fuzz replay hint is built from the same tables.
+_SEMANTICS_FLAGS = (
+    ("--semantics", {"help": "preset name: qe, dfquad, sd-dfquad, eb, ebt"}),
+    ("--aggregation", {"choices": ["sum", "product", "top"], "help": "custom aggregation"}),
+    ("--influence", {"choices": ["linear", "euler-based", "p-max"], "help": "custom influence"}),
+    ("--k", {"type": float, "default": 1.0, "help": "k parameter for linear / p-max"}),
+    ("--p", {"type": int, "default": 2, "help": "p parameter for p-max"}),
+)
+_METHOD_FLAGS = (
+    ("--method", {"required": True, "help": "removal | intrinsic-removal | shapley | shapley-sampled | gradient"}),
+    ("--permutations", {"type": int, "default": 100_000, "help": "samples for shapley-sampled"}),
+    ("--sample-seed", {"type": int, "default": 0, "help": "seed for shapley-sampled"}),
+)
+_CHECK_FLAGS = (
+    ("--principle", {"required": True}),
+    ("--zero-tol", {"type": float}),
+    ("--eq-tol", {"type": float}),
+    ("--eps-schedule", {"help": "comma separated, strictly decreasing"}),
+    ("--grid-points", {"type": int}),
+)
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
 
 
 def _resolve_semantics(args: argparse.Namespace) -> GradualSemantics:
@@ -87,24 +106,40 @@ def _resolve_semantics(args: argparse.Namespace) -> GradualSemantics:
 
 
 def _resolve_method(args: argparse.Namespace):
-    return method_by_name(
-        args.method,
-        permutations=getattr(args, "permutations", 100_000),
-        seed=getattr(args, "sample_seed", 0),
-    )
+    return method_by_name(args.method, permutations=args.permutations, seed=args.sample_seed)
 
 
 def _check_config(args: argparse.Namespace) -> CheckConfig | None:
     fields = {}
-    if getattr(args, "zero_tol", None) is not None:
+    if args.zero_tol is not None:
         fields["zero_tol"] = args.zero_tol
-    if getattr(args, "eq_tol", None) is not None:
+    if args.eq_tol is not None:
         fields["eq_tol"] = args.eq_tol
-    if getattr(args, "eps_schedule", None):
+    if args.eps_schedule:
         fields["eps_schedule"] = tuple(float(v) for v in args.eps_schedule.split(","))
-    if getattr(args, "grid_points", None) is not None:
+    if args.grid_points is not None:
         fields["grid_points"] = args.grid_points
     return CheckConfig(**fields) if fields else None
+
+
+def _replay_command(args: argparse.Namespace, topic: str) -> str:
+    """The ``qbag check`` command that replays a fuzz witness: the fuzz run's
+    semantics (with ``--k``/``--p`` where its influence uses them), every
+    required method and check flag, and every other one whose value differs
+    from its default."""
+    if args.semantics:
+        words = ["--semantics", args.semantics]
+    else:
+        words = ["--aggregation", args.aggregation, "--influence", args.influence]
+        if args.influence in ("linear", "p-max"):
+            words += ["--k", str(args.k)]
+        if args.influence == "p-max":
+            words += ["--p", str(args.p)]
+    for flag, options in _METHOD_FLAGS + _CHECK_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if options.get("required") or value != options.get("default"):
+            words += [flag, str(value)]
+    return shlex.join(["qbag", "check", "GRAPH.json", *words, "--topic", topic])
 
 
 def _fmt(value: float) -> str:
@@ -229,11 +264,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"  {key}: {witness.report.witness[key]}")
     print("graph file:")
     print(serialize_graph(witness.graph), end="")
-    print(
-        "reproduce: save the graph above and run "
-        f"`qbag check GRAPH.json --semantics {args.semantics or 'custom'} "
-        f"--method {args.method} --principle {args.principle} --topic {witness.topic}`"
-    )
+    print(f"reproduce: save the graph above and run `{_replay_command(args, witness.topic)}`")
     return 1
 
 
@@ -252,22 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="print initial and final strengths in topological order")
     p.add_argument("file", help="graph file (JSON)")
-    _add_semantics_flags(p)
+    _add_flags(p, _SEMANTICS_FLAGS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("contrib", help="print contributions toward one topic argument")
     p.add_argument("file")
-    _add_semantics_flags(p)
-    p.add_argument("--method", required=True, help="removal | intrinsic-removal | shapley | shapley-sampled | gradient")
+    _add_flags(p, _SEMANTICS_FLAGS + _METHOD_FLAGS)
     p.add_argument("--topic", required=True)
     p.add_argument("--contributor", help="print a single cell instead of the full column")
-    p.add_argument("--permutations", type=int, default=100_000, help="samples for shapley-sampled")
-    p.add_argument("--sample-seed", type=int, default=0, help="seed for shapley-sampled")
     p.set_defaults(func=cmd_contrib)
 
     p = sub.add_parser("sweep", help="CSV of the topic's final strength as one initial strength sweeps [0, 1]")
     p.add_argument("file")
-    _add_semantics_flags(p)
+    _add_flags(p, _SEMANTICS_FLAGS)
     p.add_argument("--topic", required=True)
     p.add_argument("--vary", required=True)
     p.add_argument("--steps", type=int, default=101)
@@ -275,16 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check one principle on one instance")
     p.add_argument("file")
-    _add_semantics_flags(p)
-    p.add_argument("--method", required=True)
-    p.add_argument("--principle", required=True)
+    _add_flags(p, _SEMANTICS_FLAGS + _METHOD_FLAGS + _CHECK_FLAGS)
     p.add_argument("--topic", required=True)
-    p.add_argument("--permutations", type=int, default=100_000)
-    p.add_argument("--sample-seed", type=int, default=0)
-    p.add_argument("--zero-tol", type=float, dest="zero_tol")
-    p.add_argument("--eq-tol", type=float, dest="eq_tol")
-    p.add_argument("--eps-schedule", dest="eps_schedule", help="comma separated, strictly decreasing")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("reproduce", help="replay built-in examples against their expected values")
@@ -294,21 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("fuzz", help="search seeded random graphs for a principle violation")
-    _add_semantics_flags(p)
-    p.add_argument("--method", required=True)
-    p.add_argument("--principle", required=True)
+    _add_flags(p, _SEMANTICS_FLAGS + _METHOD_FLAGS + _CHECK_FLAGS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--max-args", type=int, default=DEFAULT_MAX_ARGS, dest="max_args")
     p.add_argument("--edge-prob", type=float, default=DEFAULT_EDGE_PROB, dest="edge_prob")
     p.add_argument("--strength-grid", type=float, default=DEFAULT_STRENGTH_GRID, dest="strength_grid")
     p.add_argument("--support-only", action="store_true", dest="support_only")
-    p.add_argument("--permutations", type=int, default=100_000)
-    p.add_argument("--sample-seed", type=int, default=0)
-    p.add_argument("--zero-tol", type=float, dest="zero_tol")
-    p.add_argument("--eq-tol", type=float, dest="eq_tol")
-    p.add_argument("--eps-schedule", dest="eps_schedule")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("export-examples", help="write the built-in corpus to a directory")

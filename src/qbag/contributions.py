@@ -244,10 +244,29 @@ class EvaluationCache:
             - self.strengths(self.full_mask & ~(1 << contributor))[topic]
         )
 
-    def contribution(self, method: ContributionMethod, topic: int, contributor: int) -> ContributionValue:
-        """Memoized cell of a built-in method.  Callers apply ``exact_cap``
-        first; shapley cells of arguments that do not reach the topic are an
-        exact 0.0 (null players: every marginal is exactly 0.0)."""
+    def contribution(
+        self,
+        method: ContributionMethod | Callable[..., ContributionValue],
+        topic: int,
+        contributor: int,
+        exact_cap: int = DEFAULT_EXACT_CAP,
+    ) -> ContributionValue:
+        """One contribution cell by argument index.  Cells of the built-in
+        methods are memoized; a callable ``(graph, semantics, topic,
+        contributor) -> value`` gets argument names and is called every time.
+        Every exact Shapley request on a graph of more than ``exact_cap``
+        arguments raises :class:`TooLarge`, memoized or not.  Shapley cells of
+        arguments that do not reach the topic are an exact 0.0 (null players:
+        every marginal is exactly 0.0)."""
+        if not isinstance(method, _BUILT_IN):
+            if callable(method):
+                names = self.graph.arguments
+                return method(self.graph, self.semantics, names[topic], names[contributor])
+            raise TypeError(f"unknown contribution method {method!r}")
+        if isinstance(method, ShapleyExact) and len(self.graph) > exact_cap:
+            raise TooLarge(
+                f"exact enumeration is capped at {exact_cap} arguments, graph has {len(self.graph)}"
+            )
         key = (method, topic, contributor)
         hit = self._cells.get(key)
         if hit is None:
@@ -272,11 +291,6 @@ class EvaluationCache:
         return hit
 
 
-def _cell(graph, semantics, method, topic, contributor, cache) -> ContributionValue:
-    t, x = graph.index_of(topic), graph.index_of(contributor)
-    return (cache or EvaluationCache(graph, semantics)).contribution(method, t, x)
-
-
 def contrib_removal(
     graph: QBAG,
     semantics: GradualSemantics,
@@ -286,7 +300,7 @@ def contrib_removal(
     cache: EvaluationCache | None = None,
 ) -> ContributionValue:
     """Effect of deleting the contributor outright (undefined on itself)."""
-    return _cell(graph, semantics, Removal(), topic, contributor, cache)
+    return contribution(graph, semantics, Removal(), topic, contributor, cache=cache)
 
 
 def contrib_intrinsic_removal(
@@ -300,7 +314,7 @@ def contrib_intrinsic_removal(
     """Like removal, but measured from the graph in which the contributor's
     own incoming edges were already severed, so only its intrinsic strength
     counts (undefined on itself)."""
-    return _cell(graph, semantics, IntrinsicRemoval(), topic, contributor, cache)
+    return contribution(graph, semantics, IntrinsicRemoval(), topic, contributor, cache=cache)
 
 
 def _shapley_weights(num_players: int) -> list[float]:
@@ -331,11 +345,9 @@ def contrib_shapley_exact(
     increasing bitmask rank so the summation order is reproducible.  The cap
     applies to every call, memoized or not.
     """
-    if len(graph) > exact_cap:
-        raise TooLarge(
-            f"exact enumeration is capped at {exact_cap} arguments, graph has {len(graph)}"
-        )
-    return _cell(graph, semantics, ShapleyExact(), topic, contributor, cache)
+    return contribution(
+        graph, semantics, ShapleyExact(), topic, contributor, exact_cap=exact_cap, cache=cache
+    )
 
 
 def _shapley_exact(cache: EvaluationCache, t: int, x: int) -> float:
@@ -372,7 +384,9 @@ def contrib_shapley_sampled(
     topic and takes the marginal effect of removing the contributor after
     the prefix preceding it has been removed.  Deterministic given the seed.
     """
-    return _cell(graph, semantics, ShapleySampled(permutations, seed), topic, contributor, cache)
+    return contribution(
+        graph, semantics, ShapleySampled(permutations, seed), topic, contributor, cache=cache
+    )
 
 
 def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, seed: int) -> float:
@@ -403,7 +417,7 @@ def contrib_gradient(
 ) -> ContributionValue:
     """Partial derivative of the topic's strength w.r.t. the contributor's
     initial strength; total, including the self-contribution."""
-    return _cell(graph, semantics, Gradient(), topic, contributor, cache)
+    return contribution(graph, semantics, Gradient(), topic, contributor, cache=cache)
 
 
 def contribution(
@@ -416,19 +430,12 @@ def contribution(
     exact_cap: int = DEFAULT_EXACT_CAP,
     cache: EvaluationCache | None = None,
 ) -> ContributionValue:
-    """Dispatch on the method.  A callable ``(graph, semantics, topic,
-    contributor) -> value`` is accepted in place of a method, which lets
-    tests probe the principle checkers with synthetic contribution
-    functions; its values are never memoized."""
-    if isinstance(method, ShapleyExact):
-        return contrib_shapley_exact(
-            graph, semantics, topic, contributor, exact_cap=exact_cap, cache=cache
-        )
-    if isinstance(method, _BUILT_IN):
-        return _cell(graph, semantics, method, topic, contributor, cache)
-    if callable(method):
-        return method(graph, semantics, topic, contributor)
-    raise TypeError(f"unknown contribution method {method!r}")
+    """The contribution of ``contributor`` to ``topic`` under ``method``.  A
+    callable ``(graph, semantics, topic, contributor) -> value`` is accepted
+    in place of a method, which lets tests probe the principle checkers with
+    synthetic contribution functions; its values are never memoized."""
+    cache = cache or EvaluationCache(graph, semantics)
+    return cache.contribution(method, graph.index_of(topic), graph.index_of(contributor), exact_cap)
 
 
 @dataclass(frozen=True)
@@ -465,14 +472,8 @@ def contribution_table(
     """Full contribution matrix under one method; deterministic in argument
     list order, sharing a single evaluation cache across all cells."""
     cache = cache or EvaluationCache(graph, semantics)
-    names = graph.arguments
-    rows = []
-    for contributor in names:
-        row = [
-            contribution(
-                graph, semantics, method, topic, contributor, exact_cap=exact_cap, cache=cache
-            )
-            for topic in names
-        ]
-        rows.append(tuple(row))
-    return ContributionTable(names, method_name(method), semantics.label(), tuple(rows))
+    n = len(graph)
+    cells = tuple(
+        tuple(cache.contribution(method, t, x, exact_cap) for t in range(n)) for x in range(n)
+    )
+    return ContributionTable(graph.arguments, method_name(method), semantics.label(), cells)

@@ -217,15 +217,6 @@ class QBAG:
         )
 
 
-def build_qbag(
-    arguments: Iterable[tuple[str, float]],
-    attacks: Iterable[Edge] = (),
-    supports: Iterable[Edge] = (),
-) -> QBAG:
-    """Validate and construct a graph; alias for the ``QBAG`` constructor."""
-    return QBAG(arguments, attacks, supports)
-
-
 # --------------------------------------------------------------- bitmask sets
 
 
@@ -235,15 +226,6 @@ def argument_mask(graph: QBAG, names: Iterable[str]) -> int:
     for name in names:
         mask |= 1 << graph.index_of(name)
     return mask
-
-
-def mask_members(graph: QBAG, mask: int) -> tuple[str, ...]:
-    """Argument names selected by a bitmask, in list order."""
-    return tuple(name for i, name in enumerate(graph.arguments) if (mask >> i) & 1)
-
-
-def full_mask(graph: QBAG) -> int:
-    return (1 << len(graph)) - 1
 
 
 # ----------------------------------------------------------------- operations
@@ -359,16 +341,3 @@ def descendant_cone(graph: QBAG, index: int) -> tuple[int, ...]:
                 cone.add(child)
                 stack.append(child)
     return tuple(sorted(cone, key=graph._topo_pos.__getitem__))
-
-
-def all_paths_pure_support(graph: QBAG, source: str, target: str) -> bool:
-    """True iff no directed path from source to target uses an attack edge
-    (vacuously true when no path exists)."""
-    graph.index_of(source)
-    graph.index_of(target)
-    for u, v in graph.attacks:
-        from_src = u == source or reaches(graph, source, u)
-        to_dst = v == target or reaches(graph, v, target)
-        if from_src and to_dst:
-            return False
-    return True

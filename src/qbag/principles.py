@@ -12,6 +12,12 @@ Strength comparisons use ``eq_tol``.  Perturbation-based checkers probe the
 schedule in ``eps_schedule`` and the uniform grid of ``grid_points`` values;
 both are documented knobs of :class:`CheckConfig` rather than hidden
 constants, because the underlying definitions quantify over exact reals.
+
+Every principle runs through one checker loop, :func:`run_check`.  A
+principle supplies only its own part: either a per-contributor test, which
+sees one contributor's index and defined contribution and returns None or
+the witness entries beyond the contributor and its contribution, or a
+whole-instance rule (the two existence principles and proximity).  The nine ``check_*`` functions are bindings of ``run_check``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .contributions import (
     ContributionMethod,
     EvaluationCache,
     UNDEFINED,
-    contribution,
     method_name,
 )
 from .graph import QBAG
@@ -115,166 +120,112 @@ def _sign(value: float, tol: float) -> int:
     return 0
 
 
-class _Session:
-    """Shared state for one checker invocation."""
-
-    def __init__(
-        self,
-        graph: QBAG,
-        semantics: GradualSemantics,
-        method,
-        topic: str,
-        cfg: CheckConfig | None,
-        cache: EvaluationCache | None,
-        exact_cap: int,
-    ):
-        self.graph = graph
-        self.semantics = semantics
-        self.method = method
-        self.topic = topic
-        self.t = graph.index_of(topic)
-        self.cfg = cfg or _DEFAULT_CONFIG
-        self.cache = cache or EvaluationCache(graph, semantics)
-        self.exact_cap = exact_cap
-        self.base = self.cache.strengths()[self.t]
-
-    def contrib(self, contributor: str) -> float | None:
-        """Contribution of ``contributor`` to the topic; None when undefined."""
-        value = contribution(
-            self.graph,
-            self.semantics,
-            self.method,
-            self.topic,
-            contributor,
-            exact_cap=self.exact_cap,
-            cache=self.cache,
-        )
-        return None if value is UNDEFINED else float(value)
-
-    def others(self) -> list[str]:
-        return [name for name in self.graph.arguments if name != self.topic]
-
-    def perturbed(self, contributor: str, value: float) -> float:
-        return self.cache.strengths_perturbed(self.graph.index_of(contributor), value)[self.t]
-
-    def method_label(self) -> str:
-        try:
-            return method_name(self.method)
-        except KeyError:
-            return getattr(self.method, "__name__", repr(self.method))
-
-    def report(self, principle: PrincipleId, verdict: Verdict, witness: dict, note: str = "") -> PrincipleReport:
-        return PrincipleReport(
-            principle,
-            verdict,
-            self.topic,
-            self.method_label(),
-            self.semantics.label(),
-            witness,
-            note,
-        )
+def _method_label(method) -> str:
+    try:
+        return method_name(method)
+    except KeyError:
+        return getattr(method, "__name__", repr(method))
 
 
-def check_contribution_existence(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+def _initial(cache: EvaluationCache, x: int) -> float:
+    graph = cache.graph
+    return graph.initial_strength(graph.arguments[x])
+
+
+# ------------------------------------------------------- whole-instance rules
+#
+# rule(cache, cfg, t, base, contrib) -> (violated, witness, note): ``t`` is the
+# topic's index, ``base`` its final strength, and ``contrib(x)`` the
+# contribution of argument index ``x`` to the topic (None when undefined).
+
+
+def _contribution_existence(cache, cfg, t, base, contrib):
     """Violated when the topic's final strength moved away from its initial
     strength yet every other argument's contribution is zero."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    delta = s.base - graph.initial_strength(topic)
-    if abs(delta) <= s.cfg.eq_tol:
-        return s.report(
-            PrincipleId.CONTRIBUTION_EXISTENCE,
-            Verdict.SATISFIED_ON_INSTANCE,
-            {"strength_delta": delta},
-            note="final strength equals initial strength; nothing to explain",
-        )
-    contribs = {x: s.contrib(x) for x in s.others()}
-    nonzero = {x: c for x, c in contribs.items() if c is not None and abs(c) > s.cfg.zero_tol}
+    names = cache.graph.arguments
+    delta = base - _initial(cache, t)
+    if abs(delta) <= cfg.eq_tol:
+        return False, {"strength_delta": delta}, "final strength equals initial strength; nothing to explain"
+    contribs = {names[x]: contrib(x) for x in range(len(names)) if x != t}
+    nonzero = {x: c for x, c in contribs.items() if c is not None and abs(c) > cfg.zero_tol}
     if nonzero:
-        return s.report(
-            PrincipleId.CONTRIBUTION_EXISTENCE,
-            Verdict.SATISFIED_ON_INSTANCE,
-            {"strength_delta": delta, "nonzero_contributors": sorted(nonzero)},
-        )
-    return s.report(
-        PrincipleId.CONTRIBUTION_EXISTENCE,
-        Verdict.VIOLATION,
-        {"strength_delta": delta, "contributions": {x: (0.0 if c is None else c) for x, c in contribs.items()}},
-    )
+        return False, {"strength_delta": delta, "nonzero_contributors": sorted(nonzero)}, ""
+    zeros = {x: (0.0 if c is None else c) for x, c in contribs.items()}
+    return True, {"strength_delta": delta, "contributions": zeros}, ""
 
 
-def check_quant_contribution_existence(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+def _quant_contribution_existence(cache, cfg, t, base, contrib):
     """Violated when the contributions of all other arguments fail to sum to
     the topic's strength delta."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    delta = s.base - graph.initial_strength(topic)
+    delta = base - _initial(cache, t)
     total = 0.0
-    contribs = {}
-    for x in s.others():
-        c = s.contrib(x)
-        contribs[x] = c
-        if c is not None:
-            total += c
+    for x in range(len(cache.graph)):
+        if x != t:
+            c = contrib(x)
+            if c is not None:
+                total += c
     gap = total - delta
-    verdict = Verdict.VIOLATION if abs(gap) > s.cfg.eq_tol else Verdict.SATISFIED_ON_INSTANCE
-    return s.report(
-        PrincipleId.QUANT_CONTRIBUTION_EXISTENCE,
-        verdict,
-        {"strength_delta": delta, "contribution_sum": total, "gap": gap},
-    )
+    return abs(gap) > cfg.eq_tol, {"strength_delta": delta, "contribution_sum": total, "gap": gap}, ""
 
 
-def check_directionality(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+def _proximity(cache, cfg, t, base, contrib):
+    """Violated when an argument that sits on every path from a farther
+    contributor to the topic nevertheless contributes strictly less in
+    magnitude."""
+    names = cache.graph.arguments
+    magnitudes: dict[int, float | None] = {}
+
+    def magnitude(x: int) -> float | None:
+        if x not in magnitudes:
+            c = contrib(x)
+            magnitudes[x] = None if c is None else abs(c)
+        return magnitudes[x]
+
+    for i, j in cache.closer_pairs(t):
+        near_mag = magnitude(i)
+        far_mag = magnitude(j)
+        if near_mag is None or far_mag is None:
+            continue
+        if near_mag + cfg.eq_tol < far_mag:
+            witness = {
+                "nearer": names[i],
+                "farther": names[j],
+                "nearer_magnitude": near_mag,
+                "farther_magnitude": far_mag,
+            }
+            return True, witness, ""
+    return False, {}, ""
+
+
+# ---------------------------------------------------- per-contributor tests
+#
+# test(cache, cfg, t, base, x, c) -> None, or the witness entries that follow
+# the contributor's name and contribution, for a contributor index ``x`` whose
+# contribution ``c`` to the topic is defined.
+
+
+def _directionality(cache, cfg, t, base, x, c):
     """Violated when an argument with no directed path to the topic still has
     a nonzero contribution."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    ancestors = s.cache.ancestors(s.t)
-    for x in s.others():
-        if (ancestors >> graph.index_of(x)) & 1:
-            continue
-        c = s.contrib(x)
-        if c is not None and abs(c) > s.cfg.zero_tol:
-            return s.report(
-                PrincipleId.DIRECTIONALITY,
-                Verdict.VIOLATION,
-                {"contributor": x, "contribution": c},
-            )
-    return s.report(PrincipleId.DIRECTIONALITY, Verdict.SATISFIED_ON_INSTANCE, {})
+    return {} if abs(c) > cfg.zero_tol else None
 
 
-def check_counterfactuality(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+def _counterfactuality(cache, cfg, t, base, x, c):
     """Violated when a contribution's sign disagrees with the sign of the
     strength change caused by actually removing the contributor."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    for x in s.others():
-        c = s.contrib(x)
-        if c is None:
-            continue
-        delta = s.cache.removal_delta(graph.index_of(x), s.t)
-        if _sign(c, s.cfg.zero_tol) != _sign(delta, s.cfg.eq_tol):
-            return s.report(
-                PrincipleId.COUNTERFACTUALITY,
-                Verdict.VIOLATION,
-                {"contributor": x, "contribution": c, "removal_delta": delta},
-            )
-    return s.report(PrincipleId.COUNTERFACTUALITY, Verdict.SATISFIED_ON_INSTANCE, {})
+    delta = cache.removal_delta(x, t)
+    if _sign(c, cfg.zero_tol) != _sign(delta, cfg.eq_tol):
+        return {"removal_delta": delta}
+    return None
 
 
-def check_quant_counterfactuality(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+def _quant_counterfactuality(cache, cfg, t, base, x, c):
     """Violated when a contribution differs numerically from the strength
     change caused by removing the contributor."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    for x in s.others():
-        c = s.contrib(x)
-        if c is None:
-            continue
-        delta = s.cache.removal_delta(graph.index_of(x), s.t)
-        if abs(c - delta) > s.cfg.eq_tol:
-            return s.report(
-                PrincipleId.QUANT_COUNTERFACTUALITY,
-                Verdict.VIOLATION,
-                {"contributor": x, "contribution": c, "removal_delta": delta, "gap": c - delta},
-            )
-    return s.report(PrincipleId.QUANT_COUNTERFACTUALITY, Verdict.SATISFIED_ON_INSTANCE, {})
+    delta = cache.removal_delta(x, t)
+    if abs(c - delta) > cfg.eq_tol:
+        return {"removal_delta": delta, "gap": c - delta}
+    return None
 
 
 _LF_NOTE = (
@@ -283,140 +234,93 @@ _LF_NOTE = (
 )
 
 
-def check_local_faithfulness(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+def _local_faithfulness(cache, cfg, t, base, x, c):
     """Violated when some argument with a nonzero contribution fails, at
     every probed radius, to move the topic's strength in the direction its
     sign promises.  Probes leaving [0, 1] are skipped, and so are probe radii
     whose expected first-order response ``|contribution| * radius`` cannot
     clear ``eq_tol``: below that the strict comparisons cannot distinguish a
     genuine plateau from rounding noise, so nothing can be witnessed."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    for x in s.others():
-        c = s.contrib(x)
-        if c is None:
-            continue
-        sign = _sign(c, s.cfg.zero_tol)
-        if sign == 0:
-            continue
-        base_tau = graph.initial_strength(x)
-        probed = False
-        consistent_somewhere = False
-        probes = []
-        for delta in s.cfg.eps_schedule:
-            if abs(c) * delta <= _PROBE_HEADROOM * s.cfg.eq_tol:
-                continue  # unresolvable at this radius
-            ok = True
-            any_direction = False
-            for direction in (1.0, -1.0):
-                eps = base_tau + direction * delta
-                if eps < 0.0 or eps > 1.0:
-                    continue
-                any_direction = True
-                response = s.perturbed(x, eps) - s.base
-                probes.append((eps, response))
-                # positive contribution: strength rises with tau(x); negative: falls
-                expected_up = (sign > 0) == (direction > 0)
-                if expected_up:
-                    ok = ok and response > s.cfg.eq_tol
-                else:
-                    ok = ok and response < -s.cfg.eq_tol
-            if any_direction:
-                probed = True
-                if ok:
-                    consistent_somewhere = True
-                    break
-        if probed and not consistent_somewhere:
-            return s.report(
-                PrincipleId.LOCAL_FAITHFULNESS,
-                Verdict.VIOLATION,
-                {"contributor": x, "contribution": c, "probes": probes},
-                note=_LF_NOTE,
-            )
-    return s.report(PrincipleId.LOCAL_FAITHFULNESS, Verdict.SATISFIED_ON_INSTANCE, {}, note=_LF_NOTE)
+    sign = _sign(c, cfg.zero_tol)
+    if sign == 0:
+        return None
+    base_tau = _initial(cache, x)
+    probed = False
+    probes = []
+    for delta in cfg.eps_schedule:
+        if abs(c) * delta <= _PROBE_HEADROOM * cfg.eq_tol:
+            continue  # unresolvable at this radius
+        ok = True
+        any_direction = False
+        for direction in (1.0, -1.0):
+            eps = base_tau + direction * delta
+            if eps < 0.0 or eps > 1.0:
+                continue
+            any_direction = True
+            response = cache.strengths_perturbed(x, eps)[t] - base
+            probes.append((eps, response))
+            # positive contribution: strength rises with tau(x); negative: falls
+            expected_up = (sign > 0) == (direction > 0)
+            if expected_up:
+                ok = ok and response > cfg.eq_tol
+            else:
+                ok = ok and response < -cfg.eq_tol
+        if any_direction:
+            probed = True
+            if ok:
+                return None  # consistent at this radius
+    return {"probes": probes} if probed else None
 
 
-def check_quant_local_faithfulness(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+def _quant_local_faithfulness(cache, cfg, t, base, x, c):
     """Violated when the linearisation error e(eps) = sigma_perturbed -
     (sigma + eps * contribution) fails to vanish faster than eps: the final
     |e/eps| stays above 1e-3 and the ratios do not keep shrinking as the
     schedule refines.  eps is read as a signed perturbation of the
     contributor's initial strength."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    for x in s.others():
-        c = s.contrib(x)
-        if c is None:
+    base_tau = _initial(cache, x)
+    for direction in (1.0, -1.0):
+        ratios = []
+        for delta in cfg.eps_schedule:
+            eps = direction * delta
+            if not 0.0 <= base_tau + eps <= 1.0:
+                continue
+            error = cache.strengths_perturbed(x, base_tau + eps)[t] - (base + eps * c)
+            ratios.append(abs(error / eps))
+        if not ratios:
             continue
-        base_tau = graph.initial_strength(x)
-        for direction in (1.0, -1.0):
-            ratios = []
-            for delta in s.cfg.eps_schedule:
-                eps = direction * delta
-                if not 0.0 <= base_tau + eps <= 1.0:
-                    continue
-                error = s.perturbed(x, base_tau + eps) - (s.base + eps * c)
-                ratios.append(abs(error / eps))
-            if not ratios:
-                continue
-            if ratios[-1] <= _RATIO_FLOOR:
-                continue
-            shrinking = all(
-                later <= _RATIO_DECAY * earlier + 1e-15
-                for earlier, later in zip(ratios, ratios[1:])
-            )
-            if not shrinking:
-                return s.report(
-                    PrincipleId.QUANT_LOCAL_FAITHFULNESS,
-                    Verdict.VIOLATION,
-                    {
-                        "contributor": x,
-                        "contribution": c,
-                        "direction": direction,
-                        "error_ratios": ratios,
-                    },
-                    note=_LF_NOTE,
-                )
-    return s.report(PrincipleId.QUANT_LOCAL_FAITHFULNESS, Verdict.SATISFIED_ON_INSTANCE, {}, note=_LF_NOTE)
+        if ratios[-1] <= _RATIO_FLOOR:
+            continue
+        shrinking = all(
+            later <= _RATIO_DECAY * earlier + 1e-15
+            for earlier, later in zip(ratios, ratios[1:])
+        )
+        if not shrinking:
+            return {"direction": direction, "error_ratios": ratios}
+    return None
 
 
-def check_strong_faithfulness(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+def _strong_faithfulness(cache, cfg, t, base, x, c):
     """Violated when a grid sweep of a contributor's initial strength over
     [0, 1] contradicts the global monotone behaviour its contribution sign
     promises (strictly better below, strictly worse above for positive
-    contributions; flat everywhere for zero ones)."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    for x in s.others():
-        c = s.contrib(x)
-        if c is None:
-            continue
-        hit = _first_contradiction(s, x, _sign(c, s.cfg.zero_tol))
-        if hit is not None:
-            eps, diff = hit
-            return s.report(
-                PrincipleId.STRONG_FAITHFULNESS,
-                Verdict.VIOLATION,
-                {"contributor": x, "contribution": c, "epsilon": eps, "strength_diff": diff},
-            )
-    return s.report(PrincipleId.STRONG_FAITHFULNESS, Verdict.SATISFIED_ON_INSTANCE, {})
-
-
-def _first_contradiction(s: _Session, contributor: str, sign: int) -> tuple[float, float] | None:
-    """First grid point (epsilon, strength change) of the contributor's
-    sweep that contradicts ``sign``.  The scan depends on nothing but its
-    key, so every method with the same sign shares it through the cache."""
-    x = s.graph.index_of(contributor)
-    points, eq_tol = s.cfg.grid_points, s.cfg.eq_tol
-    key = ("strong-faithfulness", x, s.t, sign, points, eq_tol)
-    derived = s.cache.derived
+    contributions; flat everywhere for zero ones).  The first contradicting
+    grid point depends on nothing but the key below, so every method with
+    the same sign shares the scan through the cache."""
+    sign = _sign(c, cfg.zero_tol)
+    points, eq_tol = cfg.grid_points, cfg.eq_tol
+    key = ("strong-faithfulness", x, t, sign, points, eq_tol)
+    derived = cache.derived
     if key in derived:
         return derived[key]
     found = None
-    base_tau = s.graph.initial_strength(contributor)
+    base_tau = _initial(cache, x)
     last = points - 1
-    for j, strength in enumerate(s.cache.sweep_column(x, s.t, points)):
+    for j, strength in enumerate(cache.sweep_column(x, t, points)):
         eps = j / last
         if abs(eps - base_tau) <= 1e-12:
             continue
-        diff = strength - s.base
+        diff = strength - base
         if sign == 0:
             bad = abs(diff) > eq_tol
         elif sign > 0:
@@ -425,63 +329,35 @@ def _first_contradiction(s: _Session, contributor: str, sign: int) -> tuple[floa
         else:
             bad = diff <= eq_tol if eps < base_tau else diff >= -eq_tol
         if bad:
-            found = (eps, diff)
+            found = {"epsilon": eps, "strength_diff": diff}
             break
     derived[key] = found
     return found
 
 
-def check_proximity(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
-    """Violated when an argument that sits on every path from a farther
-    contributor to the topic nevertheless contributes strictly less in
-    magnitude."""
-    s = _Session(graph, semantics, method, topic, cfg, cache, exact_cap)
-    names = graph.arguments
-    contribs: dict[str, float | None] = {}
+# ------------------------------------------------------------ the one loop
 
-    def magnitude(name: str) -> float | None:
-        if name not in contribs:
-            contribs[name] = s.contrib(name)
-        value = contribs[name]
-        return None if value is None else abs(value)
+_INSTANCE_RULES = {
+    PrincipleId.CONTRIBUTION_EXISTENCE: _contribution_existence,
+    PrincipleId.QUANT_CONTRIBUTION_EXISTENCE: _quant_contribution_existence,
+    PrincipleId.PROXIMITY: _proximity,
+}
 
-    for i, j in s.cache.closer_pairs(s.t):
-        nearer, farther = names[i], names[j]
-        near_mag = magnitude(nearer)
-        far_mag = magnitude(farther)
-        if near_mag is None or far_mag is None:
-            continue
-        if near_mag + s.cfg.eq_tol < far_mag:
-            return s.report(
-                PrincipleId.PROXIMITY,
-                Verdict.VIOLATION,
-                {
-                    "nearer": nearer,
-                    "farther": farther,
-                    "nearer_magnitude": near_mag,
-                    "farther_magnitude": far_mag,
-                },
-            )
-    return s.report(PrincipleId.PROXIMITY, Verdict.SATISFIED_ON_INSTANCE, {})
-
-
-_CHECKERS: dict[PrincipleId, Callable[..., PrincipleReport]] = {
-    PrincipleId.CONTRIBUTION_EXISTENCE: check_contribution_existence,
-    PrincipleId.QUANT_CONTRIBUTION_EXISTENCE: check_quant_contribution_existence,
-    PrincipleId.DIRECTIONALITY: check_directionality,
-    PrincipleId.STRONG_FAITHFULNESS: check_strong_faithfulness,
-    PrincipleId.LOCAL_FAITHFULNESS: check_local_faithfulness,
-    PrincipleId.QUANT_LOCAL_FAITHFULNESS: check_quant_local_faithfulness,
-    PrincipleId.COUNTERFACTUALITY: check_counterfactuality,
-    PrincipleId.QUANT_COUNTERFACTUALITY: check_quant_counterfactuality,
-    PrincipleId.PROXIMITY: check_proximity,
+# principle -> (test, whether only non-ancestors of the topic are visited, note)
+_CONTRIBUTOR_TESTS = {
+    PrincipleId.DIRECTIONALITY: (_directionality, True, ""),
+    PrincipleId.STRONG_FAITHFULNESS: (_strong_faithfulness, False, ""),
+    PrincipleId.LOCAL_FAITHFULNESS: (_local_faithfulness, False, _LF_NOTE),
+    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (_quant_local_faithfulness, False, _LF_NOTE),
+    PrincipleId.COUNTERFACTUALITY: (_counterfactuality, False, ""),
+    PrincipleId.QUANT_COUNTERFACTUALITY: (_quant_counterfactuality, False, ""),
 }
 
 
 def run_check(
     graph: QBAG,
     semantics: GradualSemantics,
-    method: ContributionMethod,
+    method: ContributionMethod | Callable,
     principle: PrincipleId,
     topic: str,
     cfg: CheckConfig | None = None,
@@ -489,27 +365,55 @@ def run_check(
     cache: EvaluationCache | None = None,
     exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> PrincipleReport:
-    """Run one principle checker on one instance."""
-    return _CHECKERS[principle](graph, semantics, method, topic, cfg, cache=cache, exact_cap=exact_cap)
-
-
-def is_monotonic_effect_numeric(
-    graph: QBAG,
-    semantics: GradualSemantics,
-    contributor: str,
-    topic: str,
-    grid_points: int = 101,
-    eq_tol: float = 1e-9,
-) -> bool:
-    """Grid approximation of "the contributor's initial strength has a
-    monotone effect on the topic": the swept strengths must be monotone
-    non-decreasing or non-increasing up to ``eq_tol``.  Resolution-limited:
-    an effect that reverses between grid points goes unnoticed."""
+    """Run one principle checker on one instance.  A per-contributor test
+    visits the other arguments in list order and stops at the first
+    witness; contributions are requested only for the contributors it
+    visits."""
     t = graph.index_of(topic)
-    x = graph.index_of(contributor)
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    values = EvaluationCache(graph, semantics).sweep_column(x, t, grid_points)
-    non_decreasing = all(b >= a - eq_tol for a, b in zip(values, values[1:]))
-    non_increasing = all(b <= a + eq_tol for a, b in zip(values, values[1:]))
-    return non_decreasing or non_increasing
+    cfg = cfg or _DEFAULT_CONFIG
+    cache = cache or EvaluationCache(graph, semantics)
+    base = cache.strengths()[t]
+
+    def contrib(x: int) -> float | None:
+        value = cache.contribution(method, t, x, exact_cap)
+        return None if value is UNDEFINED else float(value)
+
+    rule = _INSTANCE_RULES.get(principle)
+    if rule is not None:
+        violated, witness, note = rule(cache, cfg, t, base, contrib)
+    else:
+        test, non_ancestors_only, note = _CONTRIBUTOR_TESTS[principle]
+        skip = cache.ancestors(t) if non_ancestors_only else 0
+        violated, witness = False, {}
+        for x in range(len(graph)):
+            if x == t or (skip >> x) & 1:
+                continue
+            c = contrib(x)
+            found = None if c is None else test(cache, cfg, t, base, x, c)
+            if found is not None:
+                violated, witness = True, {"contributor": graph.arguments[x], "contribution": c, **found}
+                break
+    verdict = Verdict.VIOLATION if violated else Verdict.SATISFIED_ON_INSTANCE
+    return PrincipleReport(principle, verdict, topic, _method_label(method), semantics.label(), witness, note)
+
+
+def _binding(principle: PrincipleId) -> Callable[..., PrincipleReport]:
+    rule = _INSTANCE_RULES.get(principle) or _CONTRIBUTOR_TESTS[principle][0]
+
+    def check(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
+        return run_check(graph, semantics, method, principle, topic, cfg, cache=cache, exact_cap=exact_cap)
+
+    check.__name__ = check.__qualname__ = "check" + rule.__name__
+    check.__doc__ = rule.__doc__
+    return check
+
+
+check_contribution_existence = _binding(PrincipleId.CONTRIBUTION_EXISTENCE)
+check_quant_contribution_existence = _binding(PrincipleId.QUANT_CONTRIBUTION_EXISTENCE)
+check_directionality = _binding(PrincipleId.DIRECTIONALITY)
+check_strong_faithfulness = _binding(PrincipleId.STRONG_FAITHFULNESS)
+check_local_faithfulness = _binding(PrincipleId.LOCAL_FAITHFULNESS)
+check_quant_local_faithfulness = _binding(PrincipleId.QUANT_LOCAL_FAITHFULNESS)
+check_counterfactuality = _binding(PrincipleId.COUNTERFACTUALITY)
+check_quant_counterfactuality = _binding(PrincipleId.QUANT_COUNTERFACTUALITY)
+check_proximity = _binding(PrincipleId.PROXIMITY)

@@ -13,11 +13,20 @@ Aggregations (attacker strengths ``A``, supporter strengths ``S``):
     product   prod(1 - a for a in A) - prod(1 - s for s in S)
     top       max({0} | S) - max({0} | A)
 
+Each aggregation is written once, as a (fold, backprop) pair in
+``_AGGREGATIONS``: the fold computes the aggregate over an argument's kept
+parents, the backprop spreads an adjoint over its parents.  The forward
+pass, the reverse pass and :func:`aggregate` all use that one table, just as
+every use of an influence goes through ``_influence_functions``.
+
 Influences (initial strength ``w``, aggregate ``s``):
 
     linear(k)      w - (w/k) * max(0, -s) + ((1-w)/k) * max(0, s),  |s| <= k
     euler-based    1 - (1 - w^2) / (1 + w * exp(s))
     p-max(p, k)    w - w * h(-s/k) + (1 - w) * h(s/k),  h(x) = max(0,x)^p / (1 + max(0,x)^p)
+
+Where ``exp(s)`` or ``x**p`` leaves the float range, an influence returns its
+limit as the aggregate grows instead of raising ``OverflowError``.
 
 Non-smooth points get a fixed one-sided convention so the derivative map is
 total: at aggregate 0, linear and p-max use the positive branch (slope
@@ -156,30 +165,10 @@ class GradientVector:
 
 def aggregate(kind: Aggregation, att_strengths: Sequence[float], supp_strengths: Sequence[float]) -> float:
     """Fold attacker and supporter strengths into one adjustment signal."""
-    if kind is Aggregation.SUM:
-        total = 0.0
-        for v in supp_strengths:
-            total += v
-        for v in att_strengths:
-            total -= v
-        return total
-    if kind is Aggregation.PRODUCT:
-        pa = 1.0
-        for v in att_strengths:
-            pa *= 1.0 - v
-        ps = 1.0
-        for v in supp_strengths:
-            ps *= 1.0 - v
-        return pa - ps
-    ms = 0.0
-    for v in supp_strengths:
-        if v > ms:
-            ms = v
-    ma = 0.0
-    for v in att_strengths:
-        if v > ma:
-            ma = v
-    return ms - ma
+    values = [*att_strengths, *supp_strengths]
+    split = len(att_strengths)
+    signal = _AGGREGATIONS[kind][0](values, range(split), range(split, len(values)), -1)
+    return 0.0 if signal is None else signal
 
 
 def influence(kind: Influence, initial: float, signal: float) -> float:
@@ -247,16 +236,26 @@ def _influence_functions(
     if isinstance(kind, PMax):
         p, k = kind.p, kind.k
 
+        # Where x**p overflows, h takes its limit 1 and h' its limit 0; a
+        # squared denominator that overflows likewise leaves h' = 0.
+
         def h(x: float) -> float:
-            xp = x**p
+            try:
+                xp = x**p
+            except OverflowError:
+                return 1.0
             return xp / (1.0 + xp)
 
         def h_prime(x: float) -> float:
             # one-sided derivative at 0+: 1 for p == 1, 0 for p >= 2
             if x == 0.0:
                 return 1.0 if p == 1 else 0.0
-            xp = x**p
-            return p * x ** (p - 1) / ((1.0 + xp) * (1.0 + xp))
+            try:
+                xp = x**p
+            except OverflowError:
+                return 0.0
+            den = (1.0 + xp) * (1.0 + xp)
+            return 0.0 if den == math.inf else p * x ** (p - 1) / den
 
         def value(w: float, s: float) -> float:
             x = s / k
@@ -283,6 +282,98 @@ def _influence_functions(
     raise TypeError(f"unknown influence {kind!r}")
 
 
+# ---------------------------------------------------------------- aggregations
+#
+# fold(out, atts, sups, mask): the aggregate over the parents whose bit is set
+# in ``mask``, or None when no parent is kept.
+# backprop(adjoint, out, atts, sups, scale): adds scale * d aggregate / d out[p]
+# to every parent's adjoint.
+
+
+def _fold_sum(out, atts, sups, mask):
+    s = 0.0
+    kept = False
+    for p in sups:
+        if (mask >> p) & 1:
+            s += out[p]
+            kept = True
+    for p in atts:
+        if (mask >> p) & 1:
+            s -= out[p]
+            kept = True
+    return s if kept else None
+
+
+def _backprop_sum(adjoint, out, atts, sups, scale):
+    for p in sups:
+        adjoint[p] += scale
+    for p in atts:
+        adjoint[p] -= scale
+
+
+def _fold_product(out, atts, sups, mask):
+    pa = 1.0
+    ps = 1.0
+    kept = False
+    for p in atts:
+        if (mask >> p) & 1:
+            pa *= 1.0 - out[p]
+            kept = True
+    for p in sups:
+        if (mask >> p) & 1:
+            ps *= 1.0 - out[p]
+            kept = True
+    return pa - ps if kept else None
+
+
+def _backprop_product(adjoint, out, atts, sups, scale):
+    for parents, sign in ((atts, -1.0), (sups, 1.0)):
+        for p in parents:
+            rest = 1.0
+            for q in parents:
+                if q != p:
+                    rest *= 1.0 - out[q]
+            adjoint[p] += sign * scale * rest
+
+
+def _fold_top(out, atts, sups, mask):
+    ms = 0.0
+    ma = 0.0
+    kept = False
+    for p in sups:
+        if (mask >> p) & 1:
+            kept = True
+            if out[p] > ms:
+                ms = out[p]
+    for p in atts:
+        if (mask >> p) & 1:
+            kept = True
+            if out[p] > ma:
+                ma = out[p]
+    return ms - ma if kept else None
+
+
+def _backprop_top(adjoint, out, atts, sups, scale):
+    for parents, sign in ((sups, 1.0), (atts, -1.0)):
+        if not parents:
+            continue
+        best = max(out[p] for p in parents)
+        winners = [p for p in parents if out[p] == best]
+        if len(winners) == 1:
+            # A unique argmax parent carries the derivative even at strength
+            # 0: strengths are nonnegative, so the 0 floor never overtakes it
+            # in a feasible direction.
+            adjoint[winners[0]] += sign * scale
+        # exact tie between parents: no derivative
+
+
+_AGGREGATIONS = {
+    Aggregation.SUM: (_fold_sum, _backprop_sum),
+    Aggregation.PRODUCT: (_fold_product, _backprop_product),
+    Aggregation.TOP: (_fold_top, _backprop_top),
+}
+
+
 # ------------------------------------------------------------- the evaluator
 
 
@@ -295,7 +386,7 @@ class _Compiled:
     principle machinery needs without rebuilding graphs.
     """
 
-    __slots__ = ("graph", "semantics", "n", "order", "attackers", "supporters", "tau", "agg", "value", "d_signal", "d_initial")
+    __slots__ = ("graph", "semantics", "n", "order", "attackers", "supporters", "tau", "fold", "backprop", "value", "d_signal", "d_initial")
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
         self.graph = graph
@@ -305,7 +396,7 @@ class _Compiled:
         self.attackers = graph._attackers
         self.supporters = graph._supporters
         self.tau = graph._tau
-        self.agg = semantics.aggregation
+        self.fold, self.backprop = _AGGREGATIONS[semantics.aggregation]
         self.value, self.d_signal, self.d_initial = _influence_functions(semantics.influence)
 
     def strengths(
@@ -328,60 +419,20 @@ class _Compiled:
         taus = self.tau if tau is None else tau
         out = [0.0] * self.n if start is None else list(start)
         signals: list[float | None] = [None] * self.n if with_signals else []
-        agg = self.agg
+        fold = self.fold
         value = self.value
         attackers = self.attackers
         supporters = self.supporters
         for i in self.order if nodes is None else nodes:
             if not (mask >> i) & 1:
                 continue
-            atts = attackers[i]
-            sups = supporters[i]
-            if i == isolate:
-                atts = sups = ()
-            has_parent = False
-            if agg is Aggregation.SUM:
-                s = 0.0
-                for p in sups:
-                    if (mask >> p) & 1:
-                        s += out[p]
-                        has_parent = True
-                for p in atts:
-                    if (mask >> p) & 1:
-                        s -= out[p]
-                        has_parent = True
-            elif agg is Aggregation.PRODUCT:
-                pa = 1.0
-                ps = 1.0
-                for p in atts:
-                    if (mask >> p) & 1:
-                        pa *= 1.0 - out[p]
-                        has_parent = True
-                for p in sups:
-                    if (mask >> p) & 1:
-                        ps *= 1.0 - out[p]
-                        has_parent = True
-                s = pa - ps
+            s = None if i == isolate else fold(out, attackers[i], supporters[i], mask)
+            if s is None:
+                out[i] = taus[i]
             else:
-                ms = 0.0
-                ma = 0.0
-                for p in sups:
-                    if (mask >> p) & 1:
-                        has_parent = True
-                        if out[p] > ms:
-                            ms = out[p]
-                for p in atts:
-                    if (mask >> p) & 1:
-                        has_parent = True
-                        if out[p] > ma:
-                            ma = out[p]
-                s = ms - ma
-            if has_parent:
                 out[i] = value(taus[i], s)
                 if with_signals:
                     signals[i] = s
-            else:
-                out[i] = taus[i]
         if with_signals:
             return out, signals
         return out
@@ -393,7 +444,6 @@ class _Compiled:
         adjoint[topic] = 1.0
         partials = [0.0] * self.n
         topo = self.graph._topo
-        agg = self.agg
         for pos in range(self.graph._topo_pos[topic], -1, -1):
             i = topo[pos]
             a_i = adjoint[i]
@@ -405,40 +455,8 @@ class _Compiled:
                 continue
             partials[i] = a_i * self.d_initial(self.tau[i], signal)
             scale = a_i * self.d_signal(self.tau[i], signal)
-            if scale == 0.0:
-                continue
-            atts = self.attackers[i]
-            sups = self.supporters[i]
-            if agg is Aggregation.SUM:
-                for p in sups:
-                    adjoint[p] += scale
-                for p in atts:
-                    adjoint[p] -= scale
-            elif agg is Aggregation.PRODUCT:
-                for p in atts:
-                    rest = 1.0
-                    for q in atts:
-                        if q != p:
-                            rest *= 1.0 - out[q]
-                    adjoint[p] -= scale * rest
-                for p in sups:
-                    rest = 1.0
-                    for q in sups:
-                        if q != p:
-                            rest *= 1.0 - out[q]
-                    adjoint[p] += scale * rest
-            else:
-                for parents, sign in ((sups, 1.0), (atts, -1.0)):
-                    if not parents:
-                        continue
-                    best = max(out[p] for p in parents)
-                    winners = [p for p in parents if out[p] == best]
-                    if len(winners) == 1:
-                        # A unique argmax parent carries the derivative even at
-                        # strength 0: strengths are nonnegative, so the 0 floor
-                        # never overtakes it in a feasible direction.
-                        adjoint[winners[0]] += sign * scale
-                    # exact tie between parents: no derivative
+            if scale != 0.0:
+                self.backprop(adjoint, out, self.attackers[i], self.supporters[i], scale)
         return partials
 
 
@@ -476,7 +494,7 @@ def kink_margin(graph: QBAG, semantics: GradualSemantics) -> float:
             continue
         if kinked_influence:
             margin = min(margin, abs(signal))
-        if comp.agg is Aggregation.TOP:
+        if semantics.aggregation is Aggregation.TOP:
             for parents in (comp.supporters[i], comp.attackers[i]):
                 if not parents:
                     continue

@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import pytest
 
@@ -35,6 +36,16 @@ class TestEval:
         path = tmp_path / "supporters.json"
         save_graph(supporters_graph(800), path)
         code, out, err = run(capsys, "eval", str(path), "--semantics", "eb")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "a 0.500000 1.000000"
+
+    def test_p_max_overflow_is_not_an_error(self, tmp_path, capsys):
+        from qbag import save_graph
+        from qbag.corpus import supporters_graph
+
+        path = tmp_path / "supporters.json"
+        save_graph(supporters_graph(800), path)
+        code, out, err = run(capsys, "eval", str(path), "--aggregation", "sum", "--influence", "p-max", "--p", "200")
         assert code == 0 and err == ""
         assert out.splitlines()[-1] == "a 0.500000 1.000000"
 
@@ -392,7 +403,36 @@ class TestFuzzCommand:
         assert code == 1
         assert "violation at trial" in out
         assert '"arguments"' in out
-        assert "reproduce:" in out
+        topic = out.splitlines()[0].rsplit(" ", 1)[1]
+        assert out.splitlines()[-1] == (
+            "reproduce: save the graph above and run `qbag check GRAPH.json --semantics dfquad "
+            f"--method removal --principle contribution-existence --topic {topic}`"
+        )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--aggregation top --influence euler-based --method shapley --principle counterfactuality"
+            " --seed 1 --trials 200 --eq-tol 1e-6",
+            "--aggregation sum --influence p-max --p 3 --k 2 --method removal --principle strong-faithfulness"
+            " --seed 5 --trials 40 --grid-points 21 --eq-tol 1e-7",
+            "--semantics dfquad --method shapley-sampled --permutations 40 --sample-seed 9"
+            " --principle local-faithfulness --seed 2 --trials 20 --max-args 5 --support-only",
+        ],
+    )
+    def test_printed_command_replays_the_witness(self, flags, tmp_path, capsys):
+        code, out, _ = run(capsys, "fuzz", *shlex.split(flags))
+        assert code == 1
+        head, rest = out.split("graph file:\n")
+        graph_text, hint = rest.split("reproduce: ")
+        path = tmp_path / "witness.json"
+        path.write_text(graph_text)
+        command = shlex.split(hint[hint.index("`") + 1 : hint.rindex("`")])
+        assert command[:3] == ["qbag", "check", "GRAPH.json"]
+        code, replayed, err = run(capsys, *command[1:2], str(path), *command[3:])
+        assert (code, err) == (1, "")
+        witness = [line for line in head.splitlines() if line.startswith("  ")]
+        assert witness and witness == [line for line in replayed.splitlines() if line.startswith("  ")]
 
     def test_byte_identical_output_across_runs(self, capsys):
         argv = [

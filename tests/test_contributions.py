@@ -13,7 +13,6 @@ from qbag import (
     TooLarge,
     UNDEFINED,
     UnknownArgument,
-    build_qbag,
     contrib_gradient,
     contrib_intrinsic_removal,
     contrib_removal,
@@ -82,7 +81,7 @@ class TestRemoval:
         assert contrib_removal(chain_graph(), DFQUAD, "a", "a") is UNDEFINED
 
     def test_zero_without_path(self):
-        g = build_qbag([("a", 0.5), ("b", 0.7)], attacks=[("a", "b")])
+        g = QBAG([("a", 0.5), ("b", 0.7)], attacks=[("a", "b")])
         assert contrib_removal(g, DFQUAD, "a", "b") == 0.0
 
     def test_unknown_argument(self):
@@ -128,7 +127,7 @@ class TestShapleyExact:
                         )
 
     def test_two_argument_graph_equals_removal(self):
-        g = build_qbag([("a", 0.5), ("x", 0.8)], supports=[("x", "a")])
+        g = QBAG([("a", 0.5), ("x", 0.8)], supports=[("x", "a")])
         for sem in PRESETS.values():
             assert contrib_shapley_exact(g, sem, "a", "x") == pytest.approx(
                 contrib_removal(g, sem, "a", "x"), abs=1e-12
@@ -158,7 +157,7 @@ class TestShapleyExact:
                     )
 
     def test_exact_cap(self):
-        g = build_qbag([(f"x{i}", 0.5) for i in range(21)])
+        g = QBAG([(f"x{i}", 0.5) for i in range(21)])
         with pytest.raises(TooLarge):
             contrib_shapley_exact(g, QE, "x0", "x1")
         assert contrib_shapley_exact(g, QE, "x0", "x1", exact_cap=21) == 0.0
@@ -196,7 +195,7 @@ class TestShapleySampled:
         )
 
     def test_unreachable_contributor_is_exactly_zero(self):
-        g = build_qbag(
+        g = QBAG(
             [("a", 0.5), ("b", 0.7), ("z", 0.9)], attacks=[("b", "a")], supports=[("a", "z")]
         )
         assert not reaches(g, "z", "a")
@@ -233,7 +232,7 @@ class TestDispatchAndTables:
         assert contribution(chain_graph(), QE, stub, "a", "b") == 1.0
 
     def test_edgeless_tables(self):
-        g = build_qbag([("a", 0.5), ("b", 0.7)])
+        g = QBAG([("a", 0.5), ("b", 0.7)])
         removal = contribution_table(g, QE, Removal())
         assert removal.value("a", "b") == 0.0 and removal.value("b", "a") == 0.0
         assert removal.value("a", "a") is UNDEFINED

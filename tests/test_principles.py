@@ -6,16 +6,17 @@ from qbag import (
     EB,
     EBT,
     EvaluationCache,
+    FuzzConfig,
     Gradient,
     IntrinsicRemoval,
     PrincipleId,
+    QBAG,
     QE,
     Removal,
     SD_DFQUAD,
     ShapleyExact,
     UnknownArgument,
     Verdict,
-    build_qbag,
     check_contribution_existence,
     check_counterfactuality,
     check_directionality,
@@ -26,9 +27,9 @@ from qbag import (
     check_quant_local_faithfulness,
     check_strong_faithfulness,
     contribution,
-    is_monotonic_effect_numeric,
     kink_margin,
     principle_by_name,
+    random_qbag,
     run_check,
     with_initial_strength,
 )
@@ -58,7 +59,7 @@ class TestContributionExistence:
         assert report.witness["nonzero_contributors"] == ["b", "c"]
 
     def test_vacuous_on_edgeless_graph(self):
-        g = build_qbag([("a", 0.5), ("b", 0.7)])
+        g = QBAG([("a", 0.5), ("b", 0.7)])
         for method in (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()):
             assert check_contribution_existence(g, QE, method, "a").satisfied
 
@@ -198,9 +199,9 @@ class TestStrongFaithfulness:
         assert contribution(g, SD_DFQUAD, Removal(), "a", "d") == pytest.approx(0.1398, abs=1e-4)
 
     def test_satisfied_on_two_node_graph_with_gradient(self):
-        edgeless = build_qbag([("a", 0.5), ("b", 0.3)])
+        edgeless = QBAG([("a", 0.5), ("b", 0.3)])
         assert check_strong_faithfulness(edgeless, DFQUAD, Gradient(), "a").satisfied
-        linear = build_qbag([("a", 0.5), ("b", 0.3)], supports=[("b", "a")])
+        linear = QBAG([("a", 0.5), ("b", 0.3)], supports=[("b", "a")])
         assert check_strong_faithfulness(linear, DFQUAD, Gradient(), "a").satisfied
 
 
@@ -219,7 +220,7 @@ class TestQuantLocalFaithfulness:
         assert ratios[-1] > 1e-3
 
     def test_unreachable_contributor_has_zero_error(self):
-        g = build_qbag([("a", 0.5), ("z", 0.9)], attacks=[("a", "z")])
+        g = QBAG([("a", 0.5), ("z", 0.9)], attacks=[("a", "z")])
         report = check_quant_local_faithfulness(g, QE, Gradient(), "a")
         assert report.satisfied
 
@@ -237,21 +238,8 @@ class TestProximity:
         assert report.satisfied
 
     def test_vacuous_without_strictly_closer_pairs(self):
-        g = build_qbag([("a", 0.5), ("b", 0.9), ("c", 0.9)], attacks=[("b", "a")], supports=[("c", "a")])
+        g = QBAG([("a", 0.5), ("b", 0.9), ("c", 0.9)], attacks=[("b", "a")], supports=[("c", "a")])
         assert check_proximity(g, QE, Removal(), "a").satisfied
-
-
-class TestMonotonicEffect:
-    def test_intro_graph_effect_reverses(self):
-        assert not is_monotonic_effect_numeric(intro_graph(), DFQUAD, "e", "a")
-
-    def test_single_support_edge_is_monotone(self):
-        g = build_qbag([("a", 0.5), ("x", 0.8)], supports=[("x", "a")])
-        assert is_monotonic_effect_numeric(g, DFQUAD, "x", "a")
-
-    def test_unreachable_contributor_is_constant(self):
-        g = build_qbag([("a", 0.5), ("z", 0.9)], attacks=[("a", "z")])
-        assert is_monotonic_effect_numeric(g, QE, "z", "a")
 
 
 class TestCheckerPlumbing:
@@ -411,3 +399,91 @@ class TestImplicationChains:
                         quant = check_quant_local_faithfulness(g, sem, method, topic, cfg, cache=cache)
                         if all(abs(c) > 1e-2 or abs(c) <= 1e-10 for c in contribs):
                             assert not quant.satisfied
+
+
+# Violations per (principle, method) over the presets (qe, dfquad, sd-dfquad,
+# eb, ebt) on the first 40 trials of the seed-1 fuzz recipe with max_args=6
+# (162 instances per cell), one shared cache per (graph, preset) as in `qbag
+# fuzz`.  Any change to a checker, a contribution method or the evaluator that
+# moves a verdict moves one of these counts.
+_VERDICT_COUNTS = {
+    "contribution-existence": {
+        "removal": (0, 0, 0, 0, 0),
+        "intrinsic-removal": (0, 0, 0, 0, 0),
+        "shapley": (0, 0, 0, 0, 0),
+        "gradient": (0, 0, 0, 0, 0),
+    },
+    "quantitative-contribution-existence": {
+        "removal": (30, 30, 30, 22, 22),
+        "intrinsic-removal": (22, 22, 22, 17, 17),
+        "shapley": (0, 0, 0, 0, 0),
+        "gradient": (72, 72, 75, 69, 69),
+    },
+    "directionality": {
+        "removal": (0, 0, 0, 0, 0),
+        "intrinsic-removal": (0, 0, 0, 0, 0),
+        "shapley": (0, 0, 0, 0, 0),
+        "gradient": (0, 0, 0, 0, 0),
+    },
+    "strong-faithfulness": {
+        "removal": (8, 10, 8, 8, 17),
+        "intrinsic-removal": (9, 11, 9, 8, 17),
+        "shapley": (8, 11, 9, 8, 18),
+        "gradient": (4, 2, 2, 0, 10),
+    },
+    "local-faithfulness": {
+        "removal": (1, 3, 1, 0, 0),
+        "intrinsic-removal": (1, 3, 1, 0, 0),
+        "shapley": (1, 4, 2, 0, 10),
+        "gradient": (0, 0, 0, 0, 0),
+    },
+    "quantitative-local-faithfulness": {
+        "removal": (73, 74, 73, 69, 69),
+        "intrinsic-removal": (73, 74, 73, 69, 69),
+        "shapley": (73, 75, 74, 69, 69),
+        "gradient": (0, 6, 6, 0, 0),
+    },
+    "counterfactuality": {
+        "removal": (0, 0, 0, 0, 0),
+        "intrinsic-removal": (1, 1, 1, 0, 2),
+        "shapley": (1, 4, 2, 0, 10),
+        "gradient": (5, 9, 7, 8, 8),
+    },
+    "quantitative-counterfactuality": {
+        "removal": (0, 0, 0, 0, 0),
+        "intrinsic-removal": (23, 23, 23, 17, 16),
+        "shapley": (30, 30, 30, 22, 22),
+        "gradient": (73, 75, 76, 69, 69),
+    },
+    "proximity": {
+        "removal": (1, 1, 0, 0, 0),
+        "intrinsic-removal": (3, 5, 2, 0, 2),
+        "shapley": (0, 0, 0, 0, 0),
+        "gradient": (1, 10, 0, 0, 0),
+    },
+}
+
+
+def test_verdict_counts_on_a_fixed_fuzz_pool():
+    methods = {
+        "removal": Removal(),
+        "intrinsic-removal": IntrinsicRemoval(),
+        "shapley": ShapleyExact(),
+        "gradient": Gradient(),
+    }
+    presets = ("qe", "dfquad", "sd-dfquad", "eb", "ebt")
+    config = FuzzConfig(seed=1, trials=40, max_args=6)
+    counts = {p: {m: [0] * len(presets) for m in methods} for p in _VERDICT_COUNTS}
+    instances = 0
+    for trial in range(config.trials):
+        g = random_qbag(config, trial)
+        instances += len(g)
+        for k, preset in enumerate(presets):
+            cache = EvaluationCache(g, PRESETS[preset])
+            for principle in PrincipleId:
+                for mname, method in methods.items():
+                    for topic in g.arguments:
+                        report = run_check(g, PRESETS[preset], method, principle, topic, cache=cache)
+                        counts[principle.value][mname][k] += not report.satisfied
+    assert instances == 162
+    assert {p: {m: tuple(c) for m, c in row.items()} for p, row in counts.items()} == _VERDICT_COUNTS

@@ -5,6 +5,7 @@ import pytest
 from qbag import (
     QBAG,
     Aggregation,
+    GradualSemantics,
     DFQUAD,
     DomainError,
     EB,
@@ -15,7 +16,6 @@ from qbag import (
     QE,
     SD_DFQUAD,
     aggregate,
-    build_qbag,
     evaluate,
     gradient_of_topic,
     influence,
@@ -24,7 +24,7 @@ from qbag import (
     semantics_by_name,
 )
 from qbag.corpus import supporters_graph
-from qbag.semantics import PRESETS
+from qbag.semantics import PRESETS, _Compiled
 
 from conftest import finite_difference_partials, random_graphs
 
@@ -88,6 +88,18 @@ class TestAggregate:
     def test_top(self):
         assert aggregate(Aggregation.TOP, [0.5], [0.4, 0.7]) == pytest.approx(0.2, abs=1e-12)
 
+    def test_equals_the_evaluators_signals(self):
+        # aggregate() and the forward pass share one fold per aggregation
+        for g in random_graphs(seed=11, count=30, max_args=6):
+            for sem in PRESETS.values():
+                out, signals = _Compiled(g, sem).strengths(with_signals=True)
+                for i, signal in enumerate(signals):
+                    if signal is None:
+                        continue
+                    atts = [out[p] for p in g._attackers[i]]
+                    sups = [out[p] for p in g._supporters[i]]
+                    assert aggregate(sem.aggregation, atts, sups) == signal
+
 
 class TestInfluence:
     def test_linear(self):
@@ -138,7 +150,7 @@ class TestEvaluate:
         assert sigma["c"] == pytest.approx(0.5, abs=1e-12)
 
     def test_edgeless_graph_is_stable(self):
-        g = build_qbag([("x", 0.3), ("y", 0.8)])
+        g = QBAG([("x", 0.3), ("y", 0.8)])
         for sem in PRESETS.values():
             sigma = evaluate(g, sem)
             assert sigma["x"] == 0.3 and sigma["y"] == 0.8
@@ -224,7 +236,7 @@ class TestGradient:
         assert grad_c["c"] == 1.0
 
     def test_isolated_argument_has_identity_gradient(self):
-        g = build_qbag([("a", 0.4), ("b", 0.6)])
+        g = QBAG([("a", 0.4), ("b", 0.6)])
         for sem in PRESETS.values():
             grad = gradient_of_topic(g, sem, "a")
             assert grad["a"] == 1.0 and grad["b"] == 0.0
@@ -234,7 +246,7 @@ class TestGradient:
         assert grad["d"] == pytest.approx(0.02987, abs=1e-4)
 
     def test_saturated_attackers_partials_sum(self):
-        g = build_qbag([("a", 0.5), ("b", 1.0), ("c", 1.0)], attacks=[("b", "a"), ("c", "a")])
+        g = QBAG([("a", 0.5), ("b", 1.0), ("c", 1.0)], attacks=[("b", "a"), ("c", "a")])
         grad = gradient_of_topic(g, QE, "a")
         assert grad["b"] + grad["c"] == pytest.approx(-0.16, abs=1e-12)
 
@@ -340,3 +352,26 @@ class TestEulerOverflow:
         e = math.exp(300.0)
         den = 1.0 + 0.5 * e
         assert grad["b1"] == 0.75 * 0.5 * e / (den * den)
+
+
+class TestPMaxOverflow:
+    """800 unit supporters under sum + 200-max: x**p overflows at x = 800."""
+
+    SEMANTICS = GradualSemantics(Aggregation.SUM, PMax(200))
+
+    def test_evaluate(self):
+        assert evaluate(supporters_graph(800), self.SEMANTICS)["a"] == 1.0
+
+    def test_gradient(self):
+        grad = gradient_of_topic(supporters_graph(800), self.SEMANTICS, "a")
+        assert all(value == 0.0 for value in grad.partials.values())
+
+    def test_overflowing_squared_denominator_gives_zero_slope(self):
+        # x = 2, p = 1023: x**p is finite, p * x**(p-1) and (1 + x**p)**2 are not
+        grad = gradient_of_topic(supporters_graph(2), GradualSemantics(Aggregation.SUM, PMax(1023)), "a")
+        assert grad["b1"] == grad["b2"] == 0.0
+
+    def test_gradient_is_unchanged_below_overflow(self):
+        grad = gradient_of_topic(supporters_graph(2), GradualSemantics(Aggregation.SUM, PMax(50)), "a")
+        xp = 2.0**50
+        assert grad["b1"] == 0.5 * (50 * 2.0**49 / ((1.0 + xp) * (1.0 + xp)))
