@@ -191,10 +191,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = sys.stdout
     out.write("epsilon,final_strength\n")
     last = args.steps - 1
-    for i in range(args.steps):
-        eps = i / last
-        sigma = cache.strengths_perturbed(vary, eps)[topic]
-        out.write(f"{_fmt(eps)},{_fmt(sigma)}\n")
+    for i, sigma in enumerate(cache.sweep_column(vary, topic, args.steps)):
+        out.write(f"{_fmt(i / last)},{_fmt(sigma)}\n")
     return 0
 
 

@@ -19,21 +19,22 @@ The gradient is total and gives the self-contribution a meaning.
 
 Exact Shapley enumeration memoizes subgraph evaluations by kept-set bitmask,
 so the two terms of each marginal share one cache and the whole table costs
-at most 2^(n-1) distinct evaluations.  An argument with no directed path to
-the topic is a null player: every marginal of it is exactly 0.0, so its
-Shapley value is 0.0 without enumeration.  Enumeration beyond ``exact_cap``
-arguments (default 20) raises :class:`TooLarge`, on every call whether or
-not the cell is memoized; use the seeded permutation sampler instead for big
-graphs.
+at most 2^(n-1) distinct evaluations; the removed sets are visited as the
+submasks of the other arguments in increasing order.  An argument with no
+directed path to the topic is a null player: every marginal of it is
+exactly 0.0, so its Shapley value is 0.0 without enumeration.  Enumeration
+beyond ``exact_cap`` arguments (default 20) raises :class:`TooLarge`, on
+every call whether or not the cell is memoized; use the seeded permutation
+sampler instead for big graphs.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
-pair memoizes strength vectors (per kept-set mask, severed argument,
-perturbation and grid sweep), gradients per topic, cells of the built-in
-methods per (method, topic, contributor), and each topic's ancestors and
-strictly-closer pairs.  Severing or perturbing one argument re-runs the
-forward pass over that argument's descendant cone only, starting from the
-unmodified vector, which gives bit-identical results.  Cells of callable
-methods are never memoized.
+pair memoizes strength vectors (per kept-set mask, severed argument and
+perturbation), grid sweeps per (argument, grid size) as one column per
+topic, gradients per topic, one lazily filled cell column per (built-in method, topic), and
+each topic's ancestors and strictly-closer pairs.  Severing, perturbing or
+sweeping one argument re-runs the forward pass over that argument's
+descendant cone only, starting from the unmodified vector, which gives
+bit-identical results.  Cells of callable methods are never memoized.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ _METHOD_NAMES = {
     ShapleySampled: "shapley-sampled",
     Gradient: "gradient",
 }
-_BUILT_IN = tuple(_METHOD_NAMES)
 
 
 def method_name(method: ContributionMethod) -> str:
@@ -133,18 +133,23 @@ def method_by_name(name: str, *, permutations: int = 100_000, seed: int = 0) -> 
     raise ValueError(f"unknown contribution method {name!r}")
 
 
+# A column entry whose cell has not been computed yet (undefined cells are None).
+_UNSET = object()
+
+
 class EvaluationCache:
     """Memoized evaluations for one (graph, semantics) pair.
 
     Holds final-strength vectors keyed by kept-set bitmask, by severed
-    argument (incoming edges removed), by single-argument initial strength
-    perturbation and by grid sweep of one initial strength, gradient vectors
-    per topic, contribution cells of the built-in methods per (method,
-    topic, contributor), each topic's ancestors and strictly-closer pairs,
-    and the results the principle checkers derive from these (``derived``).
-    Severing or perturbing one argument re-evaluates only its descendant
-    cone, starting from the unmodified vector.  Everything is confined to
-    the cache instance; the evaluator itself stays stateless.
+    argument (incoming edges removed) and by single-argument initial
+    strength perturbation, grid sweeps of one initial strength as one
+    column per topic, gradient vectors per topic, one lazily filled cell
+    column per (built-in method, topic), each topic's ancestors and
+    strictly-closer pairs, and the results the principle checkers derive
+    from these (``derived``).  Severing, perturbing or sweeping one argument
+    re-evaluates only its descendant cone, starting from the unmodified
+    vector.  Everything is confined to the cache instance; the evaluator
+    itself stays stateless.
     """
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
@@ -160,7 +165,9 @@ class EvaluationCache:
         self._cones: dict[int, tuple[int, ...]] = {}
         self._ancestors: dict[int, int] = {}
         self._closer_pairs: dict[int, list[tuple[int, int]]] = {}
-        self._cells: dict[tuple[ContributionMethod, int, int], ContributionValue] = {}
+        # method key -> per-topic cell columns; the key is the method's type,
+        # or the method itself for the seeded sampler
+        self._columns: dict[object, list[list | None]] = {}
         self.derived: dict[tuple, object] = {}
 
     def strengths(self, mask: int | None = None) -> tuple[float, ...]:
@@ -171,50 +178,39 @@ class EvaluationCache:
             self._by_mask[key] = hit
         return hit
 
-    def _cone(self, index: int) -> tuple[int, ...]:
-        hit = self._cones.get(index)
-        if hit is None:
-            hit = self._cones[index] = descendant_cone(self.graph, index)
-        return hit
-
-    def _reevaluate(self, index: int, **change) -> tuple[float, ...]:
-        """Full-graph strengths after changing one argument: only its
-        descendant cone is re-run, from the unmodified vector."""
-        return tuple(
-            self._comp.strengths(nodes=self._cone(index), start=self.strengths(), **change)
-        )
+    def _sweep(self, index: int, values, sever: bool = False) -> list[tuple[float, ...]]:
+        cone = self._cones.get(index)
+        if cone is None:
+            cone = self._cones[index] = descendant_cone(self.graph, index)
+        return self._comp.sweep(index, values, cone, self.strengths(), sever)
 
     def strengths_isolated(self, index: int) -> tuple[float, ...]:
         hit = self._by_isolated.get(index)
         if hit is None:
-            hit = self._by_isolated[index] = self._reevaluate(index, isolate=index)
+            hit = self._by_isolated[index] = self._sweep(index, (self._comp.tau[index],), True)[0]
         return hit
-
-    def _perturbed(self, index: int, value: float) -> tuple[float, ...]:
-        tau = list(self._comp.tau)
-        tau[index] = value
-        return self._reevaluate(index, tau=tau)
 
     def strengths_perturbed(self, index: int, value: float) -> tuple[float, ...]:
         key = (index, value)
         hit = self._by_perturbation.get(key)
         if hit is None:
-            hit = self._by_perturbation[key] = self._perturbed(index, value)
+            hit = self._by_perturbation[key] = self._sweep(index, (value,))[0]
         return hit
 
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
-        takes the values j / (points - 1), j = 0 .. points - 1.  The sweep's
-        vectors are computed once per (argument, points) for every topic; a
-        topic the argument does not reach keeps its unmodified strength."""
+        takes the values j / (points - 1), j = 0 .. points - 1.  The sweep is
+        computed once per (argument, points) for every topic; a topic the
+        argument does not reach keeps its unmodified strength."""
         if topic != index and not (self.ancestors(topic) >> index) & 1:
             return (self.strengths()[topic],) * points
         key = (index, points)
-        sweep = self._sweeps.get(key)
-        if sweep is None:
+        columns = self._sweeps.get(key)
+        if columns is None:
             last = points - 1
-            sweep = self._sweeps[key] = tuple(self._perturbed(index, j / last) for j in range(points))
-        return tuple(vector[topic] for vector in sweep)
+            vectors = self._sweep(index, [j / last for j in range(points)])
+            columns = self._sweeps[key] = tuple(zip(*vectors))
+        return columns[topic]
 
     def gradient(self, topic: int) -> tuple[float, ...]:
         hit = self._gradients.get(topic)
@@ -244,6 +240,77 @@ class EvaluationCache:
             - self.strengths(self.full_mask & ~(1 << contributor))[topic]
         )
 
+    def column(
+        self,
+        method: ContributionMethod | Callable[..., ContributionValue],
+        topic: int,
+        exact_cap: int = DEFAULT_EXACT_CAP,
+    ) -> list:
+        """The topic's memoized cell column under a built-in method, indexed
+        by contributor: a float, None for an undefined cell, or ``_UNSET``
+        until :meth:`cell` computes it.  A callable method, or exact Shapley
+        on a graph of more than ``exact_cap`` arguments, gets a fresh unset
+        column, so every request goes through :meth:`cell`."""
+        kind = type(method)
+        key = method if kind is ShapleySampled else kind
+        n = self._comp.n
+        if kind not in _METHOD_NAMES or (kind is ShapleyExact and n > exact_cap):
+            return [_UNSET] * n
+        columns = self._columns.get(key)
+        if columns is None:
+            columns = self._columns[key] = [None] * n
+        column = columns[topic]
+        if column is None:
+            column = columns[topic] = [_UNSET] * n
+        return column
+
+    def cell(
+        self,
+        method: ContributionMethod | Callable[..., ContributionValue],
+        topic: int,
+        contributor: int,
+        exact_cap: int = DEFAULT_EXACT_CAP,
+    ) -> float | None:
+        """Compute one cell (None when undefined) and store it in its column.
+        A callable ``(graph, semantics, topic, contributor) -> value`` gets
+        argument names and is called every time.  Every exact Shapley
+        request on a graph of more than ``exact_cap`` arguments raises
+        :class:`TooLarge`.  Shapley cells of arguments that do not reach the
+        topic are an exact 0.0 (null players: every marginal is exactly
+        0.0)."""
+        kind = type(method)
+        if kind not in _METHOD_NAMES:
+            if callable(method):
+                names = self.graph.arguments
+                value = method(self.graph, self.semantics, names[topic], names[contributor])
+                return None if value is UNDEFINED else float(value)
+            raise TypeError(f"unknown contribution method {method!r}")
+        if kind is ShapleyExact and len(self.graph) > exact_cap:
+            raise TooLarge(
+                f"exact enumeration is capped at {exact_cap} arguments, graph has {len(self.graph)}"
+            )
+        column = self.column(method, topic, exact_cap)
+        if kind is Gradient:
+            column[:] = self.gradient(topic)
+            return column[contributor]
+        if topic == contributor:
+            value = None
+        elif kind is Removal:
+            value = self.removal_delta(contributor, topic)
+        elif kind is IntrinsicRemoval:
+            value = (
+                self.strengths_isolated(contributor)[topic]
+                - self.strengths(self.full_mask & ~(1 << contributor))[topic]
+            )
+        elif not (self.ancestors(topic) >> contributor) & 1:
+            value = 0.0
+        elif kind is ShapleyExact:
+            value = _shapley_exact(self, topic, contributor)
+        else:
+            value = _shapley_sampled(self, topic, contributor, method.permutations, method.seed)
+        column[contributor] = value
+        return value
+
     def contribution(
         self,
         method: ContributionMethod | Callable[..., ContributionValue],
@@ -251,44 +318,12 @@ class EvaluationCache:
         contributor: int,
         exact_cap: int = DEFAULT_EXACT_CAP,
     ) -> ContributionValue:
-        """One contribution cell by argument index.  Cells of the built-in
-        methods are memoized; a callable ``(graph, semantics, topic,
-        contributor) -> value`` gets argument names and is called every time.
-        Every exact Shapley request on a graph of more than ``exact_cap``
-        arguments raises :class:`TooLarge`, memoized or not.  Shapley cells of
-        arguments that do not reach the topic are an exact 0.0 (null players:
-        every marginal is exactly 0.0)."""
-        if not isinstance(method, _BUILT_IN):
-            if callable(method):
-                names = self.graph.arguments
-                return method(self.graph, self.semantics, names[topic], names[contributor])
-            raise TypeError(f"unknown contribution method {method!r}")
-        if isinstance(method, ShapleyExact) and len(self.graph) > exact_cap:
-            raise TooLarge(
-                f"exact enumeration is capped at {exact_cap} arguments, graph has {len(self.graph)}"
-            )
-        key = (method, topic, contributor)
-        hit = self._cells.get(key)
-        if hit is None:
-            if isinstance(method, Gradient):
-                hit = self.gradient(topic)[contributor]
-            elif topic == contributor:
-                hit = UNDEFINED
-            elif isinstance(method, Removal):
-                hit = self.removal_delta(contributor, topic)
-            elif isinstance(method, IntrinsicRemoval):
-                hit = (
-                    self.strengths_isolated(contributor)[topic]
-                    - self.strengths(self.full_mask & ~(1 << contributor))[topic]
-                )
-            elif not (self.ancestors(topic) >> contributor) & 1:
-                hit = 0.0
-            elif isinstance(method, ShapleyExact):
-                hit = _shapley_exact(self, topic, contributor)
-            else:
-                hit = _shapley_sampled(self, topic, contributor, method.permutations, method.seed)
-            self._cells[key] = hit
-        return hit
+        """One contribution cell by argument index, read from its column and
+        computed by :meth:`cell` when missing."""
+        value = self.column(method, topic, exact_cap)[contributor]
+        if value is _UNSET:
+            value = self.cell(method, topic, contributor, exact_cap)
+        return UNDEFINED if value is None else value
 
 
 def contrib_removal(
@@ -351,21 +386,20 @@ def contrib_shapley_exact(
 
 
 def _shapley_exact(cache: EvaluationCache, t: int, x: int) -> float:
-    n = len(cache.graph)
-    others = [i for i in range(n) if i != t and i != x]
-    weights = _shapley_weights(n - 1)
     full = cache.full_mask
+    weights = _shapley_weights(len(cache.graph) - 1)
     x_bit = 1 << x
+    others = full & ~(1 << t) & ~x_bit
     total = 0.0
-    for subset in range(1 << len(others)):
-        removed = 0
-        for j, i in enumerate(others):
-            if (subset >> j) & 1:
-                removed |= 1 << i
+    removed = 0
+    while True:
+        # removed runs over the submasks of others in increasing order
         kept = full & ~removed
         marginal = cache.strengths(kept)[t] - cache.strengths(kept & ~x_bit)[t]
-        total += weights[subset.bit_count()] * marginal
-    return total
+        total += weights[removed.bit_count()] * marginal
+        if removed == others:
+            return total
+        removed = (removed - others) & others
 
 
 def contrib_shapley_sampled(

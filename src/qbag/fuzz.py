@@ -16,6 +16,10 @@ stream per trial, so any trial can be replayed in isolation):
 The search runs one principle checker for every topic of every generated
 graph and stops at the first violation, reporting the graph, the topic and
 the checker's witness.  Identical configurations produce identical output.
+A graph on which the semantics is undefined (a custom linear influence whose
+aggregate leaves [-k, k]) ends the search with a :class:`DomainError` that
+names its trial and topic, so the graph can be regenerated with
+:func:`random_qbag`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import string
 from dataclasses import dataclass
 
 from .contributions import DEFAULT_EXACT_CAP, ContributionMethod, EvaluationCache
+from .errors import DomainError
 from .graph import QBAG
 from .principles import CheckConfig, PrincipleId, PrincipleReport, run_check
 from .rng import SplitMix64
@@ -111,9 +116,12 @@ def search_violation(
         graph = random_qbag(config, trial)
         cache = EvaluationCache(graph, semantics)
         for topic in graph.arguments:
-            report = run_check(
-                graph, semantics, method, principle, topic, check_cfg, cache=cache, exact_cap=cap
-            )
+            try:
+                report = run_check(
+                    graph, semantics, method, principle, topic, check_cfg, cache=cache, exact_cap=cap
+                )
+            except DomainError as exc:
+                raise DomainError(f"trial {trial}, topic {topic}: {exc}") from exc
             if not report.satisfied:
                 return FuzzWitness(trial, topic, graph, report)
     return None

@@ -27,11 +27,11 @@ from enum import Enum
 from typing import Callable
 
 from .contributions import (
+    _METHOD_NAMES,
+    _UNSET,
     DEFAULT_EXACT_CAP,
     ContributionMethod,
     EvaluationCache,
-    UNDEFINED,
-    method_name,
 )
 from .graph import QBAG
 from .semantics import GradualSemantics
@@ -122,14 +122,13 @@ def _sign(value: float, tol: float) -> int:
 
 def _method_label(method) -> str:
     try:
-        return method_name(method)
+        return _METHOD_NAMES[type(method)]
     except KeyError:
         return getattr(method, "__name__", repr(method))
 
 
 def _initial(cache: EvaluationCache, x: int) -> float:
-    graph = cache.graph
-    return graph.initial_strength(graph.arguments[x])
+    return cache.graph._tau[x]
 
 
 # ------------------------------------------------------- whole-instance rules
@@ -305,52 +304,75 @@ def _strong_faithfulness(cache, cfg, t, base, x, c):
     [0, 1] contradicts the global monotone behaviour its contribution sign
     promises (strictly better below, strictly worse above for positive
     contributions; flat everywhere for zero ones).  The first contradicting
-    grid point depends on nothing but the key below, so every method with
-    the same sign shares the scan through the cache."""
-    sign = _sign(c, cfg.zero_tol)
+    grid point of every sign depends on nothing but the key below, so one
+    scan serves every method through the cache."""
     points, eq_tol = cfg.grid_points, cfg.eq_tol
-    key = ("strong-faithfulness", x, t, sign, points, eq_tol)
+    key = ("strong-faithfulness", x, t, points, eq_tol)
     derived = cache.derived
-    if key in derived:
-        return derived[key]
-    found = None
+    found = derived.get(key)
+    if found is None:
+        found = derived[key] = _first_contradictions(cache, t, base, x, points, eq_tol)
+    return found[_sign(c, cfg.zero_tol) + 1]
+
+
+# The signs a grid point contradicts, as indices sign + 1: a strictly higher
+# strength contradicts sign 0, and +1 below tau or -1 above it; a strictly
+# lower one sign 0, and -1 below tau or +1 above it; an equal one (within
+# eq_tol) both nonzero signs.
+_HIGHER_BELOW = (1, 2)
+_HIGHER_ABOVE = (1, 0)
+_EQUAL = (0, 2)
+
+
+def _first_contradictions(cache, t, base, x, points, eq_tol):
+    """The first grid point contradicting each contribution sign -1, 0, +1
+    (as witness entries, None where there is none), from one scan that
+    stops once every sign that can be contradicted is."""
+    column = cache.sweep_column(x, t, points)
+    found = [None, None, None]
+    # Subtracting base is monotone, so when the column's extremes stay within
+    # eq_tol of base no grid point contradicts sign 0 and the scan can stop
+    # once both nonzero signs are contradicted.
+    pending = 2 if max(column) - base <= eq_tol and min(column) - base >= -eq_tol else 3
     base_tau = _initial(cache, x)
     last = points - 1
-    for j, strength in enumerate(cache.sweep_column(x, t, points)):
+    for j, strength in enumerate(column):
         eps = j / last
         if abs(eps - base_tau) <= 1e-12:
             continue
         diff = strength - base
-        if sign == 0:
-            bad = abs(diff) > eq_tol
-        elif sign > 0:
-            # want: strength strictly lower for eps < tau, higher above
-            bad = diff >= -eq_tol if eps < base_tau else diff <= eq_tol
+        if diff > eq_tol:
+            bad = _HIGHER_BELOW if eps < base_tau else _HIGHER_ABOVE
+        elif diff < -eq_tol:
+            bad = _HIGHER_ABOVE if eps < base_tau else _HIGHER_BELOW
+        elif diff == diff:
+            bad = _EQUAL
         else:
-            bad = diff <= eq_tol if eps < base_tau else diff >= -eq_tol
-        if bad:
-            found = {"epsilon": eps, "strength_diff": diff}
+            continue  # nan contradicts nothing
+        for k in bad:
+            if found[k] is None:
+                found[k] = {"epsilon": eps, "strength_diff": diff}
+                pending -= 1
+        if not pending:
             break
-    derived[key] = found
     return found
 
 
 # ------------------------------------------------------------ the one loop
 
-_INSTANCE_RULES = {
-    PrincipleId.CONTRIBUTION_EXISTENCE: _contribution_existence,
-    PrincipleId.QUANT_CONTRIBUTION_EXISTENCE: _quant_contribution_existence,
-    PrincipleId.PROXIMITY: _proximity,
-}
-
-# principle -> (test, whether only non-ancestors of the topic are visited, note)
-_CONTRIBUTOR_TESTS = {
-    PrincipleId.DIRECTIONALITY: (_directionality, True, ""),
-    PrincipleId.STRONG_FAITHFULNESS: (_strong_faithfulness, False, ""),
-    PrincipleId.LOCAL_FAITHFULNESS: (_local_faithfulness, False, _LF_NOTE),
-    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (_quant_local_faithfulness, False, _LF_NOTE),
-    PrincipleId.COUNTERFACTUALITY: (_counterfactuality, False, ""),
-    PrincipleId.QUANT_COUNTERFACTUALITY: (_quant_counterfactuality, False, ""),
+# principle -> (whole-instance rule, per-contributor test, whether the test
+# visits only non-ancestors of the topic, note); exactly one of rule and
+# test is set
+_PLANS = {
+    PrincipleId.CONTRIBUTION_EXISTENCE: (_contribution_existence, None, False, ""),
+    PrincipleId.QUANT_CONTRIBUTION_EXISTENCE: (_quant_contribution_existence, None, False, ""),
+    PrincipleId.PROXIMITY: (_proximity, None, False, ""),
+    PrincipleId.DIRECTIONALITY: (None, _directionality, True, ""),
+    PrincipleId.STRONG_FAITHFULNESS: (None, _strong_faithfulness, False, ""),
+    PrincipleId.LOCAL_FAITHFULNESS: (None, _local_faithfulness, False, _LF_NOTE),
+    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (None, _quant_local_faithfulness, False, _LF_NOTE),
+    PrincipleId.COUNTERFACTUALITY: (None, _counterfactuality, False, ""),
+    PrincipleId.QUANT_COUNTERFACTUALITY: (None, _quant_counterfactuality, False, ""),
 }
 
 
@@ -367,28 +389,29 @@ def run_check(
 ) -> PrincipleReport:
     """Run one principle checker on one instance.  A per-contributor test
     visits the other arguments in list order and stops at the first
-    witness; contributions are requested only for the contributors it
-    visits."""
+    witness; contributions are read from the topic's cell column and
+    computed only for the contributors it visits."""
     t = graph.index_of(topic)
     cfg = cfg or _DEFAULT_CONFIG
     cache = cache or EvaluationCache(graph, semantics)
     base = cache.strengths()[t]
-
-    def contrib(x: int) -> float | None:
-        value = cache.contribution(method, t, x, exact_cap)
-        return None if value is UNDEFINED else float(value)
-
-    rule = _INSTANCE_RULES.get(principle)
+    column = cache.column(method, t, exact_cap)
+    rule, test, non_ancestors_only, note = _PLANS[principle]
     if rule is not None:
+
+        def contrib(x: int) -> float | None:
+            c = column[x]
+            return cache.cell(method, t, x, exact_cap) if c is _UNSET else c
+
         violated, witness, note = rule(cache, cfg, t, base, contrib)
     else:
-        test, non_ancestors_only, note = _CONTRIBUTOR_TESTS[principle]
         skip = cache.ancestors(t) if non_ancestors_only else 0
         violated, witness = False, {}
-        for x in range(len(graph)):
+        for x, c in enumerate(column):
             if x == t or (skip >> x) & 1:
                 continue
-            c = contrib(x)
+            if c is _UNSET:
+                c = cache.cell(method, t, x, exact_cap)
             found = None if c is None else test(cache, cfg, t, base, x, c)
             if found is not None:
                 violated, witness = True, {"contributor": graph.arguments[x], "contribution": c, **found}
@@ -398,13 +421,14 @@ def run_check(
 
 
 def _binding(principle: PrincipleId) -> Callable[..., PrincipleReport]:
-    rule = _INSTANCE_RULES.get(principle) or _CONTRIBUTOR_TESTS[principle][0]
+    rule, test, _, _ = _PLANS[principle]
+    part = rule or test
 
     def check(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
         return run_check(graph, semantics, method, principle, topic, cfg, cache=cache, exact_cap=exact_cap)
 
-    check.__name__ = check.__qualname__ = "check" + rule.__name__
-    check.__doc__ = rule.__doc__
+    check.__name__ = check.__qualname__ = "check" + part.__name__
+    check.__doc__ = part.__doc__
     return check
 
 

@@ -380,10 +380,11 @@ _AGGREGATIONS = {
 class _Compiled:
     """Index-based evaluator bound to one (graph, semantics) pair.
 
-    ``strengths`` accepts a kept-set bitmask, an initial-strength override
-    vector, and an optional argument whose incoming edges are ignored, which
-    together cover every restriction/modification the contribution and
-    principle machinery needs without rebuilding graphs.
+    ``strengths`` accepts a kept-set bitmask and an initial-strength
+    override vector; ``sweep`` re-runs one argument's descendant cone for a
+    series of its initial strengths, optionally with its incoming edges
+    severed.  Together they cover every restriction/modification the
+    contribution and principle machinery needs without rebuilding graphs.
     """
 
     __slots__ = ("graph", "semantics", "n", "order", "attackers", "supporters", "tau", "fold", "backprop", "value", "d_signal", "d_initial")
@@ -399,34 +400,21 @@ class _Compiled:
         self.fold, self.backprop = _AGGREGATIONS[semantics.aggregation]
         self.value, self.d_signal, self.d_initial = _influence_functions(semantics.influence)
 
-    def strengths(
-        self,
-        mask: int = -1,
-        tau: Sequence[float] | None = None,
-        isolate: int = -1,
-        with_signals: bool = False,
-        nodes: Sequence[int] | None = None,
-        start: Sequence[float] | None = None,
-    ):
+    def strengths(self, mask: int = -1, tau: Sequence[float] | None = None, with_signals: bool = False):
         """Final strengths of the kept subgraph (entries of dropped arguments
-        are meaningless zeros).  ``isolate`` treats one argument as parentless.
-        With ``with_signals`` also returns each node's aggregate (or None for
-        parentless nodes).  ``nodes`` (a topologically ordered subset, by
-        default every argument) and ``start`` (the values every other entry
-        keeps) re-evaluate only part of the graph: given a descendant cone
-        and the unmodified vector, the result is bit-identical to a full
-        pass."""
+        are meaningless zeros).  With ``with_signals`` also returns each
+        node's aggregate (or None for parentless nodes)."""
         taus = self.tau if tau is None else tau
-        out = [0.0] * self.n if start is None else list(start)
+        out = [0.0] * self.n
         signals: list[float | None] = [None] * self.n if with_signals else []
         fold = self.fold
         value = self.value
         attackers = self.attackers
         supporters = self.supporters
-        for i in self.order if nodes is None else nodes:
+        for i in self.order:
             if not (mask >> i) & 1:
                 continue
-            s = None if i == isolate else fold(out, attackers[i], supporters[i], mask)
+            s = fold(out, attackers[i], supporters[i], mask)
             if s is None:
                 out[i] = taus[i]
             else:
@@ -436,6 +424,33 @@ class _Compiled:
         if with_signals:
             return out, signals
         return out
+
+    def sweep(
+        self, index: int, values: Sequence[float], cone: Sequence[int], start: Sequence[float], sever: bool = False
+    ) -> list[tuple[float, ...]]:
+        """Full-graph strengths, one vector per value, with argument
+        ``index``'s initial strength set to that value and, with ``sever``,
+        its incoming edges ignored.  Only ``cone`` (``index`` and its
+        descendants in topological order) is re-run, over the unmodified
+        vector ``start``: the unchanged parents of ``index`` are folded once,
+        and each value reuses one work vector.  Bit-identical to a full
+        pass."""
+        fold = self.fold
+        value = self.value
+        attackers = self.attackers
+        supporters = self.supporters
+        taus = self.tau
+        out = list(start)
+        s = None if sever else fold(out, attackers[index], supporters[index], -1)
+        descendants = cone[1:]
+        vectors = []
+        for v in values:
+            out[index] = v if s is None else value(v, s)
+            for i in descendants:
+                # a descendant always has a parent, so its fold is never None
+                out[i] = value(taus[i], fold(out, attackers[i], supporters[i], -1))
+            vectors.append(tuple(out))
+        return vectors
 
     def gradient(self, topic: int) -> list[float]:
         """Reverse accumulation of d sigma(topic) / d tau(x) for every x."""

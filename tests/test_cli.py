@@ -3,6 +3,7 @@ import shlex
 
 import pytest
 
+from qbag import QE, FuzzConfig, evaluate, load_graph, random_qbag, save_graph, with_initial_strength
 from qbag.cli import main
 from qbag.corpus import export_examples
 
@@ -294,6 +295,23 @@ class TestSweep:
         assert code == 2 and "UnknownArgument" in err
 
 
+    @pytest.mark.parametrize("vary", ["a", "b", "e"])
+    def test_rows_equal_per_point_evaluations(self, corpus_dir, capsys, vary):
+        # the topic b itself, an argument that does not reach it (a) and
+        # one that does (e), each against a full evaluation per grid point
+        path = corpus_dir / "fig-intro.json"
+        graph = load_graph(path)
+        code, out, _ = run(
+            capsys, "sweep", str(path), "--semantics", "qe", "--topic", "b", "--vary", vary, "--steps", "11"
+        )
+        assert code == 0
+        want = ["epsilon,final_strength"] + [
+            f"{j / 10:.6f},{evaluate(with_initial_strength(graph, vary, j / 10), QE)['b'] + 0.0:.6f}"
+            for j in range(11)
+        ]
+        assert out.splitlines() == want
+
+
 class TestCheck:
     def test_violation_exits_1_with_witness(self, corpus_dir, capsys):
         code, out, _ = run(
@@ -408,6 +426,21 @@ class TestFuzzCommand:
             "reproduce: save the graph above and run `qbag check GRAPH.json --semantics dfquad "
             f"--method removal --principle contribution-existence --topic {topic}`"
         )
+
+    def test_domain_error_names_trial_and_topic(self, tmp_path, capsys):
+        # a custom linear influence is undefined where an aggregate leaves
+        # [-k, k]; the error names the graph that failed so it can be replayed
+        semantics = "--aggregation sum --influence linear --k 1.5 --method removal --principle strong-faithfulness"
+        code, out, err = run(capsys, "fuzz", *shlex.split(semantics), "--seed", "2", "--trials", "50")
+        assert code == 2 and out == ""
+        _, kind, where, message = err.split(": ", 3)
+        assert kind == "DomainError" and message.startswith("linear influence domain is [-1.5, 1.5]")
+        assert err.count("\n") == 1
+        trial, topic = where.removeprefix("trial ").split(", topic ")
+        path = tmp_path / "failing.json"
+        save_graph(random_qbag(FuzzConfig(seed=2, trials=50), int(trial)), path)
+        code, _, replayed = run(capsys, "check", str(path), *shlex.split(semantics), "--topic", topic)
+        assert (code, replayed) == (2, f"error: DomainError: {message}")
 
     @pytest.mark.parametrize(
         "flags",

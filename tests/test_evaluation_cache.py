@@ -18,16 +18,23 @@ from qbag import (
     ShapleyExact,
     ShapleySampled,
     TooLarge,
+    UNDEFINED,
     contrib_shapley_exact,
     contribution,
+    evaluate,
+    gradient_of_topic,
     reaches,
+    restrict,
+    remove_incoming,
     run_check,
     strictly_closer,
 )
-from qbag.graph import strictly_closer_pairs
+from qbag.contributions import _shapley_exact, _shapley_weights
+from qbag.graph import descendant_cone, strictly_closer_pairs
+from qbag.principles import _first_contradictions
 from qbag.semantics import PRESETS, _Compiled
 
-from conftest import random_graphs
+from conftest import random_graphs, shapley_bruteforce
 
 METHODS = (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient())
 CONFIGS = (
@@ -82,7 +89,8 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
             comp = _Compiled(g, semantics)
             cache = EvaluationCache(g, semantics)
             for x in range(len(g)):
-                assert cache.strengths_isolated(x) == tuple(comp.strengths(isolate=x))
+                severed = _Compiled(remove_incoming(g, g.arguments[x]), semantics)
+                assert cache.strengths_isolated(x) == tuple(severed.strengths())
                 for value in (0.0, 0.3, g._tau[x], 1.0):
                     tau = list(g._tau)
                     tau[x] = value
@@ -135,3 +143,133 @@ def test_sampled_cells_are_memoized_per_seed():
     assert one != other
     assert one == contribution(g, QE, ShapleySampled(50, 1), topic, contributor)
     assert other == contribution(g, QE, ShapleySampled(50, 2), topic, contributor)
+
+
+def per_sign_scan(cache, t, base, x, sign, points, eq_tol):
+    """The first grid point contradicting one contribution sign, scanned on
+    its own."""
+    base_tau = cache.graph._tau[x]
+    last = points - 1
+    for j, strength in enumerate(cache.sweep_column(x, t, points)):
+        eps = j / last
+        if abs(eps - base_tau) <= 1e-12:
+            continue
+        diff = strength - base
+        if sign == 0:
+            bad = abs(diff) > eq_tol
+        elif sign > 0:
+            bad = diff >= -eq_tol if eps < base_tau else diff <= eq_tol
+        else:
+            bad = diff <= eq_tol if eps < base_tau else diff >= -eq_tol
+        if bad:
+            return {"epsilon": eps, "strength_diff": diff}
+    return None
+
+
+def test_one_scan_witnesses_equal_per_sign_scans():
+    found = set()
+    for g in random_graphs(seed=31, count=15, max_args=6):
+        for semantics in PRESETS.values():
+            cache = EvaluationCache(g, semantics)
+            for cfg in CONFIGS:
+                cfg = cfg or CheckConfig()
+                for t in range(len(g)):
+                    base = cache.strengths()[t]
+                    for x in range(len(g)):
+                        if x == t:
+                            continue
+                        got = _first_contradictions(cache, t, base, x, cfg.grid_points, cfg.eq_tol)
+                        for sign in (-1, 0, 1):
+                            want = per_sign_scan(cache, t, base, x, sign, cfg.grid_points, cfg.eq_tol)
+                            assert got[sign + 1] == want, (g, semantics.label(), cfg, t, x, sign)
+                            found.add((sign, want is None))
+    assert found == {(s, w) for s in (-1, 0, 1) for w in (True, False)}
+
+
+def test_sweep_kernel_equals_per_point_full_passes():
+    values = [j / 8 for j in range(9)]
+    parentless = topic_itself = 0
+    for g in random_graphs(seed=17, count=20, max_args=7):
+        for semantics in PRESETS.values():
+            comp = _Compiled(g, semantics)
+            base = comp.strengths()
+            for x in range(len(g)):
+                want = []
+                for value in values:
+                    tau = list(g._tau)
+                    tau[x] = value
+                    want.append(tuple(comp.strengths(tau=tau)))
+                assert comp.sweep(x, values, descendant_cone(g, x), base) == want
+                parentless += not (g._attackers[x] or g._supporters[x])
+                cache = EvaluationCache(g, semantics)
+                assert cache.sweep_column(x, x, len(values)) == tuple(v[x] for v in want)
+                topic_itself += 1
+    assert parentless and topic_itself
+
+
+def independent_cell(g, semantics, method, topic, contributor):
+    """A cell from whole-graph evaluations through the public API, or None
+    for methods left to the Shapley tests."""
+    if isinstance(method, Gradient):
+        return gradient_of_topic(g, semantics, topic)[contributor]
+    if isinstance(method, (Removal, IntrinsicRemoval)):
+        with_x = g if isinstance(method, Removal) else remove_incoming(g, contributor)
+        without = restrict(g, [a for a in g.arguments if a != contributor])
+        return evaluate(with_x, semantics)[topic] - evaluate(without, semantics)[topic]
+    return None
+
+
+def test_column_cells_equal_fresh_contributions():
+    undefined = 0
+    for g in random_graphs(seed=23, count=12, max_args=6):
+        for semantics in PRESETS.values():
+            cache = EvaluationCache(g, semantics)
+            for method in METHODS + (ShapleySampled(20, 3),):
+                for t, topic in enumerate(g.arguments):
+                    # a check fills part of the column, the loop the rest
+                    run_check(g, semantics, method, PrincipleId.COUNTERFACTUALITY, topic, cache=cache)
+                    for x in range(len(g)):
+                        cache.contribution(method, t, x)
+                    column = cache.column(method, t)
+                    for x, contributor in enumerate(g.arguments):
+                        want = contribution(g, semantics, method, topic, contributor)
+                        if want is UNDEFINED:
+                            assert column[x] is None
+                            undefined += 1
+                            continue
+                        assert column[x] == want
+                        other = independent_cell(g, semantics, method, topic, contributor)
+                        assert other is None or abs(column[x] - other) <= 1e-12
+    assert undefined
+
+
+def shapley_bit_by_bit(cache, t, x):
+    """Exact Shapley with each removed set rebuilt bit by bit from the rank
+    of its subset of the other arguments."""
+    n = len(cache.graph)
+    others = [i for i in range(n) if i != t and i != x]
+    weights = _shapley_weights(n - 1)
+    full = cache.full_mask
+    total = 0.0
+    for subset in range(1 << len(others)):
+        removed = 0
+        for j, i in enumerate(others):
+            if (subset >> j) & 1:
+                removed |= 1 << i
+        kept = full & ~removed
+        marginal = cache.strengths(kept)[t] - cache.strengths(kept & ~(1 << x))[t]
+        total += weights[subset.bit_count()] * marginal
+    return total
+
+
+def test_submask_shapley_equals_bit_by_bit_enumeration():
+    for g in random_graphs(seed=41, count=12, max_args=6):
+        for semantics in PRESETS.values():
+            cache = EvaluationCache(g, semantics)
+            for t, topic in enumerate(g.arguments):
+                for x, contributor in enumerate(g.arguments):
+                    if x == t:
+                        continue
+                    got = _shapley_exact(cache, t, x)
+                    assert got == shapley_bit_by_bit(cache, t, x)
+                    assert abs(got - shapley_bruteforce(g, semantics, topic, contributor)) <= 1e-12

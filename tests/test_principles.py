@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qbag import (
@@ -464,26 +466,47 @@ _VERDICT_COUNTS = {
 }
 
 
-def test_verdict_counts_on_a_fixed_fuzz_pool():
-    methods = {
-        "removal": Removal(),
-        "intrinsic-removal": IntrinsicRemoval(),
-        "shapley": ShapleyExact(),
-        "gradient": Gradient(),
-    }
-    presets = ("qe", "dfquad", "sd-dfquad", "eb", "ebt")
+# sha256 over the repr of every report of that pool, one line each, in the
+# loop order of fixed_pool_reports: pins the witness contents as well as the
+# verdicts.
+_POOL_DIGEST = "5cc889d3d643597c699d9da38d60825a068d9d16741d353ef8d2a353486db1fd"
+_POOL_METHODS = {
+    "removal": Removal(),
+    "intrinsic-removal": IntrinsicRemoval(),
+    "shapley": ShapleyExact(),
+    "gradient": Gradient(),
+}
+_POOL_PRESETS = ("qe", "dfquad", "sd-dfquad", "eb", "ebt")
+
+
+@pytest.fixture(scope="module")
+def fixed_pool_reports():
+    """(preset position, method name, report) for every check of the pool."""
     config = FuzzConfig(seed=1, trials=40, max_args=6)
-    counts = {p: {m: [0] * len(presets) for m in methods} for p in _VERDICT_COUNTS}
-    instances = 0
+    reports = []
     for trial in range(config.trials):
         g = random_qbag(config, trial)
-        instances += len(g)
-        for k, preset in enumerate(presets):
+        for k, preset in enumerate(_POOL_PRESETS):
             cache = EvaluationCache(g, PRESETS[preset])
             for principle in PrincipleId:
-                for mname, method in methods.items():
+                for mname, method in _POOL_METHODS.items():
                     for topic in g.arguments:
                         report = run_check(g, PRESETS[preset], method, principle, topic, cache=cache)
-                        counts[principle.value][mname][k] += not report.satisfied
+                        reports.append((k, mname, report))
+    return reports
+
+
+def test_verdict_counts_on_a_fixed_fuzz_pool(fixed_pool_reports):
+    counts = {p: {m: [0] * len(_POOL_PRESETS) for m in _POOL_METHODS} for p in _VERDICT_COUNTS}
+    for k, mname, report in fixed_pool_reports:
+        counts[report.principle.value][mname][k] += not report.satisfied
+    instances = len(fixed_pool_reports) // (len(_POOL_PRESETS) * len(PrincipleId) * len(_POOL_METHODS))
     assert instances == 162
     assert {p: {m: tuple(c) for m, c in row.items()} for p, row in counts.items()} == _VERDICT_COUNTS
+
+
+def test_witness_digest_on_a_fixed_fuzz_pool(fixed_pool_reports):
+    digest = hashlib.sha256()
+    for _, _, report in fixed_pool_reports:
+        digest.update(repr(report).encode() + b"\n")
+    assert digest.hexdigest() == _POOL_DIGEST
