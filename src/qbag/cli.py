@@ -22,6 +22,7 @@ from typing import Sequence
 from . import corpus
 from .contributions import (
     DEFAULT_EXACT_CAP,
+    DEFAULT_PERMUTATIONS,
     UNDEFINED,
     EvaluationCache,
     contribution,
@@ -72,7 +73,7 @@ _SEMANTICS_FLAGS = (
 )
 _METHOD_FLAGS = (
     ("--method", {"required": True, "help": "removal | intrinsic-removal | shapley | shapley-sampled | gradient"}),
-    ("--permutations", {"type": int, "default": 100_000, "help": "samples for shapley-sampled"}),
+    ("--permutations", {"type": int, "default": DEFAULT_PERMUTATIONS, "help": "samples for shapley-sampled"}),
     ("--sample-seed", {"type": int, "default": 0, "help": "seed for shapley-sampled"}),
 )
 _CHECK_FLAGS = (

@@ -30,11 +30,13 @@ sampler instead for big graphs.
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
 pair memoizes strength vectors (per kept-set mask, severed argument and
 perturbation), grid sweeps per (argument, grid size) as one column per
-topic, gradients per topic, one lazily filled cell column per (built-in method, topic), and
-each topic's ancestors and strictly-closer pairs.  Severing, perturbing or
-sweeping one argument re-runs the forward pass over that argument's
-descendant cone only, starting from the unmodified vector, which gives
-bit-identical results.  Cells of callable methods are never memoized.
+topic, one lazily filled cell column per (built-in method, topic), and
+each topic's ancestors and strictly-closer pairs.  A gradient column is
+filled whole by one reverse pass over the memoized full-graph vector.
+Severing, perturbing or sweeping one argument re-runs the forward pass over
+that argument's descendant cone only, starting from the unmodified vector,
+which gives bit-identical results.  Cells of callable methods are never
+memoized.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .rng import SplitMix64
 from .semantics import GradualSemantics, _Compiled
 
 DEFAULT_EXACT_CAP = 20
+DEFAULT_PERMUTATIONS = 100_000
 
 
 class Undefined:
@@ -113,11 +116,15 @@ _METHOD_NAMES = {
 }
 
 
-def method_name(method: ContributionMethod) -> str:
-    return _METHOD_NAMES[type(method)]
+def method_name(method: ContributionMethod | Callable[..., ContributionValue]) -> str:
+    """A built-in method's CLI name, or a callable method's ``__name__``."""
+    try:
+        return _METHOD_NAMES[type(method)]
+    except KeyError:
+        return getattr(method, "__name__", repr(method))
 
 
-def method_by_name(name: str, *, permutations: int = 100_000, seed: int = 0) -> ContributionMethod:
+def method_by_name(name: str, *, permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0) -> ContributionMethod:
     """Resolve a CLI method name; extra arguments apply to the sampler only."""
     key = name.strip().lower()
     if key == "removal":
@@ -133,7 +140,7 @@ def method_by_name(name: str, *, permutations: int = 100_000, seed: int = 0) -> 
     raise ValueError(f"unknown contribution method {name!r}")
 
 
-# A column entry whose cell has not been computed yet (undefined cells are None).
+# A column entry whose cell has not been computed yet.
 _UNSET = object()
 
 
@@ -143,10 +150,9 @@ class EvaluationCache:
     Holds final-strength vectors keyed by kept-set bitmask, by severed
     argument (incoming edges removed) and by single-argument initial
     strength perturbation, grid sweeps of one initial strength as one
-    column per topic, gradient vectors per topic, one lazily filled cell
-    column per (built-in method, topic), each topic's ancestors and
-    strictly-closer pairs, and the results the principle checkers derive
-    from these (``derived``).  Severing, perturbing or sweeping one argument
+    column per topic, one lazily filled cell column per (built-in method,
+    topic), each topic's ancestors and strictly-closer pairs, and the
+    results the principle checkers derive from these (``derived``).  Severing, perturbing or sweeping one argument
     re-evaluates only its descendant cone, starting from the unmodified
     vector.  Everything is confined to the cache instance; the evaluator
     itself stays stateless.
@@ -161,7 +167,6 @@ class EvaluationCache:
         self._by_isolated: dict[int, tuple[float, ...]] = {}
         self._by_perturbation: dict[tuple[int, float], tuple[float, ...]] = {}
         self._sweeps: dict[tuple[int, int], tuple[tuple[float, ...], ...]] = {}
-        self._gradients: dict[int, tuple[float, ...]] = {}
         self._cones: dict[int, tuple[int, ...]] = {}
         self._ancestors: dict[int, int] = {}
         self._closer_pairs: dict[int, list[tuple[int, int]]] = {}
@@ -212,13 +217,6 @@ class EvaluationCache:
             columns = self._sweeps[key] = tuple(zip(*vectors))
         return columns[topic]
 
-    def gradient(self, topic: int) -> tuple[float, ...]:
-        hit = self._gradients.get(topic)
-        if hit is None:
-            hit = tuple(self._comp.gradient(topic))
-            self._gradients[topic] = hit
-        return hit
-
     def ancestors(self, topic: int) -> int:
         """Bitmask of the arguments with a directed path to the topic."""
         hit = self._ancestors.get(topic)
@@ -233,13 +231,6 @@ class EvaluationCache:
             hit = self._closer_pairs[topic] = strictly_closer_pairs(self.graph, topic)
         return hit
 
-    def removal_delta(self, contributor: int, topic: int) -> float:
-        """sigma_G(topic) - sigma_{G without contributor}(topic)."""
-        return (
-            self.strengths()[topic]
-            - self.strengths(self.full_mask & ~(1 << contributor))[topic]
-        )
-
     def column(
         self,
         method: ContributionMethod | Callable[..., ContributionValue],
@@ -247,8 +238,8 @@ class EvaluationCache:
         exact_cap: int = DEFAULT_EXACT_CAP,
     ) -> list:
         """The topic's memoized cell column under a built-in method, indexed
-        by contributor: a float, None for an undefined cell, or ``_UNSET``
-        until :meth:`cell` computes it.  A callable method, or exact Shapley
+        by contributor: a float, :data:`UNDEFINED`, or ``_UNSET`` until
+        :meth:`cell` computes it.  A callable method, or exact Shapley
         on a graph of more than ``exact_cap`` arguments, gets a fresh unset
         column, so every request goes through :meth:`cell`."""
         kind = type(method)
@@ -270,12 +261,12 @@ class EvaluationCache:
         topic: int,
         contributor: int,
         exact_cap: int = DEFAULT_EXACT_CAP,
-    ) -> float | None:
-        """Compute one cell (None when undefined) and store it in its column.
-        A callable ``(graph, semantics, topic, contributor) -> value`` gets
-        argument names and is called every time.  Every exact Shapley
-        request on a graph of more than ``exact_cap`` arguments raises
-        :class:`TooLarge`.  Shapley cells of arguments that do not reach the
+    ) -> ContributionValue:
+        """Compute one cell and store it in its column; a gradient cell fills
+        the whole column from one reverse pass.  A callable ``(graph,
+        semantics, topic, contributor) -> value`` gets argument names and is
+        called every time.  Every exact Shapley request on a graph of more
+        than ``exact_cap`` arguments raises :class:`TooLarge`.  Shapley cells of arguments that do not reach the
         topic are an exact 0.0 (null players: every marginal is exactly
         0.0)."""
         kind = type(method)
@@ -283,7 +274,7 @@ class EvaluationCache:
             if callable(method):
                 names = self.graph.arguments
                 value = method(self.graph, self.semantics, names[topic], names[contributor])
-                return None if value is UNDEFINED else float(value)
+                return value if value is UNDEFINED else float(value)
             raise TypeError(f"unknown contribution method {method!r}")
         if kind is ShapleyExact and len(self.graph) > exact_cap:
             raise TooLarge(
@@ -291,17 +282,13 @@ class EvaluationCache:
             )
         column = self.column(method, topic, exact_cap)
         if kind is Gradient:
-            column[:] = self.gradient(topic)
+            column[:] = self._comp.gradient(topic, self.strengths())
             return column[contributor]
         if topic == contributor:
-            value = None
-        elif kind is Removal:
-            value = self.removal_delta(contributor, topic)
-        elif kind is IntrinsicRemoval:
-            value = (
-                self.strengths_isolated(contributor)[topic]
-                - self.strengths(self.full_mask & ~(1 << contributor))[topic]
-            )
+            value = UNDEFINED
+        elif kind is Removal or kind is IntrinsicRemoval:
+            with_x = self.strengths() if kind is Removal else self.strengths_isolated(contributor)
+            value = with_x[topic] - self.strengths(self.full_mask & ~(1 << contributor))[topic]
         elif not (self.ancestors(topic) >> contributor) & 1:
             value = 0.0
         elif kind is ShapleyExact:
@@ -321,9 +308,7 @@ class EvaluationCache:
         """One contribution cell by argument index, read from its column and
         computed by :meth:`cell` when missing."""
         value = self.column(method, topic, exact_cap)[contributor]
-        if value is _UNSET:
-            value = self.cell(method, topic, contributor, exact_cap)
-        return UNDEFINED if value is None else value
+        return self.cell(method, topic, contributor, exact_cap) if value is _UNSET else value
 
 
 def contrib_removal(

@@ -122,8 +122,6 @@ class VerificationReport:
 
 _V = Verdict.VIOLATION.value
 _OK = Verdict.SATISFIED_ON_INSTANCE.value
-_ALL_SEMANTICS = ("qe", "dfquad", "sd-dfquad", "eb", "ebt")
-_REMOVAL_FAMILY = ("removal", "intrinsic-removal", "shapley")
 
 
 def supporters_graph(n: int, topic_strength: float = 0.5) -> QBAG:

@@ -107,18 +107,17 @@ def search_violation(
     principle: PrincipleId,
     check_cfg: CheckConfig | None = None,
     *,
-    exact_cap: int | None = None,
+    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> FuzzWitness | None:
     """First violation across trials (lowest trial index, then topic order),
     or None when every instance checks out."""
-    cap = DEFAULT_EXACT_CAP if exact_cap is None else exact_cap
     for trial in range(config.trials):
         graph = random_qbag(config, trial)
         cache = EvaluationCache(graph, semantics)
         for topic in graph.arguments:
             try:
                 report = run_check(
-                    graph, semantics, method, principle, topic, check_cfg, cache=cache, exact_cap=cap
+                    graph, semantics, method, principle, topic, check_cfg, cache=cache, exact_cap=exact_cap
                 )
             except DomainError as exc:
                 raise DomainError(f"trial {trial}, topic {topic}: {exc}") from exc

@@ -15,6 +15,7 @@ sets can be represented as bitmasks.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -76,7 +77,10 @@ class QBAG:
             _check_name(name)
             if name in index:
                 raise DuplicateArgument(f"argument {name!r} is declared twice")
-            value = float(strength)
+            try:
+                value = float(strength)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf if strength > 0 else -math.inf
             if not 0.0 <= value <= 1.0:
                 raise StrengthOutOfRange(
                     f"initial strength of {name!r} must lie in [0, 1], got {value!r}"
@@ -253,9 +257,6 @@ def remove_incoming(graph: QBAG, name: str) -> QBAG:
 def with_initial_strength(graph: QBAG, name: str, value: float) -> QBAG:
     """Copy of the graph with one argument's initial strength replaced."""
     i = graph.index_of(name)
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise StrengthOutOfRange(f"initial strength must lie in [0, 1], got {value!r}")
     args = [(n, value if j == i else t) for j, (n, t) in enumerate(zip(graph.arguments, graph._tau))]
     return QBAG(args, graph.attacks, graph.supports)
 

@@ -47,7 +47,7 @@ def parse_graph(text: str) -> QBAG:
             raise GraphFormatError(f"argument id must be a string, got {entry['id']!r}")
         if not isinstance(entry["initial"], (int, float)) or isinstance(entry["initial"], bool):
             raise GraphFormatError(f"initial strength must be a number, got {entry['initial']!r}")
-        arguments.append((entry["id"], float(entry["initial"])))
+        arguments.append((entry["id"], entry["initial"]))
 
     def edge_list(key: str) -> list[tuple[str, str]]:
         out = []

@@ -22,16 +22,20 @@ whole-instance rule (the two existence principles and proximity).  The nine ``ch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from .contributions import (
-    _METHOD_NAMES,
     _UNSET,
     DEFAULT_EXACT_CAP,
+    UNDEFINED,
     ContributionMethod,
+    ContributionValue,
     EvaluationCache,
+    Removal,
+    method_name,
 )
 from .graph import QBAG
 from .semantics import GradualSemantics
@@ -84,10 +88,10 @@ class CheckConfig:
     grid_points: int = 101
 
     def __post_init__(self):
-        if self.zero_tol <= 0 or self.eq_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not self.eps_schedule or any(e <= 0 for e in self.eps_schedule):
-            raise ValueError("eps_schedule must contain positive steps")
+        if not (0 < self.zero_tol < math.inf and 0 < self.eq_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.eps_schedule or not all(0 < e < math.inf for e in self.eps_schedule):
+            raise ValueError("eps_schedule must contain positive finite steps")
         if any(b >= a for a, b in zip(self.eps_schedule, self.eps_schedule[1:])):
             raise ValueError("eps_schedule must be strictly decreasing")
         if self.grid_points < 2:
@@ -120,13 +124,6 @@ def _sign(value: float, tol: float) -> int:
     return 0
 
 
-def _method_label(method) -> str:
-    try:
-        return _METHOD_NAMES[type(method)]
-    except KeyError:
-        return getattr(method, "__name__", repr(method))
-
-
 def _initial(cache: EvaluationCache, x: int) -> float:
     return cache.graph._tau[x]
 
@@ -135,7 +132,7 @@ def _initial(cache: EvaluationCache, x: int) -> float:
 #
 # rule(cache, cfg, t, base, contrib) -> (violated, witness, note): ``t`` is the
 # topic's index, ``base`` its final strength, and ``contrib(x)`` the
-# contribution of argument index ``x`` to the topic (None when undefined).
+# contribution of argument index ``x`` to the topic (possibly UNDEFINED).
 
 
 def _contribution_existence(cache, cfg, t, base, contrib):
@@ -146,10 +143,10 @@ def _contribution_existence(cache, cfg, t, base, contrib):
     if abs(delta) <= cfg.eq_tol:
         return False, {"strength_delta": delta}, "final strength equals initial strength; nothing to explain"
     contribs = {names[x]: contrib(x) for x in range(len(names)) if x != t}
-    nonzero = {x: c for x, c in contribs.items() if c is not None and abs(c) > cfg.zero_tol}
+    nonzero = {x: c for x, c in contribs.items() if c is not UNDEFINED and abs(c) > cfg.zero_tol}
     if nonzero:
         return False, {"strength_delta": delta, "nonzero_contributors": sorted(nonzero)}, ""
-    zeros = {x: (0.0 if c is None else c) for x, c in contribs.items()}
+    zeros = {x: (0.0 if c is UNDEFINED else c) for x, c in contribs.items()}
     return True, {"strength_delta": delta, "contributions": zeros}, ""
 
 
@@ -161,7 +158,7 @@ def _quant_contribution_existence(cache, cfg, t, base, contrib):
     for x in range(len(cache.graph)):
         if x != t:
             c = contrib(x)
-            if c is not None:
+            if c is not UNDEFINED:
                 total += c
     gap = total - delta
     return abs(gap) > cfg.eq_tol, {"strength_delta": delta, "contribution_sum": total, "gap": gap}, ""
@@ -172,18 +169,18 @@ def _proximity(cache, cfg, t, base, contrib):
     contributor to the topic nevertheless contributes strictly less in
     magnitude."""
     names = cache.graph.arguments
-    magnitudes: dict[int, float | None] = {}
+    magnitudes: dict[int, ContributionValue] = {}
 
-    def magnitude(x: int) -> float | None:
+    def magnitude(x: int) -> ContributionValue:
         if x not in magnitudes:
             c = contrib(x)
-            magnitudes[x] = None if c is None else abs(c)
+            magnitudes[x] = c if c is UNDEFINED else abs(c)
         return magnitudes[x]
 
     for i, j in cache.closer_pairs(t):
         near_mag = magnitude(i)
         far_mag = magnitude(j)
-        if near_mag is None or far_mag is None:
+        if near_mag is UNDEFINED or far_mag is UNDEFINED:
             continue
         if near_mag + cfg.eq_tol < far_mag:
             witness = {
@@ -209,10 +206,13 @@ def _directionality(cache, cfg, t, base, x, c):
     return {} if abs(c) > cfg.zero_tol else None
 
 
+_REMOVAL = Removal()
+
+
 def _counterfactuality(cache, cfg, t, base, x, c):
     """Violated when a contribution's sign disagrees with the sign of the
     strength change caused by actually removing the contributor."""
-    delta = cache.removal_delta(x, t)
+    delta = cache.contribution(_REMOVAL, t, x)
     if _sign(c, cfg.zero_tol) != _sign(delta, cfg.eq_tol):
         return {"removal_delta": delta}
     return None
@@ -221,7 +221,7 @@ def _counterfactuality(cache, cfg, t, base, x, c):
 def _quant_counterfactuality(cache, cfg, t, base, x, c):
     """Violated when a contribution differs numerically from the strength
     change caused by removing the contributor."""
-    delta = cache.removal_delta(x, t)
+    delta = cache.contribution(_REMOVAL, t, x)
     if abs(c - delta) > cfg.eq_tol:
         return {"removal_delta": delta, "gap": c - delta}
     return None
@@ -399,7 +399,7 @@ def run_check(
     rule, test, non_ancestors_only, note = _PLANS[principle]
     if rule is not None:
 
-        def contrib(x: int) -> float | None:
+        def contrib(x: int) -> ContributionValue:
             c = column[x]
             return cache.cell(method, t, x, exact_cap) if c is _UNSET else c
 
@@ -412,12 +412,12 @@ def run_check(
                 continue
             if c is _UNSET:
                 c = cache.cell(method, t, x, exact_cap)
-            found = None if c is None else test(cache, cfg, t, base, x, c)
+            found = None if c is UNDEFINED else test(cache, cfg, t, base, x, c)
             if found is not None:
                 violated, witness = True, {"contributor": graph.arguments[x], "contribution": c, **found}
                 break
     verdict = Verdict.VIOLATION if violated else Verdict.SATISFIED_ON_INSTANCE
-    return PrincipleReport(principle, verdict, topic, _method_label(method), semantics.label(), witness, note)
+    return PrincipleReport(principle, verdict, topic, method_name(method), semantics.label(), witness, note)
 
 
 def _binding(principle: PrincipleId) -> Callable[..., PrincipleReport]:

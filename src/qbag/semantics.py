@@ -380,18 +380,18 @@ _AGGREGATIONS = {
 class _Compiled:
     """Index-based evaluator bound to one (graph, semantics) pair.
 
-    ``strengths`` accepts a kept-set bitmask and an initial-strength
-    override vector; ``sweep`` re-runs one argument's descendant cone for a
-    series of its initial strengths, optionally with its incoming edges
-    severed.  Together they cover every restriction/modification the
-    contribution and principle machinery needs without rebuilding graphs.
+    ``strengths`` is the one forward pass, over a kept-set bitmask; ``sweep``
+    re-runs one argument's descendant cone for a series of its initial
+    strengths, optionally with its incoming edges severed; ``gradient``
+    reverse-accumulates over a finished full-graph vector.  Together they
+    cover every restriction/modification the contribution and principle
+    machinery needs without rebuilding graphs.
     """
 
-    __slots__ = ("graph", "semantics", "n", "order", "attackers", "supporters", "tau", "fold", "backprop", "value", "d_signal", "d_initial")
+    __slots__ = ("graph", "n", "order", "attackers", "supporters", "tau", "fold", "backprop", "value", "d_signal", "d_initial")
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
         self.graph = graph
-        self.semantics = semantics
         self.n = len(graph)
         self.order = graph._topo
         self.attackers = graph._attackers
@@ -400,13 +400,11 @@ class _Compiled:
         self.fold, self.backprop = _AGGREGATIONS[semantics.aggregation]
         self.value, self.d_signal, self.d_initial = _influence_functions(semantics.influence)
 
-    def strengths(self, mask: int = -1, tau: Sequence[float] | None = None, with_signals: bool = False):
+    def strengths(self, mask: int = -1) -> list[float]:
         """Final strengths of the kept subgraph (entries of dropped arguments
-        are meaningless zeros).  With ``with_signals`` also returns each
-        node's aggregate (or None for parentless nodes)."""
-        taus = self.tau if tau is None else tau
+        are meaningless zeros)."""
+        taus = self.tau
         out = [0.0] * self.n
-        signals: list[float | None] = [None] * self.n if with_signals else []
         fold = self.fold
         value = self.value
         attackers = self.attackers
@@ -415,14 +413,7 @@ class _Compiled:
             if not (mask >> i) & 1:
                 continue
             s = fold(out, attackers[i], supporters[i], mask)
-            if s is None:
-                out[i] = taus[i]
-            else:
-                out[i] = value(taus[i], s)
-                if with_signals:
-                    signals[i] = s
-        if with_signals:
-            return out, signals
+            out[i] = taus[i] if s is None else value(taus[i], s)
         return out
 
     def sweep(
@@ -452,19 +443,21 @@ class _Compiled:
             vectors.append(tuple(out))
         return vectors
 
-    def gradient(self, topic: int) -> list[float]:
-        """Reverse accumulation of d sigma(topic) / d tau(x) for every x."""
-        out, signals = self.strengths(with_signals=True)
+    def gradient(self, topic: int, out: Sequence[float]) -> list[float]:
+        """Reverse accumulation of d sigma(topic) / d tau(x) for every x over
+        the full-graph final strengths ``out``.  Each node's aggregate is
+        re-folded from ``out``; its parents' values are final there, so it
+        equals the forward pass' aggregate bit for bit."""
         adjoint = [0.0] * self.n
         adjoint[topic] = 1.0
         partials = [0.0] * self.n
-        topo = self.graph._topo
+        topo = self.order
         for pos in range(self.graph._topo_pos[topic], -1, -1):
             i = topo[pos]
             a_i = adjoint[i]
             if a_i == 0.0:
                 continue
-            signal = signals[i]
+            signal = self.fold(out, self.attackers[i], self.supporters[i], -1)
             if signal is None:
                 partials[i] = a_i
                 continue
@@ -488,7 +481,8 @@ def gradient_of_topic(graph: QBAG, semantics: GradualSemantics, topic: str) -> G
     with respect to the topic's own initial strength.  Arguments with no
     directed path to the topic get an exact zero."""
     t = graph.index_of(topic)
-    partials = _Compiled(graph, semantics).gradient(t)
+    comp = _Compiled(graph, semantics)
+    partials = comp.gradient(t, comp.strengths())
     return GradientVector(topic, {name: partials[i] for i, name in enumerate(graph.arguments)})
 
 
@@ -499,12 +493,12 @@ def kink_margin(graph: QBAG, semantics: GradualSemantics) -> float:
     influence, and near-ties (including with the 0 floor) between a side's
     candidates under the top aggregation."""
     comp = _Compiled(graph, semantics)
-    out, signals = comp.strengths(with_signals=True)
+    out = comp.strengths()
     margin = math.inf
     infl = semantics.influence
     kinked_influence = isinstance(infl, Linear) or (isinstance(infl, PMax) and infl.p == 1)
     for i in range(comp.n):
-        signal = signals[i]
+        signal = comp.fold(out, comp.attackers[i], comp.supporters[i], -1)
         if signal is None:
             continue
         if kinked_influence:

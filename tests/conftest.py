@@ -13,8 +13,8 @@ import math
 
 import pytest
 
-from qbag import QBAG, FuzzConfig, evaluate, random_qbag, restrict
-from qbag.semantics import PRESETS, _Compiled
+from qbag import QBAG, FuzzConfig, evaluate, random_qbag, restrict, with_initial_strength
+from qbag.semantics import PRESETS
 
 
 @pytest.fixture(scope="session")
@@ -44,18 +44,15 @@ def shapley_bruteforce(graph: QBAG, semantics, topic: str, contributor: str) -> 
 def finite_difference_partials(graph: QBAG, semantics, h: float = 1e-6) -> dict[str, list[float]]:
     """Numeric partials of every final strength w.r.t. every initial
     strength: central differences in the interior of [0, 1], second-order
-    one-sided differences at the boundary.  Returns contributor -> column of
-    partials indexed by argument position."""
-    comp = _Compiled(graph, semantics)
-    taus = list(graph._tau)
+    one-sided differences at the boundary.  Every point is a fresh graph
+    through the public API.  Returns contributor -> column of partials
+    indexed by argument position."""
     columns: dict[str, list[float]] = {}
-    for x, name in enumerate(graph.arguments):
-        tau = taus[x]
+    for name in graph.arguments:
+        tau = graph.initial_strength(name)
 
         def at(value: float) -> list[float]:
-            shifted = taus.copy()
-            shifted[x] = value
-            return comp.strengths(tau=shifted)
+            return strength_vector(with_initial_strength(graph, name, value), semantics)
 
         if h <= tau <= 1.0 - h:
             up, down = at(tau + h), at(tau - h)
@@ -67,6 +64,12 @@ def finite_difference_partials(graph: QBAG, semantics, h: float = 1e-6) -> dict[
                 sign * (-3 * a + 4 * b - c) / (2 * h) for a, b, c in zip(f0, f1, f2)
             ]
     return columns
+
+
+def strength_vector(graph: QBAG, semantics) -> list[float]:
+    """Final strengths from :func:`evaluate`, indexed by argument position."""
+    sigma = evaluate(graph, semantics)
+    return [sigma[name] for name in graph.arguments]
 
 
 def random_graphs(seed: int, count: int, max_args: int = 7, **kwargs):

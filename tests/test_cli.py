@@ -1,9 +1,20 @@
+import hashlib
 import json
 import shlex
 
 import pytest
 
-from qbag import QE, FuzzConfig, evaluate, load_graph, random_qbag, save_graph, with_initial_strength
+from qbag import (
+    PRESETS,
+    QE,
+    FuzzConfig,
+    PrincipleId,
+    evaluate,
+    load_graph,
+    random_qbag,
+    save_graph,
+    with_initial_strength,
+)
 from qbag.cli import main
 from qbag.corpus import export_examples
 
@@ -82,6 +93,13 @@ class TestEval:
         assert code == 0
         assert "a 0.500000 0.375000" in out
 
+    def test_oversized_integer_strength_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"arguments": [{"id": "a", "initial": 1' + "0" * 400 + '}], "attacks": [], "supports": []}')
+        code, out, err = run(capsys, "eval", str(path), "--semantics", "qe")
+        assert code == 2 and out == ""
+        assert err.startswith("error: StrengthOutOfRange: ")
+
     def test_missing_semantics_is_an_error(self, corpus_dir, capsys):
         code, _, err = run(capsys, "eval", str(corpus_dir / "fig-intro.json"))
         assert code == 2 and "semantics" in err
@@ -104,17 +122,17 @@ class TestContrib:
         assert out.splitlines() == ["a: undef", "b: -0.312500", "c: -0.062500"]
 
     def test_column_shares_one_cache(self, corpus_dir, capsys, monkeypatch):
-        from qbag.semantics import _Compiled
+        from qbag import EvaluationCache
 
-        passes = []
-        gradient = _Compiled.gradient
-        monkeypatch.setattr(_Compiled, "gradient", lambda self, t: passes.append(t) or gradient(self, t))
+        computed = []
+        cell = EvaluationCache.cell
+        monkeypatch.setattr(EvaluationCache, "cell", lambda self, *a: computed.append(a) or cell(self, *a))
         code, out, _ = run(
             capsys, "contrib", str(corpus_dir / "fig-intro.json"), "--semantics", "dfquad",
             "--method", "gradient", "--topic", "a",
         )
         assert code == 0 and len(out.splitlines()) == 5
-        assert len(passes) == 1
+        assert len(computed) == 1
 
     def test_single_cell_undef(self, corpus_dir, capsys):
         code, out, _ = run(
@@ -365,6 +383,17 @@ class TestCheck:
         )
         assert code == 2 and "principle" in err
 
+    @pytest.mark.parametrize("flag, value", [("--zero-tol", "nan"), ("--eq-tol", "inf"), ("--eps-schedule", "1e-2,nan")])
+    def test_non_finite_tolerances_exit_2(self, corpus_dir, capsys, flag, value):
+        argv = (
+            "check", str(corpus_dir / "faith-qe.json"), "--semantics", "qe", "--method", "removal",
+            "--principle", "local-faithfulness", "--topic", "a",
+        )
+        assert run(capsys, *argv)[0] == 1  # a violation at the default tolerances
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: ") and "finite" in err
+
     def test_tolerance_flags(self, corpus_dir, capsys):
         code, out, _ = run(
             capsys,
@@ -547,6 +576,27 @@ class TestExportCommand:
         assert code == 0
         assert "wrote" in out
         assert (tmp_path / "out" / "fig-intro.json").exists()
+
+
+# sha256 over the exit code, stdout and stderr of every call below, in order
+OUTPUT_DIGEST = "1e869c5a3876733829034b5749659b5fda8555d972ce12883ac88c5f6f10f824"
+
+
+def test_contrib_and_check_output_is_pinned(corpus_dir, capsys):
+    # 3 files x 5 presets x 4 methods x (1 contrib + 9 checks) = 600 calls;
+    # any change to a printed number, witness or verdict changes the digest
+    digest = hashlib.sha256()
+    for name in ("fig-intro", "table-example", "faith-qe"):
+        path = str(corpus_dir / f"{name}.json")
+        for preset in PRESETS:
+            for method in ("removal", "intrinsic-removal", "shapley", "gradient"):
+                common = (path, "--semantics", preset, "--method", method, "--topic", "a")
+                calls = [("contrib", *common)]
+                calls += [("check", *common, "--principle", p.value) for p in PrincipleId]
+                for argv in calls:
+                    code, out, err = run(capsys, *argv)
+                    digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == OUTPUT_DIGEST
 
 
 def test_console_entry_point_is_wired():

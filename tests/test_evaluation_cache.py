@@ -28,13 +28,14 @@ from qbag import (
     remove_incoming,
     run_check,
     strictly_closer,
+    with_initial_strength,
 )
 from qbag.contributions import _shapley_exact, _shapley_weights
 from qbag.graph import descendant_cone, strictly_closer_pairs
 from qbag.principles import _first_contradictions
 from qbag.semantics import PRESETS, _Compiled
 
-from conftest import random_graphs, shapley_bruteforce
+from conftest import random_graphs, shapley_bruteforce, strength_vector
 
 METHODS = (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient())
 CONFIGS = (
@@ -83,25 +84,24 @@ def test_closer_pairs_equal_the_pairwise_definition():
             assert strictly_closer_pairs(g, t) == brute
 
 
+def perturbed_vector(g, semantics, x, value):
+    """Full-pass strengths of a fresh graph with argument ``x``'s initial
+    strength set to ``value``."""
+    return tuple(strength_vector(with_initial_strength(g, g.arguments[x], value), semantics))
+
+
 def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
     for g in random_graphs(seed=7, count=25, max_args=8):
         for semantics in PRESETS.values():
-            comp = _Compiled(g, semantics)
             cache = EvaluationCache(g, semantics)
             for x in range(len(g)):
-                severed = _Compiled(remove_incoming(g, g.arguments[x]), semantics)
-                assert cache.strengths_isolated(x) == tuple(severed.strengths())
+                severed = remove_incoming(g, g.arguments[x])
+                assert cache.strengths_isolated(x) == tuple(strength_vector(severed, semantics))
                 for value in (0.0, 0.3, g._tau[x], 1.0):
-                    tau = list(g._tau)
-                    tau[x] = value
-                    assert cache.strengths_perturbed(x, value) == tuple(comp.strengths(tau=tau))
+                    assert cache.strengths_perturbed(x, value) == perturbed_vector(g, semantics, x, value)
+                sweep = [perturbed_vector(g, semantics, x, j / 10) for j in range(11)]
                 for t in range(len(g)):
-                    full = []
-                    for j in range(11):
-                        tau = list(g._tau)
-                        tau[x] = j / 10
-                        full.append(comp.strengths(tau=tau)[t])
-                    assert cache.sweep_column(x, t, 11) == tuple(full)
+                    assert cache.sweep_column(x, t, 11) == tuple(v[t] for v in sweep)
 
 
 def test_memoized_shapley_cell_still_enforces_the_cap():
@@ -194,11 +194,7 @@ def test_sweep_kernel_equals_per_point_full_passes():
             comp = _Compiled(g, semantics)
             base = comp.strengths()
             for x in range(len(g)):
-                want = []
-                for value in values:
-                    tau = list(g._tau)
-                    tau[x] = value
-                    want.append(tuple(comp.strengths(tau=tau)))
+                want = [perturbed_vector(g, semantics, x, value) for value in values]
                 assert comp.sweep(x, values, descendant_cone(g, x), base) == want
                 parentless += not (g._attackers[x] or g._supporters[x])
                 cache = EvaluationCache(g, semantics)
@@ -234,7 +230,7 @@ def test_column_cells_equal_fresh_contributions():
                     for x, contributor in enumerate(g.arguments):
                         want = contribution(g, semantics, method, topic, contributor)
                         if want is UNDEFINED:
-                            assert column[x] is None
+                            assert column[x] is UNDEFINED
                             undefined += 1
                             continue
                         assert column[x] == want

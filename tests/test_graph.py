@@ -83,6 +83,12 @@ class TestBuild:
             QBAG([("a", 1.5)])
         with pytest.raises(StrengthOutOfRange):
             QBAG([("a", -0.1)])
+        # float() of these overflows; they are still just out of range
+        for huge in (10**400, -(10**400)):
+            with pytest.raises(StrengthOutOfRange):
+                QBAG([("a", huge)])
+            with pytest.raises(StrengthOutOfRange):
+                with_initial_strength(QBAG([("a", 0.5)]), "a", huge)
 
     def test_bad_names_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -258,6 +259,18 @@ class TestCheckerPlumbing:
             CheckConfig(eps_schedule=(1e-3, 1e-2))
         with pytest.raises(ValueError):
             CheckConfig(grid_points=1)
+        # NaN passes every "<= 0" test, so finiteness is checked on its own
+        for fields in (
+            {"zero_tol": math.nan},
+            {"zero_tol": math.inf},
+            {"eq_tol": math.nan},
+            {"eq_tol": math.inf},
+            {"eps_schedule": (math.nan,)},
+            {"eps_schedule": (1e-2, math.nan)},
+            {"eps_schedule": (math.inf, 1e-2)},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                CheckConfig(**fields)
 
     def test_unknown_topic(self):
         with pytest.raises(UnknownArgument):

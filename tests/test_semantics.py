@@ -24,7 +24,7 @@ from qbag import (
     semantics_by_name,
 )
 from qbag.corpus import supporters_graph
-from qbag.semantics import PRESETS, _Compiled
+from qbag.semantics import PRESETS
 
 from conftest import finite_difference_partials, random_graphs
 
@@ -92,13 +92,13 @@ class TestAggregate:
         # aggregate() and the forward pass share one fold per aggregation
         for g in random_graphs(seed=11, count=30, max_args=6):
             for sem in PRESETS.values():
-                out, signals = _Compiled(g, sem).strengths(with_signals=True)
-                for i, signal in enumerate(signals):
-                    if signal is None:
-                        continue
-                    atts = [out[p] for p in g._attackers[i]]
-                    sups = [out[p] for p in g._supporters[i]]
-                    assert aggregate(sem.aggregation, atts, sups) == signal
+                sigma = evaluate(g, sem)
+                for name in g.arguments:
+                    atts = [sigma[p] for p in g.attackers_of(name)]
+                    sups = [sigma[p] for p in g.supporters_of(name)]
+                    if atts or sups:
+                        signal = aggregate(sem.aggregation, atts, sups)
+                        assert influence(sem.influence, g.initial_strength(name), signal) == sigma[name]
 
 
 class TestInfluence:
