@@ -29,9 +29,12 @@ sampler instead for big graphs.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
 pair memoizes strength vectors (per kept-set mask, severed argument and
-perturbation), grid sweeps per (argument, grid size) as one column per
-topic, one lazily filled cell column per (built-in method, topic), and
-each topic's ancestors and strictly-closer pairs.  A gradient column is
+single perturbation), grid sweeps per (argument, grid size) and
+faithfulness probes per (argument, eps schedule) as one column per topic,
+one lazily filled cell column per (built-in method, topic), and each
+topic's ancestors and strictly-closer pairs.  The principle checkers read
+probe columns; single perturbations (:meth:`EvaluationCache.strengths_perturbed`)
+serve the corpus expectations and other callers.  A gradient column is
 filled whole by one reverse pass over the memoized full-graph vector.
 Severing, perturbing or sweeping one argument re-runs the forward pass over
 that argument's descendant cone only, starting from the unmodified vector,
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import TooLarge, UnknownArgument
+from .errors import DomainError, TooLarge, UnknownArgument
 from .graph import QBAG, ancestor_mask, descendant_cone, strictly_closer_pairs
 from .rng import SplitMix64
 from .semantics import GradualSemantics, _Compiled
@@ -149,10 +152,11 @@ class EvaluationCache:
 
     Holds final-strength vectors keyed by kept-set bitmask, by severed
     argument (incoming edges removed) and by single-argument initial
-    strength perturbation, grid sweeps of one initial strength as one
-    column per topic, one lazily filled cell column per (built-in method,
-    topic), each topic's ancestors and strictly-closer pairs, and the
-    results the principle checkers derive from these (``derived``).  Severing, perturbing or sweeping one argument
+    strength perturbation, grid sweeps and faithfulness probes of one
+    initial strength as one column per topic, one lazily filled cell
+    column per (built-in method, topic), each topic's ancestors and
+    strictly-closer pairs, and the results the principle checkers derive
+    from these (``derived``).  Severing, perturbing or sweeping one argument
     re-evaluates only its descendant cone, starting from the unmodified
     vector.  Everything is confined to the cache instance; the evaluator
     itself stays stateless.
@@ -166,7 +170,9 @@ class EvaluationCache:
         self._by_mask: dict[int, tuple[float, ...]] = {}
         self._by_isolated: dict[int, tuple[float, ...]] = {}
         self._by_perturbation: dict[tuple[int, float], tuple[float, ...]] = {}
-        self._sweeps: dict[tuple[int, int], tuple[tuple[float, ...], ...]] = {}
+        self._sweeps: dict[tuple[int, int], list[tuple[float, ...]]] = {}
+        # eps schedule -> per-contributor probe columns, each indexed by topic
+        self._probes: dict[tuple[float, ...], list[list[tuple] | None]] = {}
         self._cones: dict[int, tuple[int, ...]] = {}
         self._ancestors: dict[int, int] = {}
         self._closer_pairs: dict[int, list[tuple[int, int]]] = {}
@@ -214,8 +220,46 @@ class EvaluationCache:
         if columns is None:
             last = points - 1
             vectors = self._sweep(index, [j / last for j in range(points)])
-            columns = self._sweeps[key] = tuple(zip(*vectors))
+            columns = self._sweeps[key] = list(zip(*vectors))
         return columns[topic]
+
+    def probe_column(self, index: int, topic: int, schedule: tuple[float, ...]) -> tuple:
+        """The topic's final strength at every faithfulness probe point of
+        argument ``index``'s initial strength tau: position 2k holds the
+        point tau + schedule[k] and position 2k + 1 holds tau - schedule[k].
+        A point outside [0, 1] is None and is not evaluated.  All points of
+        one (argument, schedule) are computed by one sweep for every topic.
+        If that sweep raises :class:`DomainError`, each point is evaluated on
+        its own and a failing point holds its exception, for the reader to
+        raise: a probe that is never read must not fail the check."""
+        table = self._probes.get(schedule)
+        if table is None:
+            table = self._probes[schedule] = [None] * self._comp.n
+        columns = table[index]
+        if columns is None:
+            columns = table[index] = self._probe_columns(index, schedule)
+        return columns[topic]
+
+    def _probe_columns(self, index: int, schedule: tuple[float, ...]) -> list[tuple]:
+        tau = self._comp.tau[index]
+        points = [p for d in schedule for p in (tau + d, tau - d)]
+        inside = [p for p in points if 0.0 <= p <= 1.0]
+        try:
+            vectors = self._sweep(index, inside)
+        except DomainError:
+            vectors = []
+            for p in inside:
+                try:
+                    vectors.append(self._sweep(index, (p,))[0])
+                except DomainError as exc:
+                    vectors.append((exc.with_traceback(None),) * self._comp.n)
+        rows = iter(vectors)
+        outside = (None,) * self._comp.n
+        full = [next(rows) if 0.0 <= p <= 1.0 else outside for p in points]
+        # Lists, not tuple(iterator) or zip(*generator): a tuple built from an
+        # iterator of unknown length is over-allocated and then resized, which
+        # left more memory in use after a fuzz-mix pass (as in sweep_column).
+        return list(zip(*full))
 
     def ancestors(self, topic: int) -> int:
         """Bitmask of the arguments with a directed path to the topic."""

@@ -53,10 +53,15 @@ class FuzzConfig:
             raise ValueError("trials must be positive")
         if self.max_args < 2:
             raise ValueError("max_args must be at least 2")
+        # max_args - 1 and round(1 / strength_grid) + 1 bound 64-bit draws
+        if self.max_args - 1 > 1 << 64:
+            raise ValueError("max_args must be at most 2**64 + 1")
         if not 0.0 < self.edge_prob < 1.0:
             raise ValueError("edge_prob must lie strictly between 0 and 1")
         if not 0.0 < self.strength_grid <= 1.0:
             raise ValueError("strength_grid must lie in (0, 1]")
+        if not 1.0 / self.strength_grid < 2.0**64:
+            raise ValueError("1 / strength_grid must be below 2**64")
 
 
 def _argument_names(n: int) -> list[str]:

@@ -31,6 +31,8 @@ def parse_graph(text: str) -> QBAG:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be an object")
     for key in ("arguments", "attacks", "supports"):

@@ -37,6 +37,7 @@ from .contributions import (
     Removal,
     method_name,
 )
+from .errors import DomainError
 from .graph import QBAG
 from .semantics import GradualSemantics
 
@@ -88,6 +89,8 @@ class CheckConfig:
     grid_points: int = 101
 
     def __post_init__(self):
+        # a tuple, whatever sequence was given: the schedule keys a memo
+        object.__setattr__(self, "eps_schedule", tuple(self.eps_schedule))
         if not (0 < self.zero_tol < math.inf and 0 < self.eq_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
         if not self.eps_schedule or not all(0 < e < math.inf for e in self.eps_schedule):
@@ -212,7 +215,9 @@ _REMOVAL = Removal()
 def _counterfactuality(cache, cfg, t, base, x, c):
     """Violated when a contribution's sign disagrees with the sign of the
     strength change caused by actually removing the contributor."""
-    delta = cache.contribution(_REMOVAL, t, x)
+    delta = cache.column(_REMOVAL, t)[x]
+    if delta is _UNSET:
+        delta = cache.cell(_REMOVAL, t, x)
     if _sign(c, cfg.zero_tol) != _sign(delta, cfg.eq_tol):
         return {"removal_delta": delta}
     return None
@@ -221,7 +226,9 @@ def _counterfactuality(cache, cfg, t, base, x, c):
 def _quant_counterfactuality(cache, cfg, t, base, x, c):
     """Violated when a contribution differs numerically from the strength
     change caused by removing the contributor."""
-    delta = cache.contribution(_REMOVAL, t, x)
+    delta = cache.column(_REMOVAL, t)[x]
+    if delta is _UNSET:
+        delta = cache.cell(_REMOVAL, t, x)
     if abs(c - delta) > cfg.eq_tol:
         return {"removal_delta": delta, "gap": c - delta}
     return None
@@ -243,20 +250,24 @@ def _local_faithfulness(cache, cfg, t, base, x, c):
     sign = _sign(c, cfg.zero_tol)
     if sign == 0:
         return None
+    schedule = cfg.eps_schedule
+    column = cache.probe_column(x, t, schedule)
     base_tau = _initial(cache, x)
     probed = False
     probes = []
-    for delta in cfg.eps_schedule:
+    for delta, up, down in zip(schedule, column[::2], column[1::2]):
         if abs(c) * delta <= _PROBE_HEADROOM * cfg.eq_tol:
             continue  # unresolvable at this radius
         ok = True
         any_direction = False
-        for direction in (1.0, -1.0):
-            eps = base_tau + direction * delta
-            if eps < 0.0 or eps > 1.0:
-                continue
+        for direction, strength in ((1.0, up), (-1.0, down)):
+            if strength is None:
+                continue  # the probe leaves [0, 1]
+            if strength.__class__ is DomainError:
+                raise strength.with_traceback(None)
             any_direction = True
-            response = cache.strengths_perturbed(x, eps)[t] - base
+            eps = base_tau + direction * delta
+            response = strength - base
             probes.append((eps, response))
             # positive contribution: strength rises with tau(x); negative: falls
             expected_up = (sign > 0) == (direction > 0)
@@ -277,14 +288,17 @@ def _quant_local_faithfulness(cache, cfg, t, base, x, c):
     |e/eps| stays above 1e-3 and the ratios do not keep shrinking as the
     schedule refines.  eps is read as a signed perturbation of the
     contributor's initial strength."""
-    base_tau = _initial(cache, x)
-    for direction in (1.0, -1.0):
+    schedule = cfg.eps_schedule
+    column = cache.probe_column(x, t, schedule)
+    for direction, strengths in ((1.0, column[::2]), (-1.0, column[1::2])):
         ratios = []
-        for delta in cfg.eps_schedule:
+        for delta, strength in zip(schedule, strengths):
+            if strength is None:
+                continue  # the probe leaves [0, 1]
+            if strength.__class__ is DomainError:
+                raise strength.with_traceback(None)
             eps = direction * delta
-            if not 0.0 <= base_tau + eps <= 1.0:
-                continue
-            error = cache.strengths_perturbed(x, base_tau + eps)[t] - (base + eps * c)
+            error = strength - (base + eps * c)
             ratios.append(abs(error / eps))
         if not ratios:
             continue
@@ -304,14 +318,20 @@ def _strong_faithfulness(cache, cfg, t, base, x, c):
     [0, 1] contradicts the global monotone behaviour its contribution sign
     promises (strictly better below, strictly worse above for positive
     contributions; flat everywhere for zero ones).  The first contradicting
-    grid point of every sign depends on nothing but the key below, so one
-    scan serves every method through the cache."""
+    grid point of every sign depends on nothing but (grid_points, eq_tol,
+    topic, contributor), so one scan serves every method through the cache,
+    in one table per (grid_points, eq_tol) indexed [topic][contributor]."""
     points, eq_tol = cfg.grid_points, cfg.eq_tol
-    key = ("strong-faithfulness", x, t, points, eq_tol)
-    derived = cache.derived
-    found = derived.get(key)
+    key = ("strong-faithfulness", points, eq_tol)
+    table = cache.derived.get(key)
+    if table is None:
+        table = cache.derived[key] = [None] * len(cache.graph)
+    row = table[t]
+    if row is None:
+        row = table[t] = [None] * len(cache.graph)
+    found = row[x]
     if found is None:
-        found = derived[key] = _first_contradictions(cache, t, base, x, points, eq_tol)
+        found = row[x] = _first_contradictions(cache, t, base, x, points, eq_tol)
     return found[_sign(c, cfg.zero_tol) + 1]
 
 
@@ -376,6 +396,26 @@ _PLANS = {
 }
 
 
+_VIOLATION = Verdict.VIOLATION
+_SATISFIED = Verdict.SATISFIED_ON_INSTANCE
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+
+
+def _visit_order(cache, t, non_ancestors_only):
+    """The contributors a per-contributor test visits for topic ``t``, in
+    list order: every other argument, or only those with no path to it."""
+    key = "visit-non-ancestors" if non_ancestors_only else "visit-others"
+    orders = cache.derived.get(key)
+    if orders is None:
+        orders = cache.derived[key] = [None] * len(cache.graph)
+    order = orders[t]
+    if order is None:
+        skip = (cache.ancestors(t) if non_ancestors_only else 0) | 1 << t
+        order = orders[t] = tuple([x for x in range(len(cache.graph)) if not (skip >> x) & 1])
+    return order
+
+
 def run_check(
     graph: QBAG,
     semantics: GradualSemantics,
@@ -405,19 +445,28 @@ def run_check(
 
         violated, witness, note = rule(cache, cfg, t, base, contrib)
     else:
-        skip = cache.ancestors(t) if non_ancestors_only else 0
         violated, witness = False, {}
-        for x, c in enumerate(column):
-            if x == t or (skip >> x) & 1:
-                continue
+        for x in _visit_order(cache, t, non_ancestors_only):
+            c = column[x]
             if c is _UNSET:
                 c = cache.cell(method, t, x, exact_cap)
             found = None if c is UNDEFINED else test(cache, cfg, t, base, x, c)
             if found is not None:
                 violated, witness = True, {"contributor": graph.arguments[x], "contribution": c, **found}
                 break
-    verdict = Verdict.VIOLATION if violated else Verdict.SATISFIED_ON_INSTANCE
-    return PrincipleReport(principle, verdict, topic, method_name(method), semantics.label(), witness, note)
+    # The same object PrincipleReport(...) builds, without the frozen
+    # __init__'s one object.__setattr__ call per field.
+    report = _new_object(PrincipleReport)
+    _set_attribute(report, "__dict__", {
+        "principle": principle,
+        "verdict": _VIOLATION if violated else _SATISFIED,
+        "topic": topic,
+        "method": method_name(method),
+        "semantics": semantics.label(),
+        "witness": witness,
+        "note": note,
+    })
+    return report
 
 
 def _binding(principle: PrincipleId) -> Callable[..., PrincipleReport]:

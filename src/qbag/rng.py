@@ -49,9 +49,12 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling."""
+        """Uniform integer in [0, bound) by rejection sampling, for
+        0 < bound <= 2**64: one 64-bit draw cannot cover a larger bound."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError("bound must be at most 2**64")
         limit = ((1 << 64) // bound) * bound
         while True:
             r = self.next_u64()

@@ -100,6 +100,13 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error: StrengthOutOfRange: ")
 
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, "eval", str(path), "--semantics", "qe")
+        assert code == 2 and out == ""
+        assert err.startswith("error: GraphFormatError: ") and err.count("\n") == 1
+
     def test_missing_semantics_is_an_error(self, corpus_dir, capsys):
         code, _, err = run(capsys, "eval", str(corpus_dir / "fig-intro.json"))
         assert code == 2 and "semantics" in err
@@ -550,6 +557,31 @@ class TestFuzzCommand:
             "1.5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-args", "100000000000000000000000"), ("--strength-grid", "1e-200"), ("--strength-grid", "1e-320")],
+    )
+    def test_draw_bound_beyond_64_bits_exits_2(self, capsys, flag, value):
+        # these settings used to hang in SplitMix64.below or crash in round()
+        code, out, err = run(
+            capsys,
+            "fuzz",
+            "--semantics",
+            "qe",
+            "--method",
+            "removal",
+            "--principle",
+            "directionality",
+            "--seed",
+            "1",
+            "--trials",
+            "3",
+            flag,
+            value,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
 
     def test_support_only_flag(self, capsys):
         code, out, _ = run(

@@ -8,11 +8,16 @@ pairwise ``strictly_closer`` definition.
 import pytest
 
 from qbag import (
+    QBAG,
     QE,
+    Aggregation,
     CheckConfig,
+    DomainError,
     EvaluationCache,
     Gradient,
+    GradualSemantics,
     IntrinsicRemoval,
+    Linear,
     PrincipleId,
     Removal,
     ShapleyExact,
@@ -269,3 +274,64 @@ def test_submask_shapley_equals_bit_by_bit_enumeration():
                     got = _shapley_exact(cache, t, x)
                     assert got == shapley_bit_by_bit(cache, t, x)
                     assert abs(got - shapley_bruteforce(g, semantics, topic, contributor)) <= 1e-12
+
+
+def test_probe_columns_equal_single_perturbations():
+    # position 2k holds tau + schedule[k], position 2k + 1 holds
+    # tau - schedule[k]; None where the point leaves [0, 1]
+    cfg = CheckConfig(eps_schedule=[1.5, 0.3, 1e-2, 1e-5])
+    assert cfg.eps_schedule == (1.5, 0.3, 1e-2, 1e-5)
+    for g in random_graphs(seed=8, count=12, max_args=6):
+        for semantics in PRESETS.values():
+            for x, name in enumerate(g.arguments):
+                for tau in (g._tau[x], 0.0, 1.0):
+                    h = with_initial_strength(g, name, tau)
+                    cache = EvaluationCache(h, semantics)
+                    for t in range(len(h)):
+                        column = cache.probe_column(x, t, cfg.eps_schedule)
+                        points = [p for d in cfg.eps_schedule for p in (tau + d, tau + (-1.0 * d))]
+                        assert len(column) == len(points)
+                        for p, strength in zip(points, column):
+                            if 0.0 <= p <= 1.0:
+                                assert strength == cache.strengths_perturbed(x, p)[t]
+                            else:
+                                assert strength is None
+
+
+def linear_edge():
+    """x supports d under sum + linear(0.5): d's aggregate is tau(x) = 0.5,
+    on the edge of the domain, so every probe above tau(x) is undefined and
+    every probe below it is not."""
+    g = QBAG([("x", 0.5), ("d", 0.2)], [], [("x", "d")])
+    return g, GradualSemantics(Aggregation.SUM, Linear(0.5))
+
+
+def test_unread_undefined_probes_do_not_fail_a_check():
+    g, semantics = linear_edge()
+    cache = EvaluationCache(g, semantics)
+    with pytest.raises(DomainError) as single:
+        cache.strengths_perturbed(0, 0.5 + 1e-2)
+    # at this eq_tol every radius is below the probe headroom: local
+    # faithfulness reads no probe, so the undefined ones cannot fail it
+    coarse = CheckConfig(eq_tol=1e-2)
+    report = run_check(g, semantics, Removal(), PrincipleId.LOCAL_FAITHFULNESS, "d", coarse, cache=cache)
+    assert report.satisfied and report.witness == {}
+    assert cache.probe_column(0, 1, coarse.eps_schedule)[1] == cache.strengths_perturbed(0, 0.5 - 1e-2)[1]
+    # a check that reads an undefined probe fails with the error of that
+    # probe's own evaluation, every time it reads it
+    for principle in (PrincipleId.LOCAL_FAITHFULNESS, PrincipleId.QUANT_LOCAL_FAITHFULNESS):
+        for _ in range(2):
+            with pytest.raises(DomainError) as read:
+                run_check(g, semantics, Removal(), principle, "d", cache=cache)
+            assert str(read.value) == str(single.value)
+
+
+def test_local_faithfulness_checks_fill_no_single_perturbation():
+    for g in random_graphs(seed=12, count=10, max_args=6):
+        for semantics in PRESETS.values():
+            cache = EvaluationCache(g, semantics)
+            for principle in (PrincipleId.LOCAL_FAITHFULNESS, PrincipleId.QUANT_LOCAL_FAITHFULNESS):
+                for method in METHODS:
+                    for topic in g.arguments:
+                        run_check(g, semantics, method, principle, topic, cache=cache)
+            assert cache._probes and not cache._by_perturbation

@@ -30,6 +30,12 @@ class TestSplitMix64:
         draws = [rng.below(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
 
+    def test_below_rejects_bounds_beyond_one_draw(self):
+        # a bound above 2**64 left no accepted draw and looped forever
+        assert 0 <= SplitMix64(42).below(1 << 64) < 1 << 64
+        with pytest.raises(ValueError):
+            SplitMix64(42).below((1 << 64) + 1)
+
     def test_trial_streams_are_independent(self):
         a = SplitMix64.for_trial(1, 0).next_u64()
         b = SplitMix64.for_trial(1, 1).next_u64()
@@ -54,6 +60,12 @@ class TestGeneration:
             FuzzConfig(seed=1, trials=1, edge_prob=0.0)
         with pytest.raises(ValueError):
             FuzzConfig(seed=1, trials=1, strength_grid=0.0)
+        # draw bounds beyond 2**64: max_args - 1 and round(1 / strength_grid) + 1
+        with pytest.raises(ValueError):
+            FuzzConfig(seed=1, trials=1, max_args=(1 << 64) + 2)
+        for grid in (1e-200, 1e-320):
+            with pytest.raises(ValueError):
+                FuzzConfig(seed=1, trials=1, strength_grid=grid)
 
     def test_trials_are_reproducible(self):
         config = FuzzConfig(seed=77, trials=50)

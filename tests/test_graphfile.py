@@ -39,6 +39,7 @@ class TestParsing:
             '{"arguments": [{"id": "a", "initial": "x"}], "attacks": [], "supports": []}',
             '{"arguments": [{"id": "a", "initial": true}], "attacks": [], "supports": []}',
             '{"arguments": [{"id": "a", "initial": 0.5}], "attacks": [["a"]], "supports": []}',
+            pytest.param("[" * 200_000 + "]" * 200_000, id="deeply-nested"),
         ],
     )
     def test_malformed_documents(self, text):

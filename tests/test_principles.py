@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -13,6 +14,7 @@ from qbag import (
     Gradient,
     IntrinsicRemoval,
     PrincipleId,
+    PrincipleReport,
     QBAG,
     QE,
     Removal,
@@ -290,6 +292,20 @@ class TestCheckerPlumbing:
             second = run_check(g, sem, method, principle, "a")
             assert first == second
             assert first.verdict is Verdict.VIOLATION
+
+    def test_reports_equal_the_public_constructor(self):
+        g = load_example("fig-intro").graph
+        for principle in PrincipleId:
+            for method in (Removal(), Gradient()):
+                report = run_check(g, DFQUAD, method, principle, "a")
+                public = PrincipleReport(*(getattr(report, f.name) for f in dataclasses.fields(PrincipleReport)))
+                assert repr(report) == repr(public) and report == public and public == report
+                assert list(vars(report).items()) == list(vars(public).items())
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    report.topic = "b"
+                moved = dataclasses.replace(report, topic="b")
+                assert moved == dataclasses.replace(public, topic="b") and moved.topic == "b"
+                assert report.topic == "a"
 
 
 class TestImplicationChains:
