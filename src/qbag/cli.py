@@ -34,6 +34,7 @@ from .fuzz import (
     DEFAULT_MAX_ARGS,
     DEFAULT_STRENGTH_GRID,
     FuzzConfig,
+    _MAX_ARGS_LIMIT,
     search_violation,
 )
 from .graphfile import load_graph, serialize_graph
@@ -316,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _SEMANTICS_FLAGS + _METHOD_FLAGS + _CHECK_FLAGS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max-args", type=int, default=DEFAULT_MAX_ARGS, dest="max_args")
+    p.add_argument("--max-args", type=int, default=DEFAULT_MAX_ARGS, dest="max_args",
+                   help=f"largest graph size, 2 to {_MAX_ARGS_LIMIT} arguments (default {DEFAULT_MAX_ARGS})")
     p.add_argument("--edge-prob", type=float, default=DEFAULT_EDGE_PROB, dest="edge_prob")
     p.add_argument("--strength-grid", type=float, default=DEFAULT_STRENGTH_GRID, dest="strength_grid")
     p.add_argument("--support-only", action="store_true", dest="support_only")

@@ -28,18 +28,18 @@ every call whether or not the cell is memoized; use the seeded permutation
 sampler instead for big graphs.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
-pair memoizes strength vectors (per kept-set mask, severed argument and
-single perturbation), grid sweeps per (argument, grid size) and
-faithfulness probes per (argument, eps schedule) as one column per topic,
-one lazily filled cell column per (built-in method, topic), and each
-topic's ancestors and strictly-closer pairs.  The principle checkers read
-probe columns; single perturbations (:meth:`EvaluationCache.strengths_perturbed`)
-serve the corpus expectations and other callers.  A gradient column is
-filled whole by one reverse pass over the memoized full-graph vector.
-Severing, perturbing or sweeping one argument re-runs the forward pass over
-that argument's descendant cone only, starting from the unmodified vector,
-which gives bit-identical results.  Cells of callable methods are never
-memoized.
+pair memoizes strength vectors (per kept-set mask and per severed
+argument), grid sweeps per (argument, grid size) and faithfulness probes
+per (argument, eps schedule) as one column per topic, one lazily filled
+cell column per (built-in method, topic), and each topic's ancestors and
+strictly-closer pairs.  The principle checkers read probe columns; single
+perturbations (:meth:`EvaluationCache.strengths_perturbed`) serve the
+corpus expectations and other callers and are not memoized.  A gradient
+column is filled whole by one reverse pass over the memoized full-graph
+vector.  Removing, severing, perturbing or sweeping one argument re-folds
+only that argument's descendants, starting from the full-graph vector
+(a removal with the argument dropped from the kept set), which gives
+bit-identical results.  Cells of callable methods are never memoized.
 """
 
 from __future__ import annotations
@@ -150,16 +150,17 @@ _UNSET = object()
 class EvaluationCache:
     """Memoized evaluations for one (graph, semantics) pair.
 
-    Holds final-strength vectors keyed by kept-set bitmask, by severed
-    argument (incoming edges removed) and by single-argument initial
-    strength perturbation, grid sweeps and faithfulness probes of one
-    initial strength as one column per topic, one lazily filled cell
+    Holds final-strength vectors keyed by kept-set bitmask and by severed
+    argument (incoming edges removed), grid sweeps and faithfulness probes
+    of one initial strength as one column per topic, one lazily filled cell
     column per (built-in method, topic), each topic's ancestors and
     strictly-closer pairs, and the results the principle checkers derive
-    from these (``derived``).  Severing, perturbing or sweeping one argument
-    re-evaluates only its descendant cone, starting from the unmodified
-    vector.  Everything is confined to the cache instance; the evaluator
-    itself stays stateless.
+    from these (``derived``).  Removing, severing, perturbing or sweeping
+    one argument re-folds only its descendants, starting from the
+    full-graph vector; a removal vector is stored under its kept-set mask,
+    where exact and sampled Shapley read it too.  Single perturbations are
+    not memoized.  Everything is confined to the cache instance; the
+    evaluator itself stays stateless.
     """
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
@@ -169,11 +170,10 @@ class EvaluationCache:
         self.full_mask = (1 << len(graph)) - 1
         self._by_mask: dict[int, tuple[float, ...]] = {}
         self._by_isolated: dict[int, tuple[float, ...]] = {}
-        self._by_perturbation: dict[tuple[int, float], tuple[float, ...]] = {}
         self._sweeps: dict[tuple[int, int], list[tuple[float, ...]]] = {}
         # eps schedule -> per-contributor probe columns, each indexed by topic
         self._probes: dict[tuple[float, ...], list[list[tuple] | None]] = {}
-        self._cones: dict[int, tuple[int, ...]] = {}
+        self._descendants: dict[int, tuple[int, ...]] = {}
         self._ancestors: dict[int, int] = {}
         self._closer_pairs: dict[int, list[tuple[int, int]]] = {}
         # method key -> per-topic cell columns; the key is the method's type,
@@ -185,28 +185,46 @@ class EvaluationCache:
         key = self.full_mask if mask is None else mask
         hit = self._by_mask.get(key)
         if hit is None:
-            hit = tuple(self._comp.strengths(key))
+            removed = self.full_mask & ~key
+            if removed and not removed & (removed - 1) and self.full_mask in self._by_mask:
+                # one argument removed: its descendants are re-folded with it
+                # dropped from the mask, never read as a 0.0-strength parent
+                hit = self._refold_cone(removed.bit_length() - 1, (0.0,), key)[0]
+            else:
+                hit = tuple(self._comp.strengths(key))
             self._by_mask[key] = hit
         return hit
 
-    def _sweep(self, index: int, values, sever: bool = False) -> list[tuple[float, ...]]:
-        cone = self._cones.get(index)
-        if cone is None:
-            cone = self._cones[index] = descendant_cone(self.graph, index)
-        return self._comp.sweep(index, values, cone, self.strengths(), sever)
+    def _refold_cone(self, index: int, entries, mask: int = -1) -> list[tuple[float, ...]]:
+        """One full-graph vector per entry: argument ``index``'s final
+        strength set to the entry and its descendants re-folded over the
+        parents kept in ``mask``, all in one work vector."""
+        descendants = self._descendants.get(index)
+        if descendants is None:
+            descendants = self._descendants[index] = descendant_cone(self.graph, index)[1:]
+        out = list(self.strengths())
+        vectors = []
+        for entry in entries:
+            out[index] = entry
+            vectors.append(tuple(self._comp.refold(out, descendants, mask)))
+        return vectors
+
+    def _sweep(self, index: int, values) -> list[tuple[float, ...]]:
+        """One full-graph vector per initial strength of argument ``index``;
+        its unchanged parents are folded once."""
+        comp = self._comp
+        s = comp.fold(self.strengths(), comp.attackers[index], comp.supporters[index], -1)
+        return self._refold_cone(index, [v if s is None else comp.value(v, s) for v in values])
 
     def strengths_isolated(self, index: int) -> tuple[float, ...]:
         hit = self._by_isolated.get(index)
         if hit is None:
-            hit = self._by_isolated[index] = self._sweep(index, (self._comp.tau[index],), True)[0]
+            hit = self._by_isolated[index] = self._refold_cone(index, (self._comp.tau[index],))[0]
         return hit
 
     def strengths_perturbed(self, index: int, value: float) -> tuple[float, ...]:
-        key = (index, value)
-        hit = self._by_perturbation.get(key)
-        if hit is None:
-            hit = self._by_perturbation[key] = self._sweep(index, (value,))[0]
-        return hit
+        """Strengths with one initial strength changed; not memoized."""
+        return self._sweep(index, (value,))[0]
 
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength

@@ -35,6 +35,8 @@ from .rng import SplitMix64
 from .semantics import GradualSemantics
 
 DEFAULT_MAX_ARGS = 7
+# A trial materialises a graph of up to max_args arguments in memory.
+_MAX_ARGS_LIMIT = 1000
 DEFAULT_EDGE_PROB = 0.35
 DEFAULT_STRENGTH_GRID = 0.05
 
@@ -51,15 +53,13 @@ class FuzzConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.max_args < 2:
-            raise ValueError("max_args must be at least 2")
-        # max_args - 1 and round(1 / strength_grid) + 1 bound 64-bit draws
-        if self.max_args - 1 > 1 << 64:
-            raise ValueError("max_args must be at most 2**64 + 1")
+        if not 2 <= self.max_args <= _MAX_ARGS_LIMIT:
+            raise ValueError(f"max_args must lie in [2, {_MAX_ARGS_LIMIT}]")
         if not 0.0 < self.edge_prob < 1.0:
             raise ValueError("edge_prob must lie strictly between 0 and 1")
         if not 0.0 < self.strength_grid <= 1.0:
             raise ValueError("strength_grid must lie in (0, 1]")
+        # round(1 / strength_grid) + 1 bounds a 64-bit draw
         if not 1.0 / self.strength_grid < 2.0**64:
             raise ValueError("1 / strength_grid must be below 2**64")
 

@@ -380,12 +380,13 @@ _AGGREGATIONS = {
 class _Compiled:
     """Index-based evaluator bound to one (graph, semantics) pair.
 
-    ``strengths`` is the one forward pass, over a kept-set bitmask; ``sweep``
-    re-runs one argument's descendant cone for a series of its initial
-    strengths, optionally with its incoming edges severed; ``gradient``
-    reverse-accumulates over a finished full-graph vector.  Together they
-    cover every restriction/modification the contribution and principle
-    machinery needs without rebuilding graphs.
+    ``refold`` is the one forward loop, over the parents kept in a bitmask:
+    ``strengths`` runs it over every node, and removing, severing or
+    perturbing one argument runs it over that argument's descendants only,
+    on a copy of the full-graph vector.  ``gradient`` reverse-accumulates
+    over a finished full-graph vector.  Together they cover every
+    restriction/modification the contribution and principle machinery needs
+    without rebuilding graphs.
     """
 
     __slots__ = ("graph", "n", "order", "attackers", "supporters", "tau", "fold", "backprop", "value", "d_signal", "d_initial")
@@ -400,48 +401,27 @@ class _Compiled:
         self.fold, self.backprop = _AGGREGATIONS[semantics.aggregation]
         self.value, self.d_signal, self.d_initial = _influence_functions(semantics.influence)
 
-    def strengths(self, mask: int = -1) -> list[float]:
-        """Final strengths of the kept subgraph (entries of dropped arguments
-        are meaningless zeros)."""
+    def refold(self, out: list[float], nodes: Sequence[int], mask: int = -1) -> list[float]:
+        """Re-fold ``nodes`` (in topological order) on ``out`` in place over
+        the parents kept in ``mask``, and return ``out``.  A dropped node is
+        skipped; a node with no kept parent keeps its initial strength.
+        Every other entry of ``out`` is read as final."""
         taus = self.tau
-        out = [0.0] * self.n
         fold = self.fold
         value = self.value
         attackers = self.attackers
         supporters = self.supporters
-        for i in self.order:
+        for i in nodes:
             if not (mask >> i) & 1:
                 continue
             s = fold(out, attackers[i], supporters[i], mask)
             out[i] = taus[i] if s is None else value(taus[i], s)
         return out
 
-    def sweep(
-        self, index: int, values: Sequence[float], cone: Sequence[int], start: Sequence[float], sever: bool = False
-    ) -> list[tuple[float, ...]]:
-        """Full-graph strengths, one vector per value, with argument
-        ``index``'s initial strength set to that value and, with ``sever``,
-        its incoming edges ignored.  Only ``cone`` (``index`` and its
-        descendants in topological order) is re-run, over the unmodified
-        vector ``start``: the unchanged parents of ``index`` are folded once,
-        and each value reuses one work vector.  Bit-identical to a full
-        pass."""
-        fold = self.fold
-        value = self.value
-        attackers = self.attackers
-        supporters = self.supporters
-        taus = self.tau
-        out = list(start)
-        s = None if sever else fold(out, attackers[index], supporters[index], -1)
-        descendants = cone[1:]
-        vectors = []
-        for v in values:
-            out[index] = v if s is None else value(v, s)
-            for i in descendants:
-                # a descendant always has a parent, so its fold is never None
-                out[i] = value(taus[i], fold(out, attackers[i], supporters[i], -1))
-            vectors.append(tuple(out))
-        return vectors
+    def strengths(self, mask: int = -1) -> list[float]:
+        """Final strengths of the kept subgraph (entries of dropped arguments
+        are meaningless zeros)."""
+        return self.refold([0.0] * self.n, self.order, mask)
 
     def gradient(self, topic: int, out: Sequence[float]) -> list[float]:
         """Reverse accumulation of d sigma(topic) / d tau(x) for every x over

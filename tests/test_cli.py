@@ -560,10 +560,16 @@ class TestFuzzCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--max-args", "100000000000000000000000"), ("--strength-grid", "1e-200"), ("--strength-grid", "1e-320")],
+        [
+            ("--max-args", "100000000000000000000000"),
+            ("--max-args", "18446744073709551617"),
+            ("--strength-grid", "1e-200"),
+            ("--strength-grid", "1e-320"),
+        ],
     )
     def test_draw_bound_beyond_64_bits_exits_2(self, capsys, flag, value):
-        # these settings used to hang in SplitMix64.below or crash in round()
+        # these settings used to hang in SplitMix64.below, crash in round()
+        # or grow a trial's graph until the process was killed
         code, out, err = run(
             capsys,
             "fuzz",

@@ -36,7 +36,7 @@ from qbag import (
     with_initial_strength,
 )
 from qbag.contributions import _shapley_exact, _shapley_weights
-from qbag.graph import descendant_cone, strictly_closer_pairs
+from qbag.graph import strictly_closer_pairs
 from qbag.principles import _first_contradictions
 from qbag.semantics import PRESETS, _Compiled
 
@@ -99,6 +99,7 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
     for g in random_graphs(seed=7, count=25, max_args=8):
         for semantics in PRESETS.values():
             cache = EvaluationCache(g, semantics)
+            shapley_first = EvaluationCache(g, semantics)
             for x in range(len(g)):
                 severed = remove_incoming(g, g.arguments[x])
                 assert cache.strengths_isolated(x) == tuple(strength_vector(severed, semantics))
@@ -107,6 +108,31 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
                 sweep = [perturbed_vector(g, semantics, x, j / 10) for j in range(11)]
                 for t in range(len(g)):
                     assert cache.sweep_column(x, t, 11) == tuple(v[t] for v in sweep)
+                # a removal vector re-folds x's descendants with x dropped;
+                # it equals the masked pass, zero at x included, whichever
+                # of removal, Shapley or a fresh cache fills the mask first
+                mask = cache.full_mask & ~(1 << x)
+                for t in range(len(g)):
+                    cache.contribution(Removal(), t, x)
+                    shapley_first.contribution(ShapleyExact(), t, x)
+                removed = cache.strengths(mask)
+                assert removed == tuple(_Compiled(g, semantics).strengths(mask)) and removed[x] == 0.0
+                others = [a for a in g.arguments if a != g.arguments[x]]
+                assert list(removed[:x] + removed[x + 1:]) == strength_vector(restrict(g, others), semantics)
+                assert shapley_first.strengths(mask) == removed == EvaluationCache(g, semantics).strengths(mask)
+    # removing x lifts d's sum aggregate from 0.1 to 0.9, outside [-0.5, 0.5]:
+    # the removal cell fails with the masked pass' error
+    g = QBAG([("x", 0.8), ("y", 0.9), ("d", 0.2), ("e", 0.3)], [("x", "d")], [("y", "d"), ("d", "e")])
+    semantics = GradualSemantics(Aggregation.SUM, Linear(0.5))
+    with pytest.raises(DomainError) as masked:
+        _Compiled(g, semantics).strengths(0b1110)
+    with pytest.raises(DomainError) as cell:
+        EvaluationCache(g, semantics).contribution(Removal(), 3, 0)
+    assert str(cell.value) == str(masked.value)
+    # the full graph is undefined here and the graph without x is not: a
+    # fresh cache evaluates that kept set without the full-graph vector
+    g = QBAG([("x", 0.5), ("y", 0.3), ("d", 0.2)], [], [("x", "d"), ("y", "d")])
+    assert EvaluationCache(g, semantics).strengths(0b110) == tuple(_Compiled(g, semantics).strengths(0b110))
 
 
 def test_memoized_shapley_cell_still_enforces_the_cap():
@@ -196,13 +222,11 @@ def test_sweep_kernel_equals_per_point_full_passes():
     parentless = topic_itself = 0
     for g in random_graphs(seed=17, count=20, max_args=7):
         for semantics in PRESETS.values():
-            comp = _Compiled(g, semantics)
-            base = comp.strengths()
             for x in range(len(g)):
                 want = [perturbed_vector(g, semantics, x, value) for value in values]
-                assert comp.sweep(x, values, descendant_cone(g, x), base) == want
-                parentless += not (g._attackers[x] or g._supporters[x])
                 cache = EvaluationCache(g, semantics)
+                assert cache._sweep(x, values) == want
+                parentless += not (g._attackers[x] or g._supporters[x])
                 assert cache.sweep_column(x, x, len(values)) == tuple(v[x] for v in want)
                 topic_itself += 1
     assert parentless and topic_itself
@@ -326,7 +350,11 @@ def test_unread_undefined_probes_do_not_fail_a_check():
             assert str(read.value) == str(single.value)
 
 
-def test_local_faithfulness_checks_fill_no_single_perturbation():
+def test_local_faithfulness_checks_fill_no_single_perturbation(monkeypatch):
+    def single(*args):
+        raise AssertionError("a local-faithfulness check evaluated a single perturbation")
+
+    monkeypatch.setattr(EvaluationCache, "strengths_perturbed", single)
     for g in random_graphs(seed=12, count=10, max_args=6):
         for semantics in PRESETS.values():
             cache = EvaluationCache(g, semantics)
@@ -334,4 +362,4 @@ def test_local_faithfulness_checks_fill_no_single_perturbation():
                 for method in METHODS:
                     for topic in g.arguments:
                         run_check(g, semantics, method, principle, topic, cache=cache)
-            assert cache._probes and not cache._by_perturbation
+            assert cache._probes

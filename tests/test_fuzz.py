@@ -11,6 +11,7 @@ from qbag import (
     search_violation,
     topological_order,
 )
+from qbag.fuzz import _MAX_ARGS_LIMIT
 from qbag.rng import SplitMix64
 
 
@@ -60,9 +61,12 @@ class TestGeneration:
             FuzzConfig(seed=1, trials=1, edge_prob=0.0)
         with pytest.raises(ValueError):
             FuzzConfig(seed=1, trials=1, strength_grid=0.0)
-        # draw bounds beyond 2**64: max_args - 1 and round(1 / strength_grid) + 1
-        with pytest.raises(ValueError):
-            FuzzConfig(seed=1, trials=1, max_args=(1 << 64) + 2)
+        # argument counts a trial cannot hold in memory, and a draw bound
+        # round(1 / strength_grid) + 1 beyond 2**64
+        for max_args in (_MAX_ARGS_LIMIT + 1, (1 << 64) + 1, (1 << 64) + 2):
+            with pytest.raises(ValueError):
+                FuzzConfig(seed=1, trials=1, max_args=max_args)
+        assert FuzzConfig(seed=1, trials=1, max_args=_MAX_ARGS_LIMIT).max_args == _MAX_ARGS_LIMIT
         for grid in (1e-200, 1e-320):
             with pytest.raises(ValueError):
                 FuzzConfig(seed=1, trials=1, strength_grid=grid)
