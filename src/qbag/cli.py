@@ -19,10 +19,10 @@ import shlex
 import sys
 from typing import Sequence
 
-from . import corpus
 from .contributions import (
     DEFAULT_EXACT_CAP,
     DEFAULT_PERMUTATIONS,
+    MAX_SWEEP_POINTS,
     UNDEFINED,
     EvaluationCache,
     contribution,
@@ -82,7 +82,7 @@ _CHECK_FLAGS = (
     ("--zero-tol", {"type": float}),
     ("--eq-tol", {"type": float}),
     ("--eps-schedule", {"help": "comma separated, strictly decreasing"}),
-    ("--grid-points", {"type": int}),
+    ("--grid-points", {"type": int, "help": f"strong-faithfulness grid size, 2 to {MAX_SWEEP_POINTS}"}),
 )
 
 
@@ -117,7 +117,7 @@ def _check_config(args: argparse.Namespace) -> CheckConfig | None:
         fields["zero_tol"] = args.zero_tol
     if args.eq_tol is not None:
         fields["eq_tol"] = args.eq_tol
-    if args.eps_schedule:
+    if args.eps_schedule is not None:
         fields["eps_schedule"] = tuple(float(v) for v in args.eps_schedule.split(","))
     if args.grid_points is not None:
         fields["grid_points"] = args.grid_points
@@ -128,7 +128,8 @@ def _replay_command(args: argparse.Namespace, topic: str) -> str:
     """The ``qbag check`` command that replays a fuzz witness: the fuzz run's
     semantics (with ``--k``/``--p`` where its influence uses them), every
     required method and check flag, and every other one whose value differs
-    from its default."""
+    from its default.  A set ``QBAG_EXACT_CAP`` is carried as a prefix: it
+    decides whether an exact Shapley check runs at all."""
     if args.semantics:
         words = ["--semantics", args.semantics]
     else:
@@ -141,7 +142,9 @@ def _replay_command(args: argparse.Namespace, topic: str) -> str:
         value = getattr(args, flag[2:].replace("-", "_"))
         if options.get("required") or value != options.get("default"):
             words += [flag, str(value)]
-    return shlex.join(["qbag", "check", "GRAPH.json", *words, "--topic", topic])
+    command = shlex.join(["qbag", "check", "GRAPH.json", *words, "--topic", topic])
+    cap = os.environ.get("QBAG_EXACT_CAP")
+    return command if cap is None else f"QBAG_EXACT_CAP={shlex.quote(cap)} {command}"
 
 
 def _fmt(value: float) -> str:
@@ -183,8 +186,8 @@ def cmd_contrib(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
+    if not 2 <= args.steps <= MAX_SWEEP_POINTS:
+        raise ValueError(f"--steps must be between 2 and {MAX_SWEEP_POINTS}")
     graph = load_graph(args.file)
     semantics = _resolve_semantics(args)
     topic = graph.index_of(args.topic)
@@ -219,6 +222,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    # imported here, as in cmd_export_examples: building the corpus is a
+    # start-up cost that no other command needs
+    from . import corpus
+
     if args.example:
         reports = [corpus.verify_example(args.example)]
     else:
@@ -269,6 +276,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_export_examples(args: argparse.Namespace) -> int:
+    from . import corpus
+
     written = corpus.export_examples(args.dest)
     print(f"wrote {len(written)} files to {args.dest}")
     return 0
@@ -298,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _SEMANTICS_FLAGS)
     p.add_argument("--topic", required=True)
     p.add_argument("--vary", required=True)
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--steps", type=int, default=101, help=f"grid points, 2 to {MAX_SWEEP_POINTS} (default 101)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check", help="check one principle on one instance")

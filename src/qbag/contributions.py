@@ -29,10 +29,10 @@ sampler instead for big graphs.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
 pair memoizes strength vectors (per kept-set mask and per severed
-argument), grid sweeps per (argument, grid size) and faithfulness probes
-per (argument, eps schedule) as one column per topic, one lazily filled
-cell column per (built-in method, topic), and each topic's ancestors and
-strictly-closer pairs.  The principle checkers read probe columns; single
+argument), grid sweeps per (argument, grid size) as one column per topic
+the argument reaches, faithfulness probes per (argument, eps schedule) as
+one column per topic, one lazily filled cell column per (built-in method,
+topic), and each topic's ancestors and strictly-closer pairs.  The principle checkers read probe columns; single
 perturbations (:meth:`EvaluationCache.strengths_perturbed`) serve the
 corpus expectations and other callers and are not memoized.  A gradient
 column is filled whole by one reverse pass over the memoized full-graph
@@ -54,6 +54,9 @@ from .semantics import GradualSemantics, _Compiled
 
 DEFAULT_EXACT_CAP = 20
 DEFAULT_PERMUTATIONS = 100_000
+# Most points of one sweep (``qbag sweep --steps``, ``CheckConfig.grid_points``):
+# a stored sweep holds points floats per reached topic.  100x the default 101.
+MAX_SWEEP_POINTS = 10_001
 
 
 class Undefined:
@@ -152,10 +155,10 @@ class EvaluationCache:
 
     Holds final-strength vectors keyed by kept-set bitmask and by severed
     argument (incoming edges removed), grid sweeps and faithfulness probes
-    of one initial strength as one column per topic, one lazily filled cell
-    column per (built-in method, topic), each topic's ancestors and
-    strictly-closer pairs, and the results the principle checkers derive
-    from these (``derived``).  Removing, severing, perturbing or sweeping
+    of one initial strength as one column per topic (for a sweep, per topic
+    the argument reaches), one lazily filled cell column per (built-in
+    method, topic), each topic's ancestors and strictly-closer pairs, and
+    the results the principle checkers derive from these (``derived``).  Removing, severing, perturbing or sweeping
     one argument re-folds only its descendants, starting from the
     full-graph vector; a removal vector is stored under its kept-set mask,
     where exact and sampled Shapley read it too.  Single perturbations are
@@ -170,7 +173,9 @@ class EvaluationCache:
         self.full_mask = (1 << len(graph)) - 1
         self._by_mask: dict[int, tuple[float, ...]] = {}
         self._by_isolated: dict[int, tuple[float, ...]] = {}
-        self._sweeps: dict[tuple[int, int], list[tuple[float, ...]]] = {}
+        # (argument, points) -> column per reached topic (the argument and
+        # its descendants)
+        self._sweeps: dict[tuple[int, int], dict[int, tuple[float, ...]]] = {}
         # eps schedule -> per-contributor probe columns, each indexed by topic
         self._probes: dict[tuple[float, ...], list[list[tuple] | None]] = {}
         self._descendants: dict[int, tuple[int, ...]] = {}
@@ -229,8 +234,9 @@ class EvaluationCache:
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
         takes the values j / (points - 1), j = 0 .. points - 1.  The sweep is
-        computed once per (argument, points) for every topic; a topic the
-        argument does not reach keeps its unmodified strength."""
+        computed once per (argument, points), and only the columns of the
+        topics it reaches are kept; any other topic keeps its unmodified
+        strength."""
         if topic != index and not (self.ancestors(topic) >> index) & 1:
             return (self.strengths()[topic],) * points
         key = (index, points)
@@ -238,7 +244,10 @@ class EvaluationCache:
         if columns is None:
             last = points - 1
             vectors = self._sweep(index, [j / last for j in range(points)])
-            columns = self._sweeps[key] = list(zip(*vectors))
+            # _sweep has filled _descendants[index]
+            columns = self._sweeps[key] = {
+                t: tuple([v[t] for v in vectors]) for t in (index, *self._descendants[index])
+            }
         return columns[topic]
 
     def probe_column(self, index: int, topic: int, schedule: tuple[float, ...]) -> tuple:

@@ -30,6 +30,7 @@ from typing import Callable
 from .contributions import (
     _UNSET,
     DEFAULT_EXACT_CAP,
+    MAX_SWEEP_POINTS,
     UNDEFINED,
     ContributionMethod,
     ContributionValue,
@@ -97,8 +98,8 @@ class CheckConfig:
             raise ValueError("eps_schedule must contain positive finite steps")
         if any(b >= a for a, b in zip(self.eps_schedule, self.eps_schedule[1:])):
             raise ValueError("eps_schedule must be strictly decreasing")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
+        if not 2 <= self.grid_points <= MAX_SWEEP_POINTS:
+            raise ValueError(f"grid_points must be between 2 and {MAX_SWEEP_POINTS}")
 
 
 _DEFAULT_CONFIG = CheckConfig()

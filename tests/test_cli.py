@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qbag
 from qbag import (
     PRESETS,
     QE,
@@ -305,6 +310,14 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_steps_are_bounded(self, corpus_dir, capsys):
+        argv = ("sweep", str(corpus_dir / "fig-intro.json"), "--semantics", "dfquad", "--topic", "a", "--vary", "e")
+        code, out, _ = run(capsys, *argv, "--steps", "10001")
+        assert code == 0 and out.count("\n") == 10002
+        code, out, err = run(capsys, *argv, "--steps", "10002")
+        assert code == 2 and out == ""
+        assert err == "error: ValueError: --steps must be between 2 and 10001\n"
+
     def test_unknown_vary_argument(self, corpus_dir, capsys):
         code, _, err = run(
             capsys,
@@ -401,6 +414,14 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: ValueError: ") and "finite" in err
 
+    def test_empty_eps_schedule_exits_2(self, corpus_dir, capsys):
+        code, out, err = run(
+            capsys, "check", str(corpus_dir / "fig-intro.json"), "--semantics", "dfquad", "--method", "gradient",
+            "--principle", "local-faithfulness", "--topic", "a", "--eps-schedule", "",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+
     def test_tolerance_flags(self, corpus_dir, capsys):
         code, out, _ = run(
             capsys,
@@ -487,16 +508,27 @@ class TestFuzzCommand:
             " --seed 5 --trials 40 --grid-points 21 --eq-tol 1e-7",
             "--semantics dfquad --method shapley-sampled --permutations 40 --sample-seed 9"
             " --principle local-faithfulness --seed 2 --trials 20 --max-args 5 --support-only",
+            "QBAG_EXACT_CAP=8 --semantics qe --method shapley --principle quantitative-counterfactuality"
+            " --seed 1 --trials 50 --max-args 6",
         ],
     )
-    def test_printed_command_replays_the_witness(self, flags, tmp_path, capsys):
-        code, out, _ = run(capsys, "fuzz", *shlex.split(flags))
+    def test_printed_command_replays_the_witness(self, flags, tmp_path, capsys, monkeypatch):
+        words = shlex.split(flags)
+        env = words.pop(0) if words[0].startswith("QBAG_EXACT_CAP=") else None
+        if env:
+            monkeypatch.setenv(*env.split("=", 1))
+        code, out, _ = run(capsys, "fuzz", *words)
         assert code == 1
         head, rest = out.split("graph file:\n")
         graph_text, hint = rest.split("reproduce: ")
         path = tmp_path / "witness.json"
         path.write_text(graph_text)
         command = shlex.split(hint[hint.index("`") + 1 : hint.rindex("`")])
+        if env:
+            # the replay runs under the cap the hint names, not the fuzz run's
+            assert command[0] == env
+            monkeypatch.delenv("QBAG_EXACT_CAP")
+            monkeypatch.setenv(*command.pop(0).split("=", 1))
         assert command[:3] == ["qbag", "check", "GRAPH.json"]
         code, replayed, err = run(capsys, *command[1:2], str(path), *command[3:])
         assert (code, err) == (1, "")
@@ -635,6 +667,18 @@ def test_contrib_and_check_output_is_pinned(corpus_dir, capsys):
                     code, out, err = run(capsys, *argv)
                     digest.update(f"{code}\n{out}{err}".encode())
     assert digest.hexdigest() == OUTPUT_DIGEST
+
+
+def test_only_reproduce_and_export_load_the_corpus():
+    # a fresh interpreter: in-process tests have imported qbag.corpus already
+    env = dict(os.environ, PYTHONPATH=str(Path(qbag.__file__).parents[1]))
+    code = "import sys, qbag.cli; print('qbag.corpus' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+    argv = [sys.executable, "-m", "qbag.cli", "reproduce", "--example", "fig-intro"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("PASS fig-intro (")
 
 
 def test_console_entry_point_is_wired():

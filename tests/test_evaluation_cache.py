@@ -227,7 +227,8 @@ def test_sweep_kernel_equals_per_point_full_passes():
                 cache = EvaluationCache(g, semantics)
                 assert cache._sweep(x, values) == want
                 parentless += not (g._attackers[x] or g._supporters[x])
-                assert cache.sweep_column(x, x, len(values)) == tuple(v[x] for v in want)
+                for t in range(len(g)):
+                    assert cache.sweep_column(x, t, len(values)) == tuple(v[t] for v in want)
                 topic_itself += 1
     assert parentless and topic_itself
 

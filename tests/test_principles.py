@@ -261,6 +261,9 @@ class TestCheckerPlumbing:
             CheckConfig(eps_schedule=(1e-3, 1e-2))
         with pytest.raises(ValueError):
             CheckConfig(grid_points=1)
+        with pytest.raises(ValueError, match="10001"):
+            CheckConfig(grid_points=10_002)
+        assert CheckConfig(grid_points=10_001).grid_points == 10_001
         # NaN passes every "<= 0" test, so finiteness is checked on its own
         for fields in (
             {"zero_tol": math.nan},
