@@ -32,14 +32,17 @@ pair memoizes strength vectors (per kept-set mask and per severed
 argument), grid sweeps per (argument, grid size) as one column per topic
 the argument reaches, faithfulness probes per (argument, eps schedule) as
 one column per topic, one lazily filled cell column per (built-in method,
-topic), and each topic's ancestors and strictly-closer pairs.  The principle checkers read probe columns; single
-perturbations (:meth:`EvaluationCache.strengths_perturbed`) serve the
+topic), each topic's ancestors and strictly-closer pairs, and the plan of
+the last principle check.  The principle checkers read probe columns;
+single perturbations (:meth:`EvaluationCache.strengths_perturbed`) serve the
 corpus expectations and other callers and are not memoized.  A gradient
 column is filled whole by one reverse pass over the memoized full-graph
 vector.  Removing, severing, perturbing or sweeping one argument re-folds
 only that argument's descendants, starting from the full-graph vector
 (a removal with the argument dropped from the kept set), which gives
-bit-identical results.  Cells of callable methods are never memoized.
+bit-identical results; a sweep is built node by node over the cone, so it
+never holds a full-length vector per point.  Cells of callable methods are
+never memoized.
 """
 
 from __future__ import annotations
@@ -153,17 +156,31 @@ _UNSET = object()
 class EvaluationCache:
     """Memoized evaluations for one (graph, semantics) pair.
 
-    Holds final-strength vectors keyed by kept-set bitmask and by severed
-    argument (incoming edges removed), grid sweeps and faithfulness probes
-    of one initial strength as one column per topic (for a sweep, per topic
-    the argument reaches), one lazily filled cell column per (built-in
-    method, topic), each topic's ancestors and strictly-closer pairs, and
-    the results the principle checkers derive from these (``derived``).  Removing, severing, perturbing or sweeping
-    one argument re-folds only its descendants, starting from the
-    full-graph vector; a removal vector is stored under its kept-set mask,
-    where exact and sampled Shapley read it too.  Single perturbations are
-    not memoized.  Everything is confined to the cache instance; the
-    evaluator itself stays stateless.
+    Each store is indexed as follows (n arguments), so what a cache holds is
+    bounded by the graph and by the distinct configurations its callers use:
+
+    - ``_by_mask``: final-strength vectors by kept-set bitmask (the full
+      graph, each removal, the coalitions Shapley visits): at most 2^n.
+    - ``_by_isolated``: one vector per severed argument (incoming edges
+      removed): at most n.
+    - ``_sweeps``: one grid sweep per (argument, points), as one column of
+      points floats per topic the argument reaches.
+    - ``_probes``: per eps schedule, one row of n probe columns (two points
+      per radius) per argument.
+    - ``_columns``: n cell columns of n cells per built-in method (per
+      instance for the seeded sampler).
+    - ``_descendants``, ``_ancestors``, ``_closer_pairs``: one entry per
+      argument or topic.
+    - ``derived``: the principle checkers' results: two visit orders per
+      topic, and n x n strong-faithfulness entries per (grid_points, eq_tol).
+    - ``plan``: one slot, the last principle check's resolved plan; a check
+      with another (principle, method, configuration) replaces it.
+
+    Removing, severing, perturbing or sweeping one argument re-folds only
+    its descendants, starting from the full-graph vector; a removal vector
+    is stored under its kept-set mask, where exact and sampled Shapley read
+    it too.  Single perturbations are not memoized.  Everything is confined
+    to the cache instance; the evaluator itself stays stateless.
     """
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
@@ -173,10 +190,7 @@ class EvaluationCache:
         self.full_mask = (1 << len(graph)) - 1
         self._by_mask: dict[int, tuple[float, ...]] = {}
         self._by_isolated: dict[int, tuple[float, ...]] = {}
-        # (argument, points) -> column per reached topic (the argument and
-        # its descendants)
         self._sweeps: dict[tuple[int, int], dict[int, tuple[float, ...]]] = {}
-        # eps schedule -> per-contributor probe columns, each indexed by topic
         self._probes: dict[tuple[float, ...], list[list[tuple] | None]] = {}
         self._descendants: dict[int, tuple[int, ...]] = {}
         self._ancestors: dict[int, int] = {}
@@ -185,6 +199,7 @@ class EvaluationCache:
         # or the method itself for the seeded sampler
         self._columns: dict[object, list[list | None]] = {}
         self.derived: dict[tuple, object] = {}
+        self.plan = None
 
     def strengths(self, mask: int | None = None) -> tuple[float, ...]:
         key = self.full_mask if mask is None else mask
@@ -200,13 +215,18 @@ class EvaluationCache:
             self._by_mask[key] = hit
         return hit
 
+    def _descendants_of(self, index: int) -> tuple[int, ...]:
+        """Argument ``index``'s strict descendants in topological order."""
+        descendants = self._descendants.get(index)
+        if descendants is None:
+            descendants = self._descendants[index] = descendant_cone(self.graph, index)[1:]
+        return descendants
+
     def _refold_cone(self, index: int, entries, mask: int = -1) -> list[tuple[float, ...]]:
         """One full-graph vector per entry: argument ``index``'s final
         strength set to the entry and its descendants re-folded over the
         parents kept in ``mask``, all in one work vector."""
-        descendants = self._descendants.get(index)
-        if descendants is None:
-            descendants = self._descendants[index] = descendant_cone(self.graph, index)[1:]
+        descendants = self._descendants_of(index)
         out = list(self.strengths())
         vectors = []
         for entry in entries:
@@ -214,12 +234,39 @@ class EvaluationCache:
             vectors.append(tuple(self._comp.refold(out, descendants, mask)))
         return vectors
 
-    def _sweep(self, index: int, values) -> list[tuple[float, ...]]:
-        """One full-graph vector per initial strength of argument ``index``;
-        its unchanged parents are folded once."""
+    def _entries(self, index: int, values) -> list[float]:
+        """Argument ``index``'s final strength at each initial strength in
+        ``values``; its unchanged parents are folded once."""
         comp = self._comp
         s = comp.fold(self.strengths(), comp.attackers[index], comp.supporters[index], -1)
-        return self._refold_cone(index, [v if s is None else comp.value(v, s) for v in values])
+        return [v if s is None else comp.value(v, s) for v in values]
+
+    def _sweep_columns(self, index: int, values) -> dict[int, tuple[float, ...]]:
+        """The final strength of argument ``index`` and of each of its
+        descendants at every initial strength of ``index`` in ``values``, as
+        one column per reached topic.  The columns are built node by node
+        over the cone: for each point, only the node's parents inside the
+        cone are set in one work vector, so no full-length vector is built
+        per point and memory stays within points x cone.  Every node folds
+        the same parents in the same order as a point-by-point re-fold, so
+        the values are identical."""
+        comp = self._comp
+        fold, value, taus = comp.fold, comp.value, comp.tau
+        entries = tuple(self._entries(index, values))
+        columns = {index: entries}
+        out = list(self.strengths())
+        for d in self._descendants_of(index):
+            attackers, supporters = comp.attackers[d], comp.supporters[d]
+            varying = [(p, columns[p]) for p in (*attackers, *supporters) if p in columns]
+            tau = taus[d]
+            column = []
+            for j in range(len(entries)):
+                for p, parent in varying:
+                    out[p] = parent[j]
+                s = fold(out, attackers, supporters, -1)
+                column.append(tau if s is None else value(tau, s))
+            columns[d] = tuple(column)
+        return columns
 
     def strengths_isolated(self, index: int) -> tuple[float, ...]:
         hit = self._by_isolated.get(index)
@@ -229,26 +276,37 @@ class EvaluationCache:
 
     def strengths_perturbed(self, index: int, value: float) -> tuple[float, ...]:
         """Strengths with one initial strength changed; not memoized."""
-        return self._sweep(index, (value,))[0]
+        return self._refold_cone(index, self._entries(index, (value,)))[0]
 
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
         takes the values j / (points - 1), j = 0 .. points - 1.  The sweep is
         computed once per (argument, points), and only the columns of the
         topics it reaches are kept; any other topic keeps its unmodified
-        strength."""
+        strength.  An undefined point raises the error of the first
+        undefined point, as a point-by-point sweep would."""
         if topic != index and not (self.ancestors(topic) >> index) & 1:
             return (self.strengths()[topic],) * points
         key = (index, points)
         columns = self._sweeps.get(key)
         if columns is None:
             last = points - 1
-            vectors = self._sweep(index, [j / last for j in range(points)])
-            # _sweep has filled _descendants[index]
-            columns = self._sweeps[key] = {
-                t: tuple([v[t] for v in vectors]) for t in (index, *self._descendants[index])
-            }
+            values = [j / last for j in range(points)]
+            try:
+                columns = self._sweeps[key] = self._sweep_columns(index, values)
+            except DomainError:
+                for v in values:
+                    self.strengths_perturbed(index, v)
+                raise
         return columns[topic]
+
+    def probe_table(self, schedule: tuple[float, ...]) -> list[list[tuple] | None]:
+        """The probe columns of one eps schedule, indexed [argument][topic];
+        an argument's entry is None until :meth:`probe_column` fills it."""
+        table = self._probes.get(schedule)
+        if table is None:
+            table = self._probes[schedule] = [None] * self._comp.n
+        return table
 
     def probe_column(self, index: int, topic: int, schedule: tuple[float, ...]) -> tuple:
         """The topic's final strength at every faithfulness probe point of
@@ -259,34 +317,40 @@ class EvaluationCache:
         If that sweep raises :class:`DomainError`, each point is evaluated on
         its own and a failing point holds its exception, for the reader to
         raise: a probe that is never read must not fail the check."""
-        table = self._probes.get(schedule)
-        if table is None:
-            table = self._probes[schedule] = [None] * self._comp.n
+        table = self.probe_table(schedule)
         columns = table[index]
         if columns is None:
             columns = table[index] = self._probe_columns(index, schedule)
         return columns[topic]
 
     def _probe_columns(self, index: int, schedule: tuple[float, ...]) -> list[tuple]:
+        n = self._comp.n
         tau = self._comp.tau[index]
         points = [p for d in schedule for p in (tau + d, tau - d)]
-        inside = [p for p in points if 0.0 <= p <= 1.0]
+        at = [k for k, p in enumerate(points) if 0.0 <= p <= 1.0]
+        inside = [points[k] for k in at]
         try:
-            vectors = self._sweep(index, inside)
+            reached = self._sweep_columns(index, inside)
         except DomainError:
-            vectors = []
+            rows = []
             for p in inside:
                 try:
-                    vectors.append(self._sweep(index, (p,))[0])
+                    rows.append(self.strengths_perturbed(index, p))
                 except DomainError as exc:
-                    vectors.append((exc.with_traceback(None),) * self._comp.n)
-        rows = iter(vectors)
-        outside = (None,) * self._comp.n
-        full = [next(rows) if 0.0 <= p <= 1.0 else outside for p in points]
-        # Lists, not tuple(iterator) or zip(*generator): a tuple built from an
-        # iterator of unknown length is over-allocated and then resized, which
-        # left more memory in use after a fuzz-mix pass (as in sweep_column).
-        return list(zip(*full))
+                    rows.append((exc.with_traceback(None),) * n)
+            columns = [tuple([row[t] for row in rows]) for t in range(n)]
+        else:
+            base = self.strengths()
+            columns = [reached[t] if t in reached else (base[t],) * len(inside) for t in range(n)]
+        if len(at) == len(points):
+            return columns
+        padded = []
+        for column in columns:
+            row = [None] * len(points)
+            for k, strength in zip(at, column):
+                row[k] = strength
+            padded.append(tuple(row))
+        return padded
 
     def ancestors(self, topic: int) -> int:
         """Bitmask of the arguments with a directed path to the topic."""
@@ -313,18 +377,31 @@ class EvaluationCache:
         :meth:`cell` computes it.  A callable method, or exact Shapley
         on a graph of more than ``exact_cap`` arguments, gets a fresh unset
         column, so every request goes through :meth:`cell`."""
-        kind = type(method)
-        key = method if kind is ShapleySampled else kind
-        n = self._comp.n
-        if kind not in _METHOD_NAMES or (kind is ShapleyExact and n > exact_cap):
-            return [_UNSET] * n
-        columns = self._columns.get(key)
+        columns = self.columns(method, exact_cap)
         if columns is None:
-            columns = self._columns[key] = [None] * n
+            return [_UNSET] * self._comp.n
         column = columns[topic]
         if column is None:
-            column = columns[topic] = [_UNSET] * n
+            column = columns[topic] = [_UNSET] * self._comp.n
         return column
+
+    def columns(
+        self,
+        method: ContributionMethod | Callable[..., ContributionValue],
+        exact_cap: int = DEFAULT_EXACT_CAP,
+    ) -> list[list | None] | None:
+        """A built-in method's memoized cell columns, indexed by topic (None
+        until :meth:`column` creates one); None for a callable method and for
+        exact Shapley on a graph of more than ``exact_cap`` arguments, whose
+        cells are never memoized."""
+        kind = type(method)
+        if kind not in _METHOD_NAMES or (kind is ShapleyExact and self._comp.n > exact_cap):
+            return None
+        key = method if kind is ShapleySampled else kind
+        columns = self._columns.get(key)
+        if columns is None:
+            columns = self._columns[key] = [None] * self._comp.n
+        return columns
 
     def cell(
         self,

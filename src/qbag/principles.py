@@ -17,7 +17,15 @@ Every principle runs through one checker loop, :func:`run_check`.  A
 principle supplies only its own part: either a per-contributor test, which
 sees one contributor's index and defined contribution and returns None or
 the witness entries beyond the contributor and its contribution, or a
-whole-instance rule (the two existence principles and proximity).  The nine ``check_*`` functions are bindings of ``run_check``.
+whole-instance rule (the two existence principles and proximity).  The nine
+``check_*`` functions are bindings of ``run_check``.
+
+A check resolves its method's cell columns, the visit orders, the
+principle's tables, the tolerances, the method name and the semantics label
+once into a plan that the cache keeps in a one-entry slot, matched by the
+identity of (principle, method, cfg, semantics) and the value of
+``exact_cap``; per call it reads the topic's entries of that plan, and the
+per-contributor test reads plain lists.
 """
 
 from __future__ import annotations
@@ -120,14 +128,6 @@ class PrincipleReport:
         return self.verdict is Verdict.SATISFIED_ON_INSTANCE
 
 
-def _sign(value: float, tol: float) -> int:
-    if value > tol:
-        return 1
-    if value < -tol:
-        return -1
-    return 0
-
-
 def _initial(cache: EvaluationCache, x: int) -> float:
     return cache.graph._tau[x]
 
@@ -199,38 +199,49 @@ def _proximity(cache, cfg, t, base, contrib):
 
 # ---------------------------------------------------- per-contributor tests
 #
-# test(cache, cfg, t, base, x, c) -> None, or the witness entries that follow
-# the contributor's name and contribution, for a contributor index ``x`` whose
-# contribution ``c`` to the topic is defined.
+# test(cache, plan, t, base, x, c) -> None, or the witness entries that
+# follow the contributor's name and contribution, for a contributor index
+# ``x`` whose contribution ``c`` to topic index ``t`` (final strength
+# ``base``) is defined.  The test reads its configuration and its table from
+# the plan.
+# A sign is (c > tol) - (c < -tol): 1, 0 or -1, where values within tol
+# (and nan) count as zero.
 
 
-def _directionality(cache, cfg, t, base, x, c):
+def _directionality(cache, plan, t, base, x, c):
     """Violated when an argument with no directed path to the topic still has
     a nonzero contribution."""
-    return {} if abs(c) > cfg.zero_tol else None
+    return {} if abs(c) > plan.zero_tol else None
 
 
 _REMOVAL = Removal()
 
 
-def _counterfactuality(cache, cfg, t, base, x, c):
+def _removal_columns(cache, cfg):
+    return cache.columns(_REMOVAL)
+
+
+def _counterfactuality(cache, plan, t, base, x, c):
     """Violated when a contribution's sign disagrees with the sign of the
     strength change caused by actually removing the contributor."""
-    delta = cache.column(_REMOVAL, t)[x]
+    column = plan.table[t]
+    delta = _UNSET if column is None else column[x]
     if delta is _UNSET:
         delta = cache.cell(_REMOVAL, t, x)
-    if _sign(c, cfg.zero_tol) != _sign(delta, cfg.eq_tol):
+    zero_tol, eq_tol = plan.zero_tol, plan.eq_tol
+    if (c > zero_tol) - (c < -zero_tol) != (delta > eq_tol) - (delta < -eq_tol):
         return {"removal_delta": delta}
     return None
 
 
-def _quant_counterfactuality(cache, cfg, t, base, x, c):
+def _quant_counterfactuality(cache, plan, t, base, x, c):
     """Violated when a contribution differs numerically from the strength
     change caused by removing the contributor."""
-    delta = cache.column(_REMOVAL, t)[x]
+    column = plan.table[t]
+    delta = _UNSET if column is None else column[x]
     if delta is _UNSET:
         delta = cache.cell(_REMOVAL, t, x)
-    if abs(c - delta) > cfg.eq_tol:
+    if abs(c - delta) > plan.eq_tol:
         return {"removal_delta": delta, "gap": c - delta}
     return None
 
@@ -241,23 +252,29 @@ _LF_NOTE = (
 )
 
 
-def _local_faithfulness(cache, cfg, t, base, x, c):
+def _probe_table(cache, cfg):
+    return cache.probe_table(cfg.eps_schedule)
+
+
+def _local_faithfulness(cache, plan, t, base, x, c):
     """Violated when some argument with a nonzero contribution fails, at
     every probed radius, to move the topic's strength in the direction its
     sign promises.  Probes leaving [0, 1] are skipped, and so are probe radii
     whose expected first-order response ``|contribution| * radius`` cannot
     clear ``eq_tol``: below that the strict comparisons cannot distinguish a
     genuine plateau from rounding noise, so nothing can be witnessed."""
-    sign = _sign(c, cfg.zero_tol)
+    zero_tol, eq_tol = plan.zero_tol, plan.eq_tol
+    sign = (c > zero_tol) - (c < -zero_tol)
     if sign == 0:
         return None
-    schedule = cfg.eps_schedule
-    column = cache.probe_column(x, t, schedule)
+    schedule = plan.cfg.eps_schedule
+    columns = plan.table[x]
+    column = cache.probe_column(x, t, schedule) if columns is None else columns[t]
     base_tau = _initial(cache, x)
     probed = False
     probes = []
     for delta, up, down in zip(schedule, column[::2], column[1::2]):
-        if abs(c) * delta <= _PROBE_HEADROOM * cfg.eq_tol:
+        if abs(c) * delta <= _PROBE_HEADROOM * eq_tol:
             continue  # unresolvable at this radius
         ok = True
         any_direction = False
@@ -273,9 +290,9 @@ def _local_faithfulness(cache, cfg, t, base, x, c):
             # positive contribution: strength rises with tau(x); negative: falls
             expected_up = (sign > 0) == (direction > 0)
             if expected_up:
-                ok = ok and response > cfg.eq_tol
+                ok = ok and response > eq_tol
             else:
-                ok = ok and response < -cfg.eq_tol
+                ok = ok and response < -eq_tol
         if any_direction:
             probed = True
             if ok:
@@ -283,14 +300,15 @@ def _local_faithfulness(cache, cfg, t, base, x, c):
     return {"probes": probes} if probed else None
 
 
-def _quant_local_faithfulness(cache, cfg, t, base, x, c):
+def _quant_local_faithfulness(cache, plan, t, base, x, c):
     """Violated when the linearisation error e(eps) = sigma_perturbed -
     (sigma + eps * contribution) fails to vanish faster than eps: the final
     |e/eps| stays above 1e-3 and the ratios do not keep shrinking as the
     schedule refines.  eps is read as a signed perturbation of the
     contributor's initial strength."""
-    schedule = cfg.eps_schedule
-    column = cache.probe_column(x, t, schedule)
+    schedule = plan.cfg.eps_schedule
+    columns = plan.table[x]
+    column = cache.probe_column(x, t, schedule) if columns is None else columns[t]
     for direction, strengths in ((1.0, column[::2]), (-1.0, column[1::2])):
         ratios = []
         for delta, strength in zip(schedule, strengths):
@@ -301,20 +319,26 @@ def _quant_local_faithfulness(cache, cfg, t, base, x, c):
             eps = direction * delta
             error = strength - (base + eps * c)
             ratios.append(abs(error / eps))
-        if not ratios:
+        if not ratios or ratios[-1] <= _RATIO_FLOOR:
             continue
-        if ratios[-1] <= _RATIO_FLOOR:
-            continue
-        shrinking = all(
-            later <= _RATIO_DECAY * earlier + 1e-15
-            for earlier, later in zip(ratios, ratios[1:])
-        )
-        if not shrinking:
-            return {"direction": direction, "error_ratios": ratios}
+        earlier = ratios[0]
+        for later in ratios[1:]:
+            # not shrinking, nan included
+            if not later <= _RATIO_DECAY * earlier + 1e-15:
+                return {"direction": direction, "error_ratios": ratios}
+            earlier = later
     return None
 
 
-def _strong_faithfulness(cache, cfg, t, base, x, c):
+def _contradiction_table(cache, cfg):
+    key = ("strong-faithfulness", cfg.grid_points, cfg.eq_tol)
+    table = cache.derived.get(key)
+    if table is None:
+        table = cache.derived[key] = [None] * len(cache.graph)
+    return table
+
+
+def _strong_faithfulness(cache, plan, t, base, x, c):
     """Violated when a grid sweep of a contributor's initial strength over
     [0, 1] contradicts the global monotone behaviour its contribution sign
     promises (strictly better below, strictly worse above for positive
@@ -322,18 +346,14 @@ def _strong_faithfulness(cache, cfg, t, base, x, c):
     grid point of every sign depends on nothing but (grid_points, eq_tol,
     topic, contributor), so one scan serves every method through the cache,
     in one table per (grid_points, eq_tol) indexed [topic][contributor]."""
-    points, eq_tol = cfg.grid_points, cfg.eq_tol
-    key = ("strong-faithfulness", points, eq_tol)
-    table = cache.derived.get(key)
-    if table is None:
-        table = cache.derived[key] = [None] * len(cache.graph)
-    row = table[t]
-    if row is None:
-        row = table[t] = [None] * len(cache.graph)
-    found = row[x]
+    row = plan.table[t]
+    found = None if row is None else row[x]
     if found is None:
-        found = row[x] = _first_contradictions(cache, t, base, x, points, eq_tol)
-    return found[_sign(c, cfg.zero_tol) + 1]
+        if row is None:
+            row = plan.table[t] = [None] * len(plan.table)
+        found = row[x] = _first_contradictions(cache, t, base, x, plan.cfg.grid_points, plan.eq_tol)
+    zero_tol = plan.zero_tol
+    return found[(c > zero_tol) - (c < -zero_tol) + 1]
 
 
 # The signs a grid point contradicts, as indices sign + 1: a strictly higher
@@ -381,20 +401,81 @@ def _first_contradictions(cache, t, base, x, points, eq_tol):
 
 # ------------------------------------------------------------ the one loop
 
-# principle -> (whole-instance rule, per-contributor test, whether the test
-# visits only non-ancestors of the topic, note); exactly one of rule and
-# test is set
+# principle -> (whole-instance rule, per-contributor test, the test's table
+# resolver or None, whether the test visits only non-ancestors of the topic,
+# note); exactly one of rule and test is set.  A table resolver maps (cache,
+# cfg) to the cache's store the test reads, indexed by topic or contributor.
 _PLANS = {
-    PrincipleId.CONTRIBUTION_EXISTENCE: (_contribution_existence, None, False, ""),
-    PrincipleId.QUANT_CONTRIBUTION_EXISTENCE: (_quant_contribution_existence, None, False, ""),
-    PrincipleId.PROXIMITY: (_proximity, None, False, ""),
-    PrincipleId.DIRECTIONALITY: (None, _directionality, True, ""),
-    PrincipleId.STRONG_FAITHFULNESS: (None, _strong_faithfulness, False, ""),
-    PrincipleId.LOCAL_FAITHFULNESS: (None, _local_faithfulness, False, _LF_NOTE),
-    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (None, _quant_local_faithfulness, False, _LF_NOTE),
-    PrincipleId.COUNTERFACTUALITY: (None, _counterfactuality, False, ""),
-    PrincipleId.QUANT_COUNTERFACTUALITY: (None, _quant_counterfactuality, False, ""),
+    PrincipleId.CONTRIBUTION_EXISTENCE: (_contribution_existence, None, None, False, ""),
+    PrincipleId.QUANT_CONTRIBUTION_EXISTENCE: (_quant_contribution_existence, None, None, False, ""),
+    PrincipleId.PROXIMITY: (_proximity, None, None, False, ""),
+    PrincipleId.DIRECTIONALITY: (None, _directionality, None, True, ""),
+    PrincipleId.STRONG_FAITHFULNESS: (None, _strong_faithfulness, _contradiction_table, False, ""),
+    PrincipleId.LOCAL_FAITHFULNESS: (None, _local_faithfulness, _probe_table, False, _LF_NOTE),
+    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (None, _quant_local_faithfulness, _probe_table, False, _LF_NOTE),
+    PrincipleId.COUNTERFACTUALITY: (None, _counterfactuality, _removal_columns, False, ""),
+    PrincipleId.QUANT_COUNTERFACTUALITY: (None, _quant_counterfactuality, _removal_columns, False, ""),
 }
+
+
+class _Plan:
+    """What a check resolves once per (cache, principle, cfg, semantics):
+    the full-graph strengths, the visit orders, the principle's part and
+    table, and the tolerances; and, once per (method, exact_cap) on top of
+    that, the method's per-topic cell columns (the list the cache fills, or
+    None when its cells are never memoized) and the report fields that do
+    not depend on the topic.  The cache keeps the last plan in a one-entry
+    slot, matched by identity, so a loop with topics innermost resolves
+    everything once per (principle, method), and a change of method alone
+    re-resolves only the method's part.  A plan holds no reference to its
+    cache: the two form no reference cycle, so a dropped cache is freed at
+    once, not by the cycle collector."""
+
+    __slots__ = (
+        "principle", "cfg", "semantics", "strengths", "orders", "non_ancestors_only", "rule",
+        "test", "table", "zero_tol", "eq_tol", "fields", "method", "exact_cap", "columns",
+    )
+
+    def __init__(self, cache, principle, cfg, semantics):
+        # the full graph first: an undefined one fails every call, and no
+        # plan is stored for it
+        self.strengths = cache.strengths()
+        rule, test, table, non_ancestors_only, note = _PLANS[principle]
+        self.principle = principle
+        self.cfg = cfg
+        self.semantics = semantics
+        key = "visit-non-ancestors" if non_ancestors_only else "visit-others"
+        orders = cache.derived.get(key)
+        if orders is None:
+            orders = cache.derived[key] = [None] * len(cache.graph)
+        self.orders = orders
+        self.non_ancestors_only = non_ancestors_only
+        self.rule = rule
+        self.test = test
+        self.table = None if table is None else table(cache, cfg)
+        self.zero_tol = cfg.zero_tol
+        self.eq_tol = cfg.eq_tol
+        # a report's fields in PrincipleReport order; use() sets the method
+        # name, and a check copies them and sets the rest
+        self.fields = {
+            "principle": principle,
+            "verdict": None,
+            "topic": None,
+            "method": None,
+            "semantics": semantics.label(),
+            "witness": None,
+            "note": note,
+        }
+        self.method = _UNSET  # no method part yet: the first check calls use()
+
+    def use(self, cache, method, exact_cap):
+        """Resolve the method's part of the plan."""
+        fields = self.fields.copy()
+        fields["method"] = method_name(method)
+        self.columns = cache.columns(method, exact_cap)
+        self.fields = fields
+        self.method = method
+        self.exact_cap = exact_cap
 
 
 _VIOLATION = Verdict.VIOLATION
@@ -406,15 +487,8 @@ _set_attribute = object.__setattr__
 def _visit_order(cache, t, non_ancestors_only):
     """The contributors a per-contributor test visits for topic ``t``, in
     list order: every other argument, or only those with no path to it."""
-    key = "visit-non-ancestors" if non_ancestors_only else "visit-others"
-    orders = cache.derived.get(key)
-    if orders is None:
-        orders = cache.derived[key] = [None] * len(cache.graph)
-    order = orders[t]
-    if order is None:
-        skip = (cache.ancestors(t) if non_ancestors_only else 0) | 1 << t
-        order = orders[t] = tuple([x for x in range(len(cache.graph)) if not (skip >> x) & 1])
-    return order
+    skip = (cache.ancestors(t) if non_ancestors_only else 0) | 1 << t
+    return tuple([x for x in range(len(cache.graph)) if not (skip >> x) & 1])
 
 
 def run_check(
@@ -431,47 +505,60 @@ def run_check(
     """Run one principle checker on one instance.  A per-contributor test
     visits the other arguments in list order and stops at the first
     witness; contributions are read from the topic's cell column and
-    computed only for the contributors it visits."""
-    t = graph.index_of(topic)
+    computed only for the contributors it visits.  Everything that does not
+    depend on the topic is resolved once into the cache's plan slot and
+    reused while (principle, cfg, semantics) and the method stay the same
+    objects and ``exact_cap`` the same value."""
+    try:
+        t = graph._index[topic]
+    except KeyError:
+        t = graph.index_of(topic)  # raises UnknownArgument
     cfg = cfg or _DEFAULT_CONFIG
     cache = cache or EvaluationCache(graph, semantics)
-    base = cache.strengths()[t]
-    column = cache.column(method, t, exact_cap)
-    rule, test, non_ancestors_only, note = _PLANS[principle]
-    if rule is not None:
+    plan = cache.plan
+    if plan is None or plan.principle is not principle or plan.cfg is not cfg or plan.semantics is not semantics:
+        plan = cache.plan = _Plan(cache, principle, cfg, semantics)
+    if plan.method is not method or plan.exact_cap != exact_cap:
+        plan.use(cache, method, exact_cap)
+    base = plan.strengths[t]
+    columns = plan.columns
+    column = None if columns is None else columns[t]
+    if column is None:
+        column = cache.column(method, t, exact_cap)
+    fields = plan.fields.copy()
+    if plan.rule is not None:
 
         def contrib(x: int) -> ContributionValue:
             c = column[x]
             return cache.cell(method, t, x, exact_cap) if c is _UNSET else c
 
-        violated, witness, note = rule(cache, cfg, t, base, contrib)
+        violated, witness, fields["note"] = plan.rule(cache, cfg, t, base, contrib)
     else:
+        order = plan.orders[t]
+        if order is None:
+            order = plan.orders[t] = _visit_order(cache, t, plan.non_ancestors_only)
+        test = plan.test
         violated, witness = False, {}
-        for x in _visit_order(cache, t, non_ancestors_only):
+        for x in order:
             c = column[x]
             if c is _UNSET:
                 c = cache.cell(method, t, x, exact_cap)
-            found = None if c is UNDEFINED else test(cache, cfg, t, base, x, c)
+            found = None if c is UNDEFINED else test(cache, plan, t, base, x, c)
             if found is not None:
                 violated, witness = True, {"contributor": graph.arguments[x], "contribution": c, **found}
                 break
+    fields["verdict"] = _VIOLATION if violated else _SATISFIED
+    fields["topic"] = topic
+    fields["witness"] = witness
     # The same object PrincipleReport(...) builds, without the frozen
     # __init__'s one object.__setattr__ call per field.
     report = _new_object(PrincipleReport)
-    _set_attribute(report, "__dict__", {
-        "principle": principle,
-        "verdict": _VIOLATION if violated else _SATISFIED,
-        "topic": topic,
-        "method": method_name(method),
-        "semantics": semantics.label(),
-        "witness": witness,
-        "note": note,
-    })
+    _set_attribute(report, "__dict__", fields)
     return report
 
 
 def _binding(principle: PrincipleId) -> Callable[..., PrincipleReport]:
-    rule, test, _, _ = _PLANS[principle]
+    rule, test, _, _, _ = _PLANS[principle]
     part = rule or test
 
     def check(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):

@@ -226,6 +226,7 @@ _FUZZ_TRIALS = 10_000
 _EFFICIENCY_GRAPHS = 1_000
 
 
+@pytest.mark.slow
 def test_criterion_4_satisfied_cells_under_fuzzing(capsys):
     started = time.perf_counter()
     config = FuzzConfig(seed=20260808, trials=_FUZZ_TRIALS, max_args=7)

@@ -5,6 +5,9 @@ computation it replaces: fresh caches, full forward passes, and the
 pairwise ``strictly_closer`` definition.
 """
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from qbag import (
@@ -225,7 +228,7 @@ def test_sweep_kernel_equals_per_point_full_passes():
             for x in range(len(g)):
                 want = [perturbed_vector(g, semantics, x, value) for value in values]
                 cache = EvaluationCache(g, semantics)
-                assert cache._sweep(x, values) == want
+                assert [cache.strengths_perturbed(x, value) for value in values] == want
                 parentless += not (g._attackers[x] or g._supporters[x])
                 for t in range(len(g)):
                     assert cache.sweep_column(x, t, len(values)) == tuple(v[t] for v in want)
@@ -364,3 +367,74 @@ def test_local_faithfulness_checks_fill_no_single_perturbation(monkeypatch):
                     for topic in g.arguments:
                         run_check(g, semantics, method, principle, topic, cache=cache)
             assert cache._probes
+
+
+def test_a_long_sweep_holds_points_times_cone():
+    # 400 arguments in a supporting chain beside x -> y -> z: x's cone has
+    # three arguments, so a 10,001-point sweep must hold about 3 x 10,001
+    # values, not 10,001 vectors of 403
+    names = [f"b{i}" for i in range(400)]
+    g = QBAG(
+        [(name, 0.5) for name in names] + [("x", 0.5), ("y", 0.4), ("z", 0.3)],
+        [("x", "y")],
+        [(a, b) for a, b in zip(names, names[1:])] + [("y", "z")],
+    )
+    points = 10_001
+    probes = (0, 1234, points - 1)
+    want = [tuple(strength_vector(with_initial_strength(g, "x", j / (points - 1)), QE)[-3:]) for j in probes]
+    x, y, z = (g.index_of(a) for a in "xyz")
+    cache = EvaluationCache(g, QE)
+    cache.strengths()
+    tracemalloc.start()
+    try:
+        column = cache.sweep_column(x, z, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cone = 3
+    assert peak < 100 * points * cone, peak
+    for j, vector in zip(probes, want):
+        assert (cache.sweep_column(x, x, points)[j], cache.sweep_column(x, y, points)[j], column[j]) == vector
+
+
+def test_cache_stores_stay_within_their_documented_bounds():
+    # After a pass over a fuzz pool, each store holds no more than its index
+    # allows; a second pass with new but value-equal configurations and
+    # samplers, all memo hits, leaves the cache no larger: the plan is one
+    # slot, whatever objects the checks pass.
+    configs = [cfg or CheckConfig() for cfg in CONFIGS]
+    grids = {cfg.grid_points for cfg in configs}
+    schedules = {cfg.eps_schedule for cfg in configs}
+    tables = {(cfg.grid_points, cfg.eq_tol) for cfg in configs}
+
+    def one_pass(cache, g, semantics, configs, sampler):
+        for principle in PrincipleId:
+            for method in METHODS + (sampler,):
+                for topic in g.arguments:
+                    for cfg in configs:
+                        run_check(g, semantics, method, principle, topic, cfg, cache=cache)
+
+    grown = []
+    for g in random_graphs(seed=2718, count=4, max_args=6):
+        n = len(g)
+        for semantics in PRESETS.values():
+            cache = EvaluationCache(g, semantics)
+            one_pass(cache, g, semantics, CONFIGS, ShapleySampled(20, 3))
+            assert len(cache._by_mask) <= 2 ** n and len(cache._by_isolated) <= n
+            assert set(cache._sweeps) <= {(x, p) for x in range(n) for p in grids}
+            assert set(cache._probes) <= schedules
+            assert all(len(row) == n for row in cache._probes.values())
+            assert len(cache._columns) <= len(METHODS) + 1
+            assert all(len(columns) == n for columns in cache._columns.values())
+            assert len(cache.derived) <= 2 + len(tables)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                copies = tuple(None if cfg is None else dataclasses.replace(cfg) for cfg in CONFIGS)
+                one_pass(cache, g, semantics, copies, ShapleySampled(20, 3))
+                del copies
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            grown.append(after - before)
+    assert max(grown) < 4096, grown

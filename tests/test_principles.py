@@ -20,6 +20,8 @@ from qbag import (
     Removal,
     SD_DFQUAD,
     ShapleyExact,
+    ShapleySampled,
+    TooLarge,
     UnknownArgument,
     Verdict,
     check_contribution_existence,
@@ -394,6 +396,7 @@ class TestImplicationChains:
                     if qce.satisfied and self._clear(qce.witness["strength_delta"], 1e-9):
                         assert check_contribution_existence(g, sem, method, topic, cache=cache).satisfied
 
+    @pytest.mark.slow
     def test_chains_hold_at_scale(self):
         """All four chains on 1,000 seeded random graphs, every preset and
         method, sharing one evaluation cache per (graph, semantics).  The
@@ -542,3 +545,140 @@ def test_witness_digest_on_a_fixed_fuzz_pool(fixed_pool_reports):
     for _, _, report in fixed_pool_reports:
         digest.update(repr(report).encode() + b"\n")
     assert digest.hexdigest() == _POOL_DIGEST
+
+
+class TestPlanResolution:
+    """A check resolves its (principle, method, cfg, semantics, exact_cap)
+    once into the cache's plan slot.  On one shared cache, every report must
+    equal the report of a fresh cache, repr included, whatever the order of
+    the checks and whichever of those inputs changes between them."""
+
+    @staticmethod
+    def assert_fresh(g, report, cache_semantics, semantics, method, principle, topic, cfg=None, **kwargs):
+        fresh = run_check(
+            g, semantics, method, principle, topic, cfg, cache=EvaluationCache(g, cache_semantics), **kwargs
+        )
+        assert report == fresh and repr(report) == repr(fresh), (principle, method, topic, cfg)
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return [g for g in random_graphs(seed=4343, count=12, max_args=6) if len(g) >= 4][:4]
+
+    def test_sampled_shapley_seeds(self, graphs):
+        samplers = (ShapleySampled(30, 1), ShapleySampled(30, 2))
+        for g in graphs:
+            cache = EvaluationCache(g, QE)
+            for principle in PrincipleId:
+                for topic in g.arguments:
+                    for method in samplers:
+                        report = run_check(g, QE, method, principle, topic, cache=cache)
+                        self.assert_fresh(g, report, QE, QE, method, principle, topic)
+
+    def test_callable_method_is_called_on_every_check(self, graphs):
+        calls = []
+
+        def counting(graph, semantics, topic, contributor):
+            calls.append((topic, contributor))
+            return (len(topic) + 3 * len(contributor)) % 3 - 1.0
+
+        for g in graphs:
+            cache = EvaluationCache(g, DFQUAD)
+            for principle in PrincipleId:
+                for topic in g.arguments:
+                    counts = []
+                    for _ in range(2):
+                        before = len(calls)
+                        report = run_check(g, DFQUAD, counting, principle, topic, cache=cache)
+                        counts.append(len(calls) - before)
+                        self.assert_fresh(g, report, DFQUAD, DFQUAD, counting, principle, topic)
+                        counts.append(len(calls) - before - counts[-1])
+                    # the shared cache calls it as often as a fresh one, every time
+                    assert len(set(counts)) == 1, (principle, topic, counts)
+        assert calls
+
+    def test_exact_cap_is_read_on_every_call(self, graphs):
+        g = graphs[0]
+        small = len(g) - 1
+        cache = EvaluationCache(g, QE)
+        method, principle = ShapleyExact(), PrincipleId.COUNTERFACTUALITY
+        for cap in (20, small, 20, small):
+            for topic in g.arguments:
+                if cap < len(g):
+                    with pytest.raises(TooLarge):
+                        run_check(g, QE, method, principle, topic, cache=cache, exact_cap=cap)
+                    continue
+                report = run_check(g, QE, method, principle, topic, cache=cache, exact_cap=cap)
+                self.assert_fresh(g, report, QE, QE, method, principle, topic, exact_cap=cap)
+
+    def test_value_equal_and_different_configs(self, graphs):
+        configs = (
+            CheckConfig(eq_tol=1e-4),
+            CheckConfig(eq_tol=1e-4),
+            CheckConfig(zero_tol=1e-6, eps_schedule=(1e-1, 1e-2), grid_points=11),
+        )
+        assert configs[0] == configs[1] and configs[0] is not configs[1]
+        for g in graphs:
+            cache = EvaluationCache(g, EB)
+            for principle in PrincipleId:
+                for method in (Removal(), Gradient()):
+                    for topic in g.arguments:
+                        for cfg in configs:
+                            report = run_check(g, EB, method, principle, topic, cfg, cache=cache)
+                            self.assert_fresh(g, report, EB, EB, method, principle, topic, cfg)
+
+    def test_topic_major_loop_order(self, graphs):
+        for g in graphs:
+            cache = EvaluationCache(g, SD_DFQUAD)
+            for topic in g.arguments:
+                for principle in PrincipleId:
+                    for method in (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()):
+                        report = run_check(g, SD_DFQUAD, method, principle, topic, cache=cache)
+                        self.assert_fresh(g, report, SD_DFQUAD, SD_DFQUAD, method, principle, topic)
+
+    def test_semantics_argument_supplies_the_label(self, graphs):
+        renamed = dataclasses.replace(QE, name="renamed-qe")
+        assert renamed.label() != QE.label()
+        for g in graphs:
+            cache = EvaluationCache(g, QE)
+            for principle in PrincipleId:
+                for topic in g.arguments:
+                    for semantics in (QE, renamed):
+                        report = run_check(g, semantics, Gradient(), principle, topic, cache=cache)
+                        assert report.semantics == semantics.label()
+                        self.assert_fresh(g, report, QE, semantics, Gradient(), principle, topic)
+
+    def test_memo_hit_checks_read_only_the_plan(self, graphs, monkeypatch):
+        # once every cell, sweep and probe is memoized, a check resolves the
+        # cache's columns once per plan and reads no cell, column, sweep or
+        # probe through the cache's methods, whatever the number of topics
+        # and contributors
+        methods = (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient())
+
+        def every_check(g, semantics, cache):
+            return [
+                run_check(g, semantics, method, principle, topic, cache=cache)
+                for principle in PrincipleId
+                for method in methods
+                for topic in g.arguments
+            ]
+
+        resolved = []
+        columns = EvaluationCache.columns
+
+        def counted(self, *args):
+            resolved.append(args)
+            return columns(self, *args)
+
+        for g in graphs:
+            for semantics in PRESETS.values():
+                cache = EvaluationCache(g, semantics)
+                first = every_check(g, semantics, cache)
+                with monkeypatch.context() as patch:
+                    for name in ("column", "cell", "sweep_column", "probe_column", "strengths_perturbed"):
+                        patch.setattr(EvaluationCache, name, None)
+                    patch.setattr(EvaluationCache, "columns", counted)
+                    resolved.clear()
+                    assert every_check(g, semantics, cache) == first
+                # one resolution per (principle, method), and one removal
+                # table per counterfactuality principle
+                assert len(resolved) == len(PrincipleId) * len(methods) + 2
