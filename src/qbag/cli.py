@@ -20,11 +20,11 @@ import sys
 from typing import Sequence
 
 from .contributions import (
-    DEFAULT_EXACT_CAP,
     DEFAULT_PERMUTATIONS,
     MAX_SWEEP_POINTS,
     UNDEFINED,
     EvaluationCache,
+    ShapleyExact,
     contribution,
     method_by_name,
 )
@@ -50,17 +50,20 @@ from .semantics import (
 )
 
 
-def _exact_cap() -> int:
+def _with_exact_cap(method):
+    """``method``, with an exact Shapley method rebuilt under the cap that
+    ``QBAG_EXACT_CAP`` sets.  The variable is read whatever the method, so
+    a bad value fails every command that reads it."""
     raw = os.environ.get("QBAG_EXACT_CAP")
     if raw is None:
-        return DEFAULT_EXACT_CAP
+        return method
     try:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"QBAG_EXACT_CAP must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError("QBAG_EXACT_CAP must be positive")
-    return cap
+    return ShapleyExact(cap) if isinstance(method, ShapleyExact) else method
 
 
 # Flag groups shared by several subcommands, each declared once: (flag,
@@ -166,14 +169,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_contrib(args: argparse.Namespace) -> int:
     graph = load_graph(args.file)
     semantics = _resolve_semantics(args)
-    method = _resolve_method(args)
-    cap = _exact_cap()
+    method = _with_exact_cap(_resolve_method(args))
     cache = EvaluationCache(graph, semantics)
 
     def cell(contributor: str) -> str:
-        value = contribution(
-            graph, semantics, method, args.topic, contributor, exact_cap=cap, cache=cache
-        )
+        value = contribution(graph, semantics, method, args.topic, contributor, cache=cache)
         return "undef" if value is UNDEFINED else _fmt(value)
 
     if args.contributor is not None:
@@ -206,9 +206,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     semantics = _resolve_semantics(args)
     method = _resolve_method(args)
     principle = principle_by_name(args.principle)
-    report = run_check(
-        graph, semantics, method, principle, args.topic, _check_config(args), exact_cap=_exact_cap()
-    )
+    cfg = _check_config(args)
+    report = run_check(graph, semantics, _with_exact_cap(method), principle, args.topic, cfg)
     print(f"principle: {report.principle.value}")
     print(f"semantics: {report.semantics}")
     print(f"method: {report.method}")
@@ -260,9 +259,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     semantics = _resolve_semantics(args)
     method = _resolve_method(args)
     principle = principle_by_name(args.principle)
-    witness = search_violation(
-        config, semantics, method, principle, _check_config(args), exact_cap=_exact_cap()
-    )
+    cfg = _check_config(args)
+    witness = search_violation(config, semantics, _with_exact_cap(method), principle, cfg)
     if witness is None:
         print(f"no violation in {config.trials} trials (seed {config.seed})")
         return 0

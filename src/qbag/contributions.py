@@ -23,13 +23,14 @@ at most 2^(n-1) distinct evaluations; the removed sets are visited as the
 submasks of the other arguments in increasing order.  An argument with no
 directed path to the topic is a null player: every marginal of it is
 exactly 0.0, so its Shapley value is 0.0 without enumeration.  Enumeration
-beyond ``exact_cap`` arguments (default 20) raises :class:`TooLarge`, on
-every call whether or not the cell is memoized; use the seeded permutation
-sampler instead for big graphs.
+beyond ``ShapleyExact.cap`` arguments (default 20) raises :class:`TooLarge`,
+on every call whether or not the cell is memoized; use the seeded
+permutation sampler instead for big graphs.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
-pair memoizes strength vectors (per kept-set mask and per severed
-argument), grid sweeps per (argument, grid size) as one column per topic
+pair memoizes strength vectors per kept-set mask (the full graph and the
+Shapley coalitions), the strengths that removing or severing each argument
+changes, grid sweeps per (argument, grid size) as one column per topic
 the argument reaches, faithfulness probes per (argument, eps schedule) as
 one column per topic, one lazily filled cell column per (built-in method,
 topic), each topic's ancestors and strictly-closer pairs, and the plan of
@@ -47,6 +48,7 @@ never memoized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -94,9 +96,27 @@ class IntrinsicRemoval:
     pass
 
 
+def _integer(owner, field: str) -> int:
+    """Store ``owner.field`` as the int :func:`operator.index` makes of it,
+    and return it; a value it does not accept raises ValueError."""
+    value = getattr(owner, field)
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+    object.__setattr__(owner, field, number)
+    return number
+
+
 @dataclass(frozen=True)
 class ShapleyExact:
-    pass
+    """Exact enumeration, on graphs of at most ``cap`` arguments."""
+
+    cap: int = DEFAULT_EXACT_CAP
+
+    def __post_init__(self):
+        if _integer(self, "cap") < 1:
+            raise ValueError("cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -105,8 +125,9 @@ class ShapleySampled:
     seed: int
 
     def __post_init__(self):
-        if self.permutations < 1:
+        if _integer(self, "permutations") < 1:
             raise ValueError("permutation count must be at least 1")
+        _integer(self, "seed")
 
 
 @dataclass(frozen=True)
@@ -160,9 +181,10 @@ class EvaluationCache:
     bounded by the graph and by the distinct configurations its callers use:
 
     - ``_by_mask``: final-strength vectors by kept-set bitmask (the full
-      graph, each removal, the coalitions Shapley visits): at most 2^n.
-    - ``_by_isolated``: one vector per severed argument (incoming edges
-      removed): at most n.
+      graph and the coalitions Shapley visits): at most 2^n.
+    - ``_removed``, ``_severed``: per argument, the strengths of its
+      descendants with it removed, or with its incoming edges severed, by
+      descendant: at most n entries of at most n - 1 floats each.
     - ``_sweeps``: one grid sweep per (argument, points), as one column of
       points floats per topic the argument reaches.
     - ``_probes``: per eps schedule, one row of n probe columns (two points
@@ -177,10 +199,10 @@ class EvaluationCache:
       with another (principle, method, configuration) replaces it.
 
     Removing, severing, perturbing or sweeping one argument re-folds only
-    its descendants, starting from the full-graph vector; a removal vector
-    is stored under its kept-set mask, where exact and sampled Shapley read
-    it too.  Single perturbations are not memoized.  Everything is confined
-    to the cache instance; the evaluator itself stays stateless.
+    its descendants, starting from the full-graph vector, and keeps only the
+    strengths it changes; single perturbations are not memoized.
+    Everything is confined to the cache instance; the evaluator itself
+    stays stateless.
     """
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
@@ -189,7 +211,8 @@ class EvaluationCache:
         self._comp = _Compiled(graph, semantics)
         self.full_mask = (1 << len(graph)) - 1
         self._by_mask: dict[int, tuple[float, ...]] = {}
-        self._by_isolated: dict[int, tuple[float, ...]] = {}
+        self._removed: list[dict[int, float] | None] = [None] * len(graph)
+        self._severed: list[dict[int, float] | None] = [None] * len(graph)
         self._sweeps: dict[tuple[int, int], dict[int, tuple[float, ...]]] = {}
         self._probes: dict[tuple[float, ...], list[list[tuple] | None]] = {}
         self._descendants: dict[int, tuple[int, ...]] = {}
@@ -205,14 +228,7 @@ class EvaluationCache:
         key = self.full_mask if mask is None else mask
         hit = self._by_mask.get(key)
         if hit is None:
-            removed = self.full_mask & ~key
-            if removed and not removed & (removed - 1) and self.full_mask in self._by_mask:
-                # one argument removed: its descendants are re-folded with it
-                # dropped from the mask, never read as a 0.0-strength parent
-                hit = self._refold_cone(removed.bit_length() - 1, (0.0,), key)[0]
-            else:
-                hit = tuple(self._comp.strengths(key))
-            self._by_mask[key] = hit
+            hit = self._by_mask[key] = tuple(self._comp.strengths(key))
         return hit
 
     def _descendants_of(self, index: int) -> tuple[int, ...]:
@@ -222,17 +238,22 @@ class EvaluationCache:
             descendants = self._descendants[index] = descendant_cone(self.graph, index)[1:]
         return descendants
 
-    def _refold_cone(self, index: int, entries, mask: int = -1) -> list[tuple[float, ...]]:
-        """One full-graph vector per entry: argument ``index``'s final
-        strength set to the entry and its descendants re-folded over the
-        parents kept in ``mask``, all in one work vector."""
-        descendants = self._descendants_of(index)
+    def _refold_cone(self, index: int, entry: float, mask: int = -1) -> list[float]:
+        """The full-graph vector with argument ``index``'s final strength set
+        to ``entry`` and its descendants re-folded over the parents kept in
+        ``mask``."""
         out = list(self.strengths())
-        vectors = []
-        for entry in entries:
-            out[index] = entry
-            vectors.append(tuple(self._comp.refold(out, descendants, mask)))
-        return vectors
+        out[index] = entry
+        return self._comp.refold(out, self._descendants_of(index), mask)
+
+    def _changed(self, store: list, index: int, entry: float, mask: int = -1) -> dict[int, float]:
+        """Argument ``index``'s entry of ``store``: its descendants'
+        strengths from :meth:`_refold_cone`, by descendant."""
+        hit = store[index]
+        if hit is None:
+            out = self._refold_cone(index, entry, mask)
+            hit = store[index] = {d: out[d] for d in self._descendants_of(index)}
+        return hit
 
     def _entries(self, index: int, values) -> list[float]:
         """Argument ``index``'s final strength at each initial strength in
@@ -268,15 +289,9 @@ class EvaluationCache:
             columns[d] = tuple(column)
         return columns
 
-    def strengths_isolated(self, index: int) -> tuple[float, ...]:
-        hit = self._by_isolated.get(index)
-        if hit is None:
-            hit = self._by_isolated[index] = self._refold_cone(index, (self._comp.tau[index],))[0]
-        return hit
-
     def strengths_perturbed(self, index: int, value: float) -> tuple[float, ...]:
         """Strengths with one initial strength changed; not memoized."""
-        return self._refold_cone(index, self._entries(index, (value,)))[0]
+        return tuple(self._refold_cone(index, self._entries(index, (value,))[0]))
 
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
@@ -366,18 +381,13 @@ class EvaluationCache:
             hit = self._closer_pairs[topic] = strictly_closer_pairs(self.graph, topic)
         return hit
 
-    def column(
-        self,
-        method: ContributionMethod | Callable[..., ContributionValue],
-        topic: int,
-        exact_cap: int = DEFAULT_EXACT_CAP,
-    ) -> list:
+    def column(self, method: ContributionMethod | Callable[..., ContributionValue], topic: int) -> list:
         """The topic's memoized cell column under a built-in method, indexed
         by contributor: a float, :data:`UNDEFINED`, or ``_UNSET`` until
         :meth:`cell` computes it.  A callable method, or exact Shapley
-        on a graph of more than ``exact_cap`` arguments, gets a fresh unset
+        on a graph of more than its cap arguments, gets a fresh unset
         column, so every request goes through :meth:`cell`."""
-        columns = self.columns(method, exact_cap)
+        columns = self.columns(method)
         if columns is None:
             return [_UNSET] * self._comp.n
         column = columns[topic]
@@ -385,17 +395,14 @@ class EvaluationCache:
             column = columns[topic] = [_UNSET] * self._comp.n
         return column
 
-    def columns(
-        self,
-        method: ContributionMethod | Callable[..., ContributionValue],
-        exact_cap: int = DEFAULT_EXACT_CAP,
-    ) -> list[list | None] | None:
+    def columns(self, method: ContributionMethod | Callable[..., ContributionValue]) -> list[list | None] | None:
         """A built-in method's memoized cell columns, indexed by topic (None
         until :meth:`column` creates one); None for a callable method and for
-        exact Shapley on a graph of more than ``exact_cap`` arguments, whose
-        cells are never memoized."""
+        exact Shapley on a graph of more than its cap arguments, whose cells
+        are never memoized.  Exact Shapley's columns are shared by every cap
+        that admits the graph: a cell does not depend on the cap."""
         kind = type(method)
-        if kind not in _METHOD_NAMES or (kind is ShapleyExact and self._comp.n > exact_cap):
+        if kind not in _METHOD_NAMES or (kind is ShapleyExact and self._comp.n > method.cap):
             return None
         key = method if kind is ShapleySampled else kind
         columns = self._columns.get(key)
@@ -404,19 +411,17 @@ class EvaluationCache:
         return columns
 
     def cell(
-        self,
-        method: ContributionMethod | Callable[..., ContributionValue],
-        topic: int,
-        contributor: int,
-        exact_cap: int = DEFAULT_EXACT_CAP,
+        self, method: ContributionMethod | Callable[..., ContributionValue], topic: int, contributor: int
     ) -> ContributionValue:
         """Compute one cell and store it in its column; a gradient cell fills
         the whole column from one reverse pass.  A callable ``(graph,
         semantics, topic, contributor) -> value`` gets argument names and is
         called every time.  Every exact Shapley request on a graph of more
-        than ``exact_cap`` arguments raises :class:`TooLarge`.  Shapley cells of arguments that do not reach the
-        topic are an exact 0.0 (null players: every marginal is exactly
-        0.0)."""
+        than its cap arguments raises :class:`TooLarge`.  Shapley cells of
+        arguments that do not reach the topic are an exact 0.0 (null
+        players: every marginal is exactly 0.0).  A removal or intrinsic
+        removal cell reads the contributor's removal and severing stores; an
+        intrinsic cell evaluates the severed graph first."""
         kind = type(method)
         if kind not in _METHOD_NAMES:
             if callable(method):
@@ -424,19 +429,22 @@ class EvaluationCache:
                 value = method(self.graph, self.semantics, names[topic], names[contributor])
                 return value if value is UNDEFINED else float(value)
             raise TypeError(f"unknown contribution method {method!r}")
-        if kind is ShapleyExact and len(self.graph) > exact_cap:
-            raise TooLarge(
-                f"exact enumeration is capped at {exact_cap} arguments, graph has {len(self.graph)}"
-            )
-        column = self.column(method, topic, exact_cap)
+        if kind is ShapleyExact and len(self.graph) > method.cap:
+            raise TooLarge(f"exact enumeration is capped at {method.cap} arguments, graph has {len(self.graph)}")
+        column = self.column(method, topic)
         if kind is Gradient:
             column[:] = self._comp.gradient(topic, self.strengths())
             return column[contributor]
         if topic == contributor:
             value = UNDEFINED
         elif kind is Removal or kind is IntrinsicRemoval:
-            with_x = self.strengths() if kind is Removal else self.strengths_isolated(contributor)
-            value = with_x[topic] - self.strengths(self.full_mask & ~(1 << contributor))[topic]
+            base = with_x = self.strengths()[topic]
+            if kind is IntrinsicRemoval:
+                with_x = self._changed(self._severed, contributor, self._comp.tau[contributor]).get(topic, base)
+            # the contributor is dropped from the kept set, so its
+            # descendants never read it as a 0.0-strength parent
+            without = self._changed(self._removed, contributor, 0.0, self.full_mask & ~(1 << contributor))
+            value = with_x - without.get(topic, base)
         elif not (self.ancestors(topic) >> contributor) & 1:
             value = 0.0
         elif kind is ShapleyExact:
@@ -447,16 +455,12 @@ class EvaluationCache:
         return value
 
     def contribution(
-        self,
-        method: ContributionMethod | Callable[..., ContributionValue],
-        topic: int,
-        contributor: int,
-        exact_cap: int = DEFAULT_EXACT_CAP,
+        self, method: ContributionMethod | Callable[..., ContributionValue], topic: int, contributor: int
     ) -> ContributionValue:
         """One contribution cell by argument index, read from its column and
         computed by :meth:`cell` when missing."""
-        value = self.column(method, topic, exact_cap)[contributor]
-        return self.cell(method, topic, contributor, exact_cap) if value is _UNSET else value
+        value = self.column(method, topic)[contributor]
+        return self.cell(method, topic, contributor) if value is _UNSET else value
 
 
 def contrib_removal(
@@ -510,12 +514,11 @@ def contrib_shapley_exact(
     Sums, over every subset X of the arguments other than topic and
     contributor, the weighted marginal effect of removing the contributor
     from the graph already restricted by removing X.  Subsets are visited in
-    increasing bitmask rank so the summation order is reproducible.  The cap
-    applies to every call, memoized or not.
+    increasing bitmask rank so the summation order is reproducible.  The
+    cap, ``ShapleyExact(exact_cap)``, applies to every call, memoized or
+    not.
     """
-    return contribution(
-        graph, semantics, ShapleyExact(), topic, contributor, exact_cap=exact_cap, cache=cache
-    )
+    return contribution(graph, semantics, ShapleyExact(exact_cap), topic, contributor, cache=cache)
 
 
 def _shapley_exact(cache: EvaluationCache, t: int, x: int) -> float:
@@ -594,7 +597,6 @@ def contribution(
     topic: str,
     contributor: str,
     *,
-    exact_cap: int = DEFAULT_EXACT_CAP,
     cache: EvaluationCache | None = None,
 ) -> ContributionValue:
     """The contribution of ``contributor`` to ``topic`` under ``method``.  A
@@ -602,7 +604,7 @@ def contribution(
     in place of a method, which lets tests probe the principle checkers with
     synthetic contribution functions; its values are never memoized."""
     cache = cache or EvaluationCache(graph, semantics)
-    return cache.contribution(method, graph.index_of(topic), graph.index_of(contributor), exact_cap)
+    return cache.contribution(method, graph.index_of(topic), graph.index_of(contributor))
 
 
 @dataclass(frozen=True)
@@ -633,14 +635,11 @@ def contribution_table(
     semantics: GradualSemantics,
     method: ContributionMethod,
     *,
-    exact_cap: int = DEFAULT_EXACT_CAP,
     cache: EvaluationCache | None = None,
 ) -> ContributionTable:
     """Full contribution matrix under one method; deterministic in argument
     list order, sharing a single evaluation cache across all cells."""
     cache = cache or EvaluationCache(graph, semantics)
     n = len(graph)
-    cells = tuple(
-        tuple(cache.contribution(method, t, x, exact_cap) for t in range(n)) for x in range(n)
-    )
+    cells = tuple(tuple(cache.contribution(method, t, x) for t in range(n)) for x in range(n))
     return ContributionTable(graph.arguments, method_name(method), semantics.label(), cells)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .contributions import DEFAULT_EXACT_CAP, ContributionMethod, EvaluationCache
+from .contributions import ContributionMethod, EvaluationCache, _integer
 from .errors import DomainError
 from .graph import QBAG
 from .principles import CheckConfig, PrincipleId, PrincipleReport, run_check
@@ -51,9 +51,10 @@ class FuzzConfig:
     support_only: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
+        _integer(self, "seed")
+        if _integer(self, "trials") < 1:
             raise ValueError("trials must be positive")
-        if not 2 <= self.max_args <= _MAX_ARGS_LIMIT:
+        if not 2 <= _integer(self, "max_args") <= _MAX_ARGS_LIMIT:
             raise ValueError(f"max_args must lie in [2, {_MAX_ARGS_LIMIT}]")
         if not 0.0 < self.edge_prob < 1.0:
             raise ValueError("edge_prob must lie strictly between 0 and 1")
@@ -111,8 +112,6 @@ def search_violation(
     method: ContributionMethod,
     principle: PrincipleId,
     check_cfg: CheckConfig | None = None,
-    *,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> FuzzWitness | None:
     """First violation across trials (lowest trial index, then topic order),
     or None when every instance checks out."""
@@ -121,9 +120,7 @@ def search_violation(
         cache = EvaluationCache(graph, semantics)
         for topic in graph.arguments:
             try:
-                report = run_check(
-                    graph, semantics, method, principle, topic, check_cfg, cache=cache, exact_cap=exact_cap
-                )
+                report = run_check(graph, semantics, method, principle, topic, check_cfg, cache=cache)
             except DomainError as exc:
                 raise DomainError(f"trial {trial}, topic {topic}: {exc}") from exc
             if not report.satisfied:

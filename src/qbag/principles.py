@@ -23,9 +23,9 @@ whole-instance rule (the two existence principles and proximity).  The nine
 A check resolves its method's cell columns, the visit orders, the
 principle's tables, the tolerances, the method name and the semantics label
 once into a plan that the cache keeps in a one-entry slot, matched by the
-identity of (principle, method, cfg, semantics) and the value of
-``exact_cap``; per call it reads the topic's entries of that plan, and the
-per-contributor test reads plain lists.
+identity of (principle, method, cfg, semantics); per call it reads the
+topic's entries of that plan, and the per-contributor test reads plain
+lists.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from typing import Callable
 
 from .contributions import (
     _UNSET,
-    DEFAULT_EXACT_CAP,
     MAX_SWEEP_POINTS,
     UNDEFINED,
     ContributionMethod,
     ContributionValue,
     EvaluationCache,
     Removal,
+    _integer,
     method_name,
 )
 from .errors import DomainError
@@ -106,7 +106,7 @@ class CheckConfig:
             raise ValueError("eps_schedule must contain positive finite steps")
         if any(b >= a for a, b in zip(self.eps_schedule, self.eps_schedule[1:])):
             raise ValueError("eps_schedule must be strictly decreasing")
-        if not 2 <= self.grid_points <= MAX_SWEEP_POINTS:
+        if not 2 <= _integer(self, "grid_points") <= MAX_SWEEP_POINTS:
             raise ValueError(f"grid_points must be between 2 and {MAX_SWEEP_POINTS}")
 
 
@@ -421,10 +421,10 @@ _PLANS = {
 class _Plan:
     """What a check resolves once per (cache, principle, cfg, semantics):
     the full-graph strengths, the visit orders, the principle's part and
-    table, and the tolerances; and, once per (method, exact_cap) on top of
-    that, the method's per-topic cell columns (the list the cache fills, or
-    None when its cells are never memoized) and the report fields that do
-    not depend on the topic.  The cache keeps the last plan in a one-entry
+    table, and the tolerances; and, once per method on top of that, the
+    method's per-topic cell columns (the list the cache fills, or None when
+    its cells are never memoized) and the report fields that do not depend
+    on the topic.  The cache keeps the last plan in a one-entry
     slot, matched by identity, so a loop with topics innermost resolves
     everything once per (principle, method), and a change of method alone
     re-resolves only the method's part.  A plan holds no reference to its
@@ -433,7 +433,7 @@ class _Plan:
 
     __slots__ = (
         "principle", "cfg", "semantics", "strengths", "orders", "non_ancestors_only", "rule",
-        "test", "table", "zero_tol", "eq_tol", "fields", "method", "exact_cap", "columns",
+        "test", "table", "zero_tol", "eq_tol", "fields", "method", "columns",
     )
 
     def __init__(self, cache, principle, cfg, semantics):
@@ -468,14 +468,13 @@ class _Plan:
         }
         self.method = _UNSET  # no method part yet: the first check calls use()
 
-    def use(self, cache, method, exact_cap):
+    def use(self, cache, method):
         """Resolve the method's part of the plan."""
         fields = self.fields.copy()
         fields["method"] = method_name(method)
-        self.columns = cache.columns(method, exact_cap)
+        self.columns = cache.columns(method)
         self.fields = fields
         self.method = method
-        self.exact_cap = exact_cap
 
 
 _VIOLATION = Verdict.VIOLATION
@@ -500,7 +499,6 @@ def run_check(
     cfg: CheckConfig | None = None,
     *,
     cache: EvaluationCache | None = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> PrincipleReport:
     """Run one principle checker on one instance.  A per-contributor test
     visits the other arguments in list order and stops at the first
@@ -508,7 +506,7 @@ def run_check(
     computed only for the contributors it visits.  Everything that does not
     depend on the topic is resolved once into the cache's plan slot and
     reused while (principle, cfg, semantics) and the method stay the same
-    objects and ``exact_cap`` the same value."""
+    objects; an exact Shapley method with another cap is another object."""
     try:
         t = graph._index[topic]
     except KeyError:
@@ -518,19 +516,19 @@ def run_check(
     plan = cache.plan
     if plan is None or plan.principle is not principle or plan.cfg is not cfg or plan.semantics is not semantics:
         plan = cache.plan = _Plan(cache, principle, cfg, semantics)
-    if plan.method is not method or plan.exact_cap != exact_cap:
-        plan.use(cache, method, exact_cap)
+    if plan.method is not method:
+        plan.use(cache, method)
     base = plan.strengths[t]
     columns = plan.columns
     column = None if columns is None else columns[t]
     if column is None:
-        column = cache.column(method, t, exact_cap)
+        column = cache.column(method, t)
     fields = plan.fields.copy()
     if plan.rule is not None:
 
         def contrib(x: int) -> ContributionValue:
             c = column[x]
-            return cache.cell(method, t, x, exact_cap) if c is _UNSET else c
+            return cache.cell(method, t, x) if c is _UNSET else c
 
         violated, witness, fields["note"] = plan.rule(cache, cfg, t, base, contrib)
     else:
@@ -542,7 +540,7 @@ def run_check(
         for x in order:
             c = column[x]
             if c is _UNSET:
-                c = cache.cell(method, t, x, exact_cap)
+                c = cache.cell(method, t, x)
             found = None if c is UNDEFINED else test(cache, plan, t, base, x, c)
             if found is not None:
                 violated, witness = True, {"contributor": graph.arguments[x], "contribution": c, **found}
@@ -561,8 +559,8 @@ def _binding(principle: PrincipleId) -> Callable[..., PrincipleReport]:
     rule, test, _, _, _ = _PLANS[principle]
     part = rule or test
 
-    def check(graph, semantics, method, topic, cfg=None, *, cache=None, exact_cap=DEFAULT_EXACT_CAP):
-        return run_check(graph, semantics, method, principle, topic, cfg, cache=cache, exact_cap=exact_cap)
+    def check(graph, semantics, method, topic, cfg=None, *, cache=None):
+        return run_check(graph, semantics, method, principle, topic, cfg, cache=cache)
 
     check.__name__ = check.__qualname__ = "check" + part.__name__
     check.__doc__ = part.__doc__

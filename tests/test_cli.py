@@ -669,6 +669,29 @@ def test_contrib_and_check_output_is_pinned(corpus_dir, capsys):
     assert digest.hexdigest() == OUTPUT_DIGEST
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "QBAG_EXACT_CAP must be an integer, got 'abc'"), ("0", "QBAG_EXACT_CAP must be positive")],
+)
+def test_bad_exact_cap_exits_2_after_the_other_flags(corpus_dir, capsys, monkeypatch, value, message):
+    # contrib, check and fuzz read QBAG_EXACT_CAP whatever the method, once
+    # the principle and the check flags are resolved: their errors come first
+    monkeypatch.setenv("QBAG_EXACT_CAP", value)
+    path = str(corpus_dir / "fig-intro.json")
+    for method in ("removal", "shapley"):
+        flags = ("--semantics", "dfquad", "--method", method)
+        contrib = ("contrib", path, *flags, "--topic", "a")
+        check = ("check", path, *flags, "--topic", "a")
+        fuzz = ("fuzz", *flags, "--seed", "1", "--trials", "3")
+        for argv in (contrib, (*check, "--principle", "directionality"), (*fuzz, "--principle", "directionality")):
+            assert run(capsys, *argv) == (2, "", f"error: ValueError: {message}\n"), argv
+        for argv in (check, fuzz):
+            got = run(capsys, *argv, "--principle", "nope")
+            assert got == (2, "", "error: ValueError: unknown principle 'nope'\n"), argv
+            code, out, err = run(capsys, *argv, "--principle", "directionality", "--eq-tol", "nan")
+            assert (code, out) == (2, "") and "finite" in err and "QBAG_EXACT_CAP" not in err, argv
+
+
 def test_only_reproduce_and_export_load_the_corpus():
     # a fresh interpreter: in-process tests have imported qbag.corpus already
     env = dict(os.environ, PYTHONPATH=str(Path(qbag.__file__).parents[1]))

@@ -2,7 +2,9 @@ import pytest
 
 from qbag import (
     DFQUAD,
+    CheckConfig,
     EvaluationCache,
+    FuzzConfig,
     Gradient,
     IntrinsicRemoval,
     QBAG,
@@ -252,3 +254,36 @@ class TestDispatchAndTables:
                                 continue
                             value = contribution(g, sem, method, topic, x, cache=cache)
                             assert value == 0.0  # exact, not approximate
+
+
+class _Index:
+    """An integer-like object, as :func:`operator.index` accepts it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "build, fields",
+    [
+        (CheckConfig, {"grid_points": 50.5}),
+        (ShapleySampled, {"permutations": 2.5, "seed": 1}),
+        (ShapleySampled, {"permutations": 3, "seed": 1.5}),
+        (ShapleyExact, {"cap": 2.5}),
+        (ShapleyExact, {"cap": 0}),
+        (FuzzConfig, {"seed": 1.5, "trials": 1}),
+        (FuzzConfig, {"seed": 1, "trials": 2.0}),
+        (FuzzConfig, {"seed": 1, "trials": 1, "max_args": 5.5}),
+    ],
+)
+def test_counts_are_integers_from_construction(build, fields):
+    # a non-integer count used to construct and fail later, inside a check,
+    # a cell or a search, with a bare TypeError
+    with pytest.raises(ValueError):
+        build(**fields)
+    # whatever operator.index accepts is stored as that int
+    made = build(**{name: _Index(3) for name in fields})
+    assert all(getattr(made, name).__class__ is int for name in fields)

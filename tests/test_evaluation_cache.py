@@ -103,26 +103,30 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
         for semantics in PRESETS.values():
             cache = EvaluationCache(g, semantics)
             shapley_first = EvaluationCache(g, semantics)
+            base = cache.strengths()
             for x in range(len(g)):
-                severed = remove_incoming(g, g.arguments[x])
-                assert cache.strengths_isolated(x) == tuple(strength_vector(severed, semantics))
                 for value in (0.0, 0.3, g._tau[x], 1.0):
                     assert cache.strengths_perturbed(x, value) == perturbed_vector(g, semantics, x, value)
                 sweep = [perturbed_vector(g, semantics, x, j / 10) for j in range(11)]
                 for t in range(len(g)):
                     assert cache.sweep_column(x, t, 11) == tuple(v[t] for v in sweep)
-                # a removal vector re-folds x's descendants with x dropped;
-                # it equals the masked pass, zero at x included, whichever
-                # of removal, Shapley or a fresh cache fills the mask first
+                # a removal re-folds x's descendants with x dropped from the
+                # kept set, and severing x re-folds them with x at its initial
+                # strength: each cell equals the full passes bit for bit,
+                # whether or not Shapley has filled the masked vector first
                 mask = cache.full_mask & ~(1 << x)
-                for t in range(len(g)):
-                    cache.contribution(Removal(), t, x)
-                    shapley_first.contribution(ShapleyExact(), t, x)
-                removed = cache.strengths(mask)
-                assert removed == tuple(_Compiled(g, semantics).strengths(mask)) and removed[x] == 0.0
+                removed = _Compiled(g, semantics).strengths(mask)
                 others = [a for a in g.arguments if a != g.arguments[x]]
-                assert list(removed[:x] + removed[x + 1:]) == strength_vector(restrict(g, others), semantics)
-                assert shapley_first.strengths(mask) == removed == EvaluationCache(g, semantics).strengths(mask)
+                assert removed[:x] + removed[x + 1:] == strength_vector(restrict(g, others), semantics)
+                severed = strength_vector(remove_incoming(g, g.arguments[x]), semantics)
+                for t in range(len(g)):
+                    if t == x:
+                        continue
+                    shapley_first.contribution(ShapleyExact(), t, x)
+                    removal = cache.contribution(Removal(), t, x)
+                    assert removal == base[t] - removed[t] == shapley_first.contribution(Removal(), t, x)
+                    assert cache.contribution(IntrinsicRemoval(), t, x) == severed[t] - removed[t]
+                assert shapley_first.strengths(mask) == tuple(removed)
     # removing x lifts d's sum aggregate from 0.1 to 0.9, outside [-0.5, 0.5]:
     # the removal cell fails with the masked pass' error
     g = QBAG([("x", 0.8), ("y", 0.9), ("d", 0.2), ("e", 0.3)], [("x", "d")], [("y", "d"), ("d", "e")])
@@ -132,6 +136,15 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
     with pytest.raises(DomainError) as cell:
         EvaluationCache(g, semantics).contribution(Removal(), 3, 0)
     assert str(cell.value) == str(masked.value)
+    # y lifts x to 1.0, so d's aggregate is 0.9 - 1.0 in the full graph, but
+    # 0.9 - 0.2 with x severed and 0.9 without x: an intrinsic removal cell
+    # fails with the severed graph's error, which it evaluates first
+    g = QBAG([("y", 0.5), ("x", 0.2), ("z", 0.9), ("d", 0.5)], [("x", "d")], [("y", "x"), ("z", "d")])
+    with pytest.raises(DomainError) as severed:
+        evaluate(remove_incoming(g, "x"), semantics)
+    with pytest.raises(DomainError) as cell:
+        EvaluationCache(g, semantics).contribution(IntrinsicRemoval(), 3, 1)
+    assert str(cell.value) == str(severed.value) and "0.7" in str(cell.value)
     # the full graph is undefined here and the graph without x is not: a
     # fresh cache evaluates that kept set without the full-graph vector
     g = QBAG([("x", 0.5), ("y", 0.3), ("d", 0.2)], [], [("x", "d"), ("y", "d")])
@@ -142,14 +155,18 @@ def test_memoized_shapley_cell_still_enforces_the_cap():
     g, topic, contributor = linked_pair(5)
     cache = EvaluationCache(g, QE)
     value = contrib_shapley_exact(g, QE, topic, contributor, cache=cache)
-    assert contrib_shapley_exact(g, QE, topic, contributor, cache=cache) == value
-    small = len(g) - 1
-    with pytest.raises(TooLarge):
-        contrib_shapley_exact(g, QE, topic, contributor, exact_cap=small, cache=cache)
-    with pytest.raises(TooLarge):
-        contribution(g, QE, ShapleyExact(), topic, contributor, exact_cap=small, cache=cache)
-    with pytest.raises(TooLarge):
-        run_check(g, QE, ShapleyExact(), PrincipleId.DIRECTIONALITY, topic, cache=cache, exact_cap=small)
+    assert contribution(g, QE, ShapleyExact(len(g)), topic, contributor, cache=cache) == value
+    small = ShapleyExact(len(g) - 1)
+    message = f"exact enumeration is capped at {len(g) - 1} arguments, graph has {len(g)}"
+    for _ in range(2):
+        with pytest.raises(TooLarge, match=message):
+            contrib_shapley_exact(g, QE, topic, contributor, exact_cap=len(g) - 1, cache=cache)
+        with pytest.raises(TooLarge, match=message):
+            contribution(g, QE, small, topic, contributor, cache=cache)
+        with pytest.raises(TooLarge, match=message):
+            run_check(g, QE, small, PrincipleId.DIRECTIONALITY, topic, cache=cache)
+        assert cache.columns(small) is None
+        assert contrib_shapley_exact(g, QE, topic, contributor, cache=cache) == value
 
 
 def test_callable_methods_are_never_memoized():
@@ -397,6 +414,33 @@ def test_a_long_sweep_holds_points_times_cone():
         assert (cache.sweep_column(x, x, points)[j], cache.sweep_column(x, y, points)[j], column[j]) == vector
 
 
+def test_removal_and_severing_keep_only_the_strengths_they_change():
+    # 400 leaves beside one topic: removing or severing a leaf changes the
+    # topic's strength alone, so the removal and intrinsic removal columns
+    # must hold about one float per leaf and store, not 400 vectors of 401
+    names = [f"b{i}" for i in range(400)]
+    g = QBAG(
+        [(name, 0.5) for name in names] + [("t", 0.3)],
+        [(name, "t") for name in names[::2]],
+        [(name, "t") for name in names[1::2]],
+    )
+    n, t = len(g), g.index_of("t")
+    cache = EvaluationCache(g, QE)
+    base = cache.strengths()
+    tracemalloc.start()
+    try:
+        columns = [[cache.contribution(method, t, x) for x in range(n)] for method in (Removal(), IntrinsicRemoval())]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * n, peak
+    for x in (0, 1, 399):
+        others = [a for a in g.arguments if a != g.arguments[x]]
+        without = evaluate(restrict(g, others), QE)["t"]
+        assert columns[0][x] == base[t] - without
+        assert columns[1][x] == evaluate(remove_incoming(g, g.arguments[x]), QE)["t"] - without
+
+
 def test_cache_stores_stay_within_their_documented_bounds():
     # After a pass over a fuzz pool, each store holds no more than its index
     # allows; a second pass with new but value-equal configurations and
@@ -420,7 +464,11 @@ def test_cache_stores_stay_within_their_documented_bounds():
         for semantics in PRESETS.values():
             cache = EvaluationCache(g, semantics)
             one_pass(cache, g, semantics, CONFIGS, ShapleySampled(20, 3))
-            assert len(cache._by_mask) <= 2 ** n and len(cache._by_isolated) <= n
+            assert len(cache._by_mask) <= 2 ** n
+            for store in (cache._removed, cache._severed):
+                assert len(store) == n
+                for x, changed in enumerate(store):
+                    assert changed is None or set(changed) == set(cache._descendants_of(x))
             assert set(cache._sweeps) <= {(x, p) for x in range(n) for p in grids}
             assert set(cache._probes) <= schedules
             assert all(len(row) == n for row in cache._probes.values())

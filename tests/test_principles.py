@@ -548,8 +548,8 @@ def test_witness_digest_on_a_fixed_fuzz_pool(fixed_pool_reports):
 
 
 class TestPlanResolution:
-    """A check resolves its (principle, method, cfg, semantics, exact_cap)
-    once into the cache's plan slot.  On one shared cache, every report must
+    """A check resolves its (principle, method, cfg, semantics) once into
+    the cache's plan slot.  On one shared cache, every report must
     equal the report of a fresh cache, repr included, whatever the order of
     the checks and whichever of those inputs changes between them."""
 
@@ -597,18 +597,20 @@ class TestPlanResolution:
         assert calls
 
     def test_exact_cap_is_read_on_every_call(self, graphs):
+        # each cap is a new method object; a plan that matched the method by
+        # type would serve the memoized cells of cap 20 under cap n - 1
         g = graphs[0]
-        small = len(g) - 1
         cache = EvaluationCache(g, QE)
-        method, principle = ShapleyExact(), PrincipleId.COUNTERFACTUALITY
-        for cap in (20, small, 20, small):
+        principle = PrincipleId.COUNTERFACTUALITY
+        for cap in (20, len(g) - 1, 20, len(g) - 1):
+            method = ShapleyExact(cap)
             for topic in g.arguments:
                 if cap < len(g):
                     with pytest.raises(TooLarge):
-                        run_check(g, QE, method, principle, topic, cache=cache, exact_cap=cap)
+                        run_check(g, QE, method, principle, topic, cache=cache)
                     continue
-                report = run_check(g, QE, method, principle, topic, cache=cache, exact_cap=cap)
-                self.assert_fresh(g, report, QE, QE, method, principle, topic, exact_cap=cap)
+                report = run_check(g, QE, method, principle, topic, cache=cache)
+                self.assert_fresh(g, report, QE, QE, method, principle, topic)
 
     def test_value_equal_and_different_configs(self, graphs):
         configs = (
