@@ -17,19 +17,23 @@ The removal family never defines an argument's contribution to itself; those
 cells are the explicit :data:`UNDEFINED` marker, which is distinct from 0.
 The gradient is total and gives the self-contribution a meaning.
 
-Exact Shapley enumeration memoizes subgraph evaluations by kept-set bitmask,
-so the two terms of each marginal share one cache and the whole table costs
-at most 2^(n-1) distinct evaluations; the removed sets are visited as the
-submasks of the other arguments in increasing order.  An argument with no
-directed path to the topic is a null player: every marginal of it is
-exactly 0.0, so its Shapley value is 0.0 without enumeration.  Enumeration
-beyond ``ShapleyExact.cap`` arguments (default 20) raises :class:`TooLarge`,
-on every call whether or not the cell is memoized; use the seeded
-permutation sampler instead for big graphs.
+Exact Shapley fills a topic's whole column at once.  The topic's strength
+depends only on which of its m ancestors are kept, so one walk over the
+subsets of the ancestors in Gray-code order, each step re-folding one
+ancestor's cone, tabulates it in 2^m floats; every cell then sums the
+marginals over the submasks of the other arguments in increasing order,
+read from that table.  An argument with no directed path to the topic is a
+null player: every marginal of it is exactly 0.0, so its Shapley value is
+0.0 without enumeration.  Under a semantics where some coalition may be
+undefined (a linear influence whose domain an aggregate can leave), a cell
+instead enumerates full kept-set passes, which fail exactly where such a
+pass does.  Enumeration beyond ``ShapleyExact.cap`` arguments (default 20)
+raises :class:`TooLarge`, on every call whether or not the cell is
+memoized; use the seeded permutation sampler instead for big graphs.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
 pair memoizes strength vectors per kept-set mask (the full graph and the
-Shapley coalitions), the strengths that removing or severing each argument
+sampled Shapley coalitions), the strengths that removing or severing each argument
 changes, grid sweeps per (argument, grid size) as one column per topic
 the argument reaches, faithfulness probes per (argument, eps schedule) as
 one column per topic, one lazily filled cell column per (built-in method,
@@ -38,24 +42,29 @@ the last principle check.  The principle checkers read probe columns;
 single perturbations (:meth:`EvaluationCache.strengths_perturbed`) serve the
 corpus expectations and other callers and are not memoized.  A gradient
 column is filled whole by one reverse pass over the memoized full-graph
-vector.  Removing, severing, perturbing or sweeping one argument re-folds
-only that argument's descendants, starting from the full-graph vector
-(a removal with the argument dropped from the kept set), which gives
-bit-identical results; a sweep is built node by node over the cone, so it
-never holds a full-length vector per point.  Cells of callable methods are
-never memoized.
+vector, and an exact Shapley column by one coalition table.  Removing,
+severing, perturbing or sweeping one argument re-folds only that argument's
+descendants, starting from the full-graph vector (a removal with the
+argument dropped from the kept set), which gives bit-identical results; a
+sweep folds each node of the cone once for all its points, so it never
+holds a full-length vector per point.  Cells of callable methods are never
+memoized.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import DomainError, TooLarge, UnknownArgument
 from .graph import QBAG, ancestor_mask, descendant_cone, strictly_closer_pairs
 from .rng import SplitMix64
-from .semantics import GradualSemantics, _Compiled
+from .semantics import GradualSemantics, _always_defined, _Compiled
+
+if TYPE_CHECKING:
+    from array import array
 
 DEFAULT_EXACT_CAP = 20
 DEFAULT_PERMUTATIONS = 100_000
@@ -180,8 +189,10 @@ class EvaluationCache:
     Each store is indexed as follows (n arguments), so what a cache holds is
     bounded by the graph and by the distinct configurations its callers use:
 
-    - ``_by_mask``: final-strength vectors by kept-set bitmask (the full
-      graph and the coalitions Shapley visits): at most 2^n.
+    - ``_by_mask``: final-strength vectors by kept-set bitmask: the full
+      graph, the coalitions the Shapley sampler visits (at most two per
+      permutation of each sampled cell), and, only under a semantics where
+      a coalition may be undefined, those exact Shapley visits: at most 2^n.
     - ``_removed``, ``_severed``: per argument, the strengths of its
       descendants with it removed, or with its incoming edges severed, by
       descendant: at most n entries of at most n - 1 floats each.
@@ -194,12 +205,17 @@ class EvaluationCache:
     - ``_descendants``, ``_ancestors``, ``_closer_pairs``: one entry per
       argument or topic.
     - ``derived``: the principle checkers' results: two visit orders per
-      topic, and n x n strong-faithfulness entries per (grid_points, eq_tol).
+      topic, n x n strong-faithfulness entries per (grid_points, eq_tol),
+      and n x n signed probe rows per eps schedule.
     - ``plan``: one slot, the last principle check's resolved plan; a check
       with another (principle, method, configuration) replaces it.
 
-    Removing, severing, perturbing or sweeping one argument re-folds only
-    its descendants, starting from the full-graph vector, and keeps only the
+    An exact Shapley column is computed from a coalition table of 2^m
+    floats for the topic's m ancestors (4 MB at m = 19, the most the default
+    cap admits) and lookup tables of at most 2^10 entries; the table is
+    dropped once the column is filled, so at most one is alive.  Removing,
+    severing, perturbing or sweeping one argument re-folds only its
+    descendants, starting from the full-graph vector, and keeps only the
     strengths it changes; single perturbations are not memoized.
     Everything is confined to the cache instance; the evaluator itself
     stays stateless.
@@ -255,43 +271,36 @@ class EvaluationCache:
             hit = store[index] = {d: out[d] for d in self._descendants_of(index)}
         return hit
 
-    def _entries(self, index: int, values) -> list[float]:
-        """Argument ``index``'s final strength at each initial strength in
-        ``values``; its unchanged parents are folded once."""
+    def _signal(self, index: int) -> float | None:
+        """Argument ``index``'s aggregate in the full graph, None when it has
+        no parent: its final strength is then its initial one."""
         comp = self._comp
-        s = comp.fold(self.strengths(), comp.attackers[index], comp.supporters[index], -1)
-        return [v if s is None else comp.value(v, s) for v in values]
+        return comp.fold(self.strengths(), comp.attackers[index], comp.supporters[index], -1)
 
-    def _sweep_columns(self, index: int, values) -> dict[int, tuple[float, ...]]:
+    def _sweep_columns(self, index: int, values: list[float]) -> dict[int, tuple[float, ...]]:
         """The final strength of argument ``index`` and of each of its
         descendants at every initial strength of ``index`` in ``values``, as
-        one column per reached topic.  The columns are built node by node
-        over the cone: for each point, only the node's parents inside the
-        cone are set in one work vector, so no full-length vector is built
-        per point and memory stays within points x cone.  Every node folds
-        the same parents in the same order as a point-by-point re-fold, so
-        the values are identical."""
+        one column per reached topic.  Each node is folded once per column,
+        by the column forms of the aggregation and the influence: one pass
+        per parent in the scalar fold's order, a parent outside the cone
+        repeating its full-graph strength.  Every point thus runs the
+        scalar fold's operations in the same order, so the values are
+        identical to a point-by-point re-fold, and memory stays within
+        points x cone."""
         comp = self._comp
-        fold, value, taus = comp.fold, comp.value, comp.tau
-        entries = tuple(self._entries(index, values))
-        columns = {index: entries}
-        out = list(self.strengths())
+        fold_column, value_column, taus = comp.fold_column, comp.value_column, comp.tau
+        s = self._signal(index)
+        columns = {index: tuple(values) if s is None else value_column(values, [s] * len(values))}
+        out = self.strengths()
         for d in self._descendants_of(index):
-            attackers, supporters = comp.attackers[d], comp.supporters[d]
-            varying = [(p, columns[p]) for p in (*attackers, *supporters) if p in columns]
-            tau = taus[d]
-            column = []
-            for j in range(len(entries)):
-                for p, parent in varying:
-                    out[p] = parent[j]
-                s = fold(out, attackers, supporters, -1)
-                column.append(tau if s is None else value(tau, s))
-            columns[d] = tuple(column)
+            signals = fold_column(out, columns, comp.attackers[d], comp.supporters[d], len(values))
+            columns[d] = value_column(repeat(taus[d]), signals)
         return columns
 
     def strengths_perturbed(self, index: int, value: float) -> tuple[float, ...]:
         """Strengths with one initial strength changed; not memoized."""
-        return tuple(self._refold_cone(index, self._entries(index, (value,))[0]))
+        s = self._signal(index)
+        return tuple(self._refold_cone(index, value if s is None else self._comp.value(value, s)))
 
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
@@ -414,7 +423,9 @@ class EvaluationCache:
         self, method: ContributionMethod | Callable[..., ContributionValue], topic: int, contributor: int
     ) -> ContributionValue:
         """Compute one cell and store it in its column; a gradient cell fills
-        the whole column from one reverse pass.  A callable ``(graph,
+        the whole column from one reverse pass, and an exact Shapley cell
+        from one coalition table, unless the semantics may leave its domain
+        on some coalition.  A callable ``(graph,
         semantics, topic, contributor) -> value`` gets argument names and is
         called every time.  Every exact Shapley request on a graph of more
         than its cap arguments raises :class:`TooLarge`.  Shapley cells of
@@ -447,10 +458,13 @@ class EvaluationCache:
             value = with_x - without.get(topic, base)
         elif not (self.ancestors(topic) >> contributor) & 1:
             value = 0.0
-        elif kind is ShapleyExact:
-            value = _shapley_exact(self, topic, contributor)
-        else:
+        elif kind is not ShapleyExact:
             value = _shapley_sampled(self, topic, contributor, method.permutations, method.seed)
+        elif _always_defined(self.graph, self.semantics):
+            column[:] = _shapley_column(self, topic)
+            return column[contributor]
+        else:
+            value = _shapley_exact(self, topic, contributor)
         column[contributor] = value
         return value
 
@@ -521,7 +535,90 @@ def contrib_shapley_exact(
     return contribution(graph, semantics, ShapleyExact(exact_cap), topic, contributor, cache=cache)
 
 
+def _coalition_table(cache: EvaluationCache, t: int, ancestors: list[int]) -> array:
+    """The topic's final strength with each subset of its ancestors removed,
+    at the subset's rank (bit j for ``ancestors[j]``): 2^m floats for m
+    ancestors, filled by one walk in Gray-code order.  Each step toggles one
+    ancestor and re-folds its descendants among the ancestors and the topic,
+    and the ancestor itself when it is put back; every other argument is
+    irrelevant to the topic's strength.  Each node folds the same kept
+    parents in the same order as a masked full pass, so every entry equals
+    that pass' value bit for bit."""
+    # imported here: a CLI process that fills no exact Shapley column would
+    # map the array extension for nothing
+    from array import array
+
+    comp = cache._comp
+    inside = cache.ancestors(t) | 1 << t
+    cones = [tuple([d for d in cache._descendants_of(a) if (inside >> d) & 1]) for a in ancestors]
+    back = [(a, *cone) for a, cone in zip(ancestors, cones)]
+    out = list(cache.strengths())
+    table = array("d", [out[t]]) * (1 << len(ancestors))
+    removed = 0
+    for step in range(1, len(table)):
+        j = (step & -step).bit_length() - 1
+        a = ancestors[j]
+        removed ^= 1 << a
+        comp.refold(out, cones[j] if (removed >> a) & 1 else back[j], ~removed)
+        table[step ^ (step >> 1)] = out[t]
+    return table
+
+
+# The low bits of a submask's rank, read through one lookup table of
+# 2^_LOW_BITS entries; the high bits go through another.
+_LOW_BITS = 10
+
+
+def _unions(bits: list[int]) -> list[int]:
+    """The union of ``bits[j]`` over the set bits j of every rank i, at i."""
+    unions = [0]
+    for bit in bits:
+        unions += [u | bit for u in unions]
+    return unions
+
+
+def _shapley_column(cache: EvaluationCache, t: int) -> list:
+    """The topic's exact Shapley column: undefined on the topic, 0.0 for
+    every argument that does not reach it, and for every ancestor x the sum
+    :func:`_shapley_exact` computes, term by term in the same order: over
+    the submasks of the other arguments in increasing order, the weight of
+    the submask's size times the marginal of x.  The marginals are read from
+    :func:`_coalition_table` through two lookup tables that map the low
+    (at most ``_LOW_BITS``) and the high bits of a submask's rank to the
+    ancestors it removes."""
+    n = cache._comp.n
+    reach = cache.ancestors(t)
+    ancestors = [a for a in range(n) if (reach >> a) & 1]
+    table = _coalition_table(cache, t, ancestors)
+    weights = _shapley_weights(n - 1)
+    half = min(n - 2, _LOW_BITS)
+    low_sizes = [i.bit_count() for i in range(1 << half)]
+    # the weights of the low terms by the number of high bits
+    rows = [[weights[high + low] for low in low_sizes] for high in range(n - 1 - half)]
+    # each player's bit in a table rank, in index order: 0 for a null player
+    players = [i for i in range(n) if i != t]
+    rank_bits = [1 << ancestors.index(i) if (reach >> i) & 1 else 0 for i in players]
+    column = [0.0] * n
+    column[t] = UNDEFINED
+    for j, x in enumerate(players):
+        x_bit = rank_bits[j]
+        if not x_bit:
+            continue
+        others = rank_bits[:j] + rank_bits[j + 1:]
+        low = _unions(others[:half])
+        low_without = [r | x_bit for r in low]
+        total = 0.0
+        for high, r in enumerate(_unions(others[half:])):
+            for weight, with_x, without_x in zip(rows[high.bit_count()], low, low_without):
+                total += weight * (table[r | with_x] - table[r | without_x])
+        column[x] = total
+    return column
+
+
 def _shapley_exact(cache: EvaluationCache, t: int, x: int) -> float:
+    """One exact Shapley cell from full kept-set passes, for a semantics
+    under which a coalition may be undefined: each coalition raises the
+    error its masked pass raises, in submask order."""
     full = cache.full_mask
     weights = _shapley_weights(len(cache.graph) - 1)
     x_bit = 1 << x

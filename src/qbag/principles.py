@@ -306,21 +306,16 @@ def _quant_local_faithfulness(cache, plan, t, base, x, c):
     |e/eps| stays above 1e-3 and the ratios do not keep shrinking as the
     schedule refines.  eps is read as a signed perturbation of the
     contributor's initial strength."""
-    schedule = plan.cfg.eps_schedule
-    columns = plan.table[x]
-    column = cache.probe_column(x, t, schedule) if columns is None else columns[t]
-    for direction, strengths in ((1.0, column[::2]), (-1.0, column[1::2])):
-        ratios = []
-        for delta, strength in zip(schedule, strengths):
-            if strength is None:
-                continue  # the probe leaves [0, 1]
-            if strength.__class__ is DomainError:
-                raise strength.with_traceback(None)
-            eps = direction * delta
-            error = strength - (base + eps * c)
-            ratios.append(abs(error / eps))
-        if not ratios or ratios[-1] <= _RATIO_FLOOR:
+    row = plan.table[x]
+    if row is None:
+        row = plan.table[x] = _signed_probes(cache, x, plan.cfg.eps_schedule)
+    for direction, steps, strengths, error in row[t]:
+        if error is not None:
+            raise error.with_traceback(None)
+        # the last ratio first: the others matter only when it stays high
+        if not steps or abs((strengths[-1] - (base + steps[-1] * c)) / steps[-1]) <= _RATIO_FLOOR:
             continue
+        ratios = [abs((strength - (base + eps * c)) / eps) for eps, strength in zip(steps, strengths)]
         earlier = ratios[0]
         for later in ratios[1:]:
             # not shrinking, nan included
@@ -328,6 +323,39 @@ def _quant_local_faithfulness(cache, plan, t, base, x, c):
                 return {"direction": direction, "error_ratios": ratios}
             earlier = later
     return None
+
+
+def _signed_probes(cache, x, schedule):
+    """Per topic, per direction + then -: (direction, the signed steps eps
+    and the topic's strengths at the probes tau(x) + eps inside [0, 1] that
+    precede the direction's first undefined probe, and that probe's error or
+    None).  Which probes leave [0, 1] or are undefined does not depend on
+    the topic."""
+    columns = [cache.probe_column(x, t, schedule) for t in range(len(cache.graph))]
+    first = columns[0]
+    directions = []
+    for direction, start in ((1.0, 0), (-1.0, 1)):
+        at, error = [], None
+        for k in range(start, len(first), 2):
+            if first[k].__class__ is DomainError:
+                error = first[k]
+                break
+            if first[k] is not None:  # else the probe leaves [0, 1]
+                at.append(k)
+        steps = [direction * schedule[k // 2] for k in at]
+        directions.append((direction, steps, at, error))
+    return [
+        [(direction, steps, [column[k] for k in at], error) for direction, steps, at, error in directions]
+        for column in columns
+    ]
+
+
+def _signed_probe_table(cache, cfg):
+    key = ("quantitative-local-faithfulness", cfg.eps_schedule)
+    table = cache.derived.get(key)
+    if table is None:
+        table = cache.derived[key] = [None] * len(cache.graph)
+    return table
 
 
 def _contradiction_table(cache, cfg):
@@ -356,46 +384,59 @@ def _strong_faithfulness(cache, plan, t, base, x, c):
     return found[(c > zero_tol) - (c < -zero_tol) + 1]
 
 
-# The signs a grid point contradicts, as indices sign + 1: a strictly higher
-# strength contradicts sign 0, and +1 below tau or -1 above it; a strictly
-# lower one sign 0, and -1 below tau or +1 above it; an equal one (within
-# eq_tol) both nonzero signs.
-_HIGHER_BELOW = (1, 2)
-_HIGHER_ABOVE = (1, 0)
-_EQUAL = (0, 2)
-
-
 def _first_contradictions(cache, t, base, x, points, eq_tol):
     """The first grid point contradicting each contribution sign -1, 0, +1
-    (as witness entries, None where there is none), from one scan that
-    stops once every sign that can be contradicted is."""
+    (as witness entries, None where there is none).  Grid point j sits at
+    eps = j / (points - 1); a point within 1e-12 of tau(x) is skipped, and a
+    nan difference contradicts nothing.  Below tau, a strictly higher
+    strength (diff > eq_tol) contradicts signs 0 and +1, a strictly lower
+    one signs 0 and -1, and an equal one (within eq_tol) both nonzero signs;
+    above tau, higher and lower swap roles.  Where x does not reach t every
+    diff is 0.0, so the first grid point off tau contradicts both nonzero
+    signs and nothing contradicts sign 0."""
+    last = points - 1
+    base_tau = _initial(cache, x)
+    # Every grid point but the nearest is at least half a step from tau, so
+    # only that one can be skipped: the points before it are below tau and
+    # those after it above.
+    near = round(base_tau * last)
+    skip = abs(near / last - base_tau) <= 1e-12
+    below = near + (not skip and near / last < base_tau)
+    above = near + (skip or near / last < base_tau)
+    if x != t and not (cache.ancestors(t) >> x) & 1:
+        diff = base - base
+        j = 0 if below else above
+        if diff != diff or j == points:
+            return [None, None, None]
+        return [{"epsilon": j / last, "strength_diff": diff}, None, {"epsilon": j / last, "strength_diff": diff}]
     column = cache.sweep_column(x, t, points)
     found = [None, None, None]
-    # Subtracting base is monotone, so when the column's extremes stay within
-    # eq_tol of base no grid point contradicts sign 0 and the scan can stop
-    # once both nonzero signs are contradicted.
-    pending = 2 if max(column) - base <= eq_tol and min(column) - base >= -eq_tol else 3
-    base_tau = _initial(cache, x)
-    last = points - 1
-    for j, strength in enumerate(column):
-        eps = j / last
-        if abs(eps - base_tau) <= 1e-12:
+    for start, stop, higher, lower in ((0, below, 2, 0), (above, points, 0, 2)):
+        half = column[start:stop]
+        if not half:
             continue
-        diff = strength - base
-        if diff > eq_tol:
-            bad = _HIGHER_BELOW if eps < base_tau else _HIGHER_ABOVE
-        elif diff < -eq_tol:
-            bad = _HIGHER_ABOVE if eps < base_tau else _HIGHER_BELOW
-        elif diff == diff:
-            bad = _EQUAL
-        else:
-            continue  # nan contradicts nothing
-        for k in bad:
-            if found[k] is None:
-                found[k] = {"epsilon": eps, "strength_diff": diff}
-                pending -= 1
-        if not pending:
-            break
+        # strength - base is monotone in strength, so the half's extremes
+        # tell which signs it contradicts at all; max and min skip a nan
+        # unless it comes first, and then every sign is scanned for
+        top = bottom = None
+        if half[0] == half[0]:
+            top, bottom = max(half) - base, min(half) - base
+        if found[higher] is None and (top is None or top >= -eq_tol):
+            for j in range(start, stop):
+                if column[j] - base >= -eq_tol:
+                    found[higher] = {"epsilon": j / last, "strength_diff": column[j] - base}
+                    break
+        if found[lower] is None and (bottom is None or bottom <= eq_tol):
+            for j in range(start, stop):
+                if column[j] - base <= eq_tol:
+                    found[lower] = {"epsilon": j / last, "strength_diff": column[j] - base}
+                    break
+        if found[1] is None and (top is None or top > eq_tol or bottom < -eq_tol):
+            for j in range(start, stop):
+                diff = column[j] - base
+                if diff > eq_tol or diff < -eq_tol:
+                    found[1] = {"epsilon": j / last, "strength_diff": diff}
+                    break
     return found
 
 
@@ -412,7 +453,7 @@ _PLANS = {
     PrincipleId.DIRECTIONALITY: (None, _directionality, None, True, ""),
     PrincipleId.STRONG_FAITHFULNESS: (None, _strong_faithfulness, _contradiction_table, False, ""),
     PrincipleId.LOCAL_FAITHFULNESS: (None, _local_faithfulness, _probe_table, False, _LF_NOTE),
-    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (None, _quant_local_faithfulness, _probe_table, False, _LF_NOTE),
+    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (None, _quant_local_faithfulness, _signed_probe_table, False, _LF_NOTE),
     PrincipleId.COUNTERFACTUALITY: (None, _counterfactuality, _removal_columns, False, ""),
     PrincipleId.QUANT_COUNTERFACTUALITY: (None, _quant_counterfactuality, _removal_columns, False, ""),
 }

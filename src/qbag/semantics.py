@@ -13,11 +13,15 @@ Aggregations (attacker strengths ``A``, supporter strengths ``S``):
     product   prod(1 - a for a in A) - prod(1 - s for s in S)
     top       max({0} | S) - max({0} | A)
 
-Each aggregation is written once, as a (fold, backprop) pair in
-``_AGGREGATIONS``: the fold computes the aggregate over an argument's kept
-parents, the backprop spreads an adjoint over its parents.  The forward
-pass, the reverse pass and :func:`aggregate` all use that one table, just as
-every use of an influence goes through ``_influence_functions``.
+Each aggregation is written once, as a (fold, backprop, column fold) triple
+in ``_AGGREGATIONS``: the fold computes the aggregate over an argument's kept
+parents, the backprop spreads an adjoint over its parents, and the column
+fold computes the aggregate at many points at once, by one pass per parent
+in the fold's parent order.  The forward pass, the reverse pass,
+the sweeps and :func:`aggregate` all use that one table, just as every use
+of an influence goes through ``_influence_functions``, whose column form
+sits next to its scalar form.  A column form performs each point's
+operations in the scalar form's order, so its values are bit-identical.
 
 Influences (initial strength ``w``, aggregate ``s``):
 
@@ -47,7 +51,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence, Union
+from itertools import repeat
+from operator import add, lt, mul, sub
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, UnknownArgument
 from .graph import QBAG
@@ -173,14 +179,28 @@ def aggregate(kind: Aggregation, att_strengths: Sequence[float], supp_strengths:
 
 def influence(kind: Influence, initial: float, signal: float) -> float:
     """Map (initial strength, aggregate) to a final strength in [0, 1]."""
-    value, _, _ = _influence_functions(kind)
-    return value(initial, signal)
+    return _influence_functions(kind)[0](initial, signal)
+
+
+def _clamp_column(rs: Iterable[float]) -> tuple[float, ...]:
+    """The scalar influences' clamp, ``0.0 if r < 0.0 else 1.0 if r > 1.0
+    else r``, at every point: -0.0 and nan pass through as they do there."""
+    return tuple([0.0 if r < 0.0 else 1.0 if r > 1.0 else r for r in rs])
 
 
 def _influence_functions(
     kind: Influence,
-) -> tuple[Callable[[float, float], float], Callable[[float, float], float], Callable[[float, float], float]]:
-    """(value, d/d-aggregate, d/d-initial) closures for one influence."""
+) -> tuple[
+    Callable[[float, float], float],
+    Callable[[float, float], float],
+    Callable[[float, float], float],
+    Callable[[Iterable[float], list[float]], tuple[float, ...]],
+]:
+    """(value, d/d-aggregate, d/d-initial, value column) closures for one
+    influence.  The value column maps initial strengths ``ws`` (a repeat for
+    one argument) and a list of aggregates to the value at each point; it
+    raises the first failing point's :class:`DomainError`, and where ``exp``
+    or ``x**p`` overflows it falls back to the scalar value point by point."""
     if isinstance(kind, Linear):
         k = kind.k
 
@@ -190,13 +210,19 @@ def _influence_functions(
             r = w + (1.0 - w) * s / k if s >= 0.0 else w + w * s / k
             return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
 
+        def column(ws: Iterable[float], signals: list[float]) -> tuple[float, ...]:
+            if any(map(lt, repeat(k + _DOMAIN_SLACK), map(abs, signals))):
+                for w, s in zip(ws, signals):
+                    value(w, s)  # raises at the first point outside the domain
+            return _clamp_column([w + (1.0 - w) * s / k if s >= 0.0 else w + w * s / k for w, s in zip(ws, signals)])
+
         def d_signal(w: float, s: float) -> float:
             return (1.0 - w) / k if s >= 0.0 else w / k
 
         def d_initial(w: float, s: float) -> float:
             return 1.0 - s / k if s >= 0.0 else 1.0 + s / k
 
-        return value, d_signal, d_initial
+        return value, d_signal, d_initial, column
 
     if isinstance(kind, EulerBased):
         # Past s ~ 709.78 exp(s) overflows; there the limits as s -> inf take
@@ -212,6 +238,12 @@ def _influence_functions(
                 return 1.0 if w > 0.0 else 0.0
             r = 1.0 - (1.0 - w * w) / den
             return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
+
+        def column(ws: Iterable[float], signals: list[float]) -> tuple[float, ...]:
+            try:
+                return _clamp_column([1.0 - (1.0 - w * w) / (1.0 + w * e) for w, e in zip(ws, map(math.exp, signals))])
+            except OverflowError:
+                return tuple(map(value, ws, signals))
 
         def d_signal(w: float, s: float) -> float:
             try:
@@ -231,7 +263,7 @@ def _influence_functions(
             den2 = den * den
             return 0.0 if den2 == math.inf else (2.0 * w * den + (1.0 - w * w) * e) / den2
 
-        return value, d_signal, d_initial
+        return value, d_signal, d_initial, column
 
     if isinstance(kind, PMax):
         p, k = kind.p, kind.k
@@ -267,6 +299,18 @@ def _influence_functions(
                 r = w
             return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
 
+        def column(ws: Iterable[float], signals: list[float]) -> tuple[float, ...]:
+            # h(x) for x > 0 and h(-x) for x < 0 are both h(|x|)
+            xs = [s / k for s in signals]
+            try:
+                xps = [abs(x) ** p for x in xs]
+            except OverflowError:
+                return tuple(map(value, ws, signals))
+            return _clamp_column([
+                w + (1.0 - w) * (xp / (1.0 + xp)) if x > 0.0 else w - w * (xp / (1.0 + xp)) if x < 0.0 else w
+                for w, x, xp in zip(ws, xs, xps)
+            ])
+
         def d_signal(w: float, s: float) -> float:
             if s >= 0.0:
                 return (1.0 - w) * h_prime(s / k) / k
@@ -277,7 +321,7 @@ def _influence_functions(
                 return 1.0 - h(s / k)
             return 1.0 - h(-s / k)
 
-        return value, d_signal, d_initial
+        return value, d_signal, d_initial, column
 
     raise TypeError(f"unknown influence {kind!r}")
 
@@ -288,6 +332,11 @@ def _influence_functions(
 # in ``mask``, or None when no parent is kept.
 # backprop(adjoint, out, atts, sups, scale): adds scale * d aggregate / d out[p]
 # to every parent's adjoint.
+# fold_column(out, columns, atts, sups, points): the aggregate over every
+# parent of a node with at least one, as a list of one value per point: a
+# parent with an entry in ``columns`` has one strength per point there, any
+# other keeps ``out[p]``.  Each parent is one pass over the points, in the
+# fold's order and with its operations, so each point's value is the fold's.
 
 
 def _fold_sum(out, atts, sups, mask):
@@ -302,6 +351,15 @@ def _fold_sum(out, atts, sups, mask):
             s -= out[p]
             kept = True
     return s if kept else None
+
+
+def _fold_sum_column(out, columns, atts, sups, points):
+    s = [0.0] * points
+    for p in sups:
+        s = list(map(add, s, columns[p] if p in columns else repeat(out[p])))
+    for p in atts:
+        s = list(map(sub, s, columns[p] if p in columns else repeat(out[p])))
+    return s
 
 
 def _backprop_sum(adjoint, out, atts, sups, scale):
@@ -324,6 +382,16 @@ def _fold_product(out, atts, sups, mask):
             ps *= 1.0 - out[p]
             kept = True
     return pa - ps if kept else None
+
+
+def _fold_product_column(out, columns, atts, sups, points):
+    pa = [1.0] * points
+    ps = [1.0] * points
+    for p in atts:
+        pa = list(map(mul, pa, map(sub, repeat(1.0), columns[p]) if p in columns else repeat(1.0 - out[p])))
+    for p in sups:
+        ps = list(map(mul, ps, map(sub, repeat(1.0), columns[p]) if p in columns else repeat(1.0 - out[p])))
+    return list(map(sub, pa, ps))
 
 
 def _backprop_product(adjoint, out, atts, sups, scale):
@@ -353,6 +421,17 @@ def _fold_top(out, atts, sups, mask):
     return ms - ma if kept else None
 
 
+def _fold_top_column(out, columns, atts, sups, points):
+    # the scalar fold's update, m = v if v > m, at every point
+    ms = [0.0] * points
+    ma = [0.0] * points
+    for p in sups:
+        ms = [v if v > m else m for m, v in zip(ms, columns[p] if p in columns else repeat(out[p]))]
+    for p in atts:
+        ma = [v if v > m else m for m, v in zip(ma, columns[p] if p in columns else repeat(out[p]))]
+    return list(map(sub, ms, ma))
+
+
 def _backprop_top(adjoint, out, atts, sups, scale):
     for parents, sign in ((sups, 1.0), (atts, -1.0)):
         if not parents:
@@ -368,9 +447,9 @@ def _backprop_top(adjoint, out, atts, sups, scale):
 
 
 _AGGREGATIONS = {
-    Aggregation.SUM: (_fold_sum, _backprop_sum),
-    Aggregation.PRODUCT: (_fold_product, _backprop_product),
-    Aggregation.TOP: (_fold_top, _backprop_top),
+    Aggregation.SUM: (_fold_sum, _backprop_sum, _fold_sum_column),
+    Aggregation.PRODUCT: (_fold_product, _backprop_product, _fold_product_column),
+    Aggregation.TOP: (_fold_top, _backprop_top, _fold_top_column),
 }
 
 
@@ -389,7 +468,10 @@ class _Compiled:
     without rebuilding graphs.
     """
 
-    __slots__ = ("graph", "n", "order", "attackers", "supporters", "tau", "fold", "backprop", "value", "d_signal", "d_initial")
+    __slots__ = (
+        "graph", "n", "order", "attackers", "supporters", "tau", "fold", "backprop", "fold_column",
+        "value", "d_signal", "d_initial", "value_column",
+    )
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
         self.graph = graph
@@ -398,8 +480,8 @@ class _Compiled:
         self.attackers = graph._attackers
         self.supporters = graph._supporters
         self.tau = graph._tau
-        self.fold, self.backprop = _AGGREGATIONS[semantics.aggregation]
-        self.value, self.d_signal, self.d_initial = _influence_functions(semantics.influence)
+        self.fold, self.backprop, self.fold_column = _AGGREGATIONS[semantics.aggregation]
+        self.value, self.d_signal, self.d_initial, self.value_column = _influence_functions(semantics.influence)
 
     def refold(self, out: list[float], nodes: Sequence[int], mask: int = -1) -> list[float]:
         """Re-fold ``nodes`` (in topological order) on ``out`` in place over
@@ -464,6 +546,20 @@ def gradient_of_topic(graph: QBAG, semantics: GradualSemantics, topic: str) -> G
     comp = _Compiled(graph, semantics)
     partials = comp.gradient(t, comp.strengths())
     return GradientVector(topic, {name: partials[i] for i, name in enumerate(graph.arguments)})
+
+
+def _always_defined(graph: QBAG, semantics: GradualSemantics) -> bool:
+    """Whether every kept subgraph of the graph is defined: strengths lie in
+    [0, 1], so an aggregate is within the larger of a node's attacker and
+    supporter counts under sum and within 1 under product and top, and only
+    a linear influence has a bounded domain."""
+    kind = semantics.influence
+    if not isinstance(kind, Linear):
+        return True
+    bound = kind.k + _DOMAIN_SLACK
+    if semantics.aggregation is not Aggregation.SUM:
+        return 1.0 <= bound
+    return all(len(a) <= bound and len(s) <= bound for a, s in zip(graph._attackers, graph._supporters))
 
 
 def kink_margin(graph: QBAG, semantics: GradualSemantics) -> float:

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the optimized code paths they check:
 Shapley values are recomputed from the coalition-sum definition with
 factorial weights over explicitly restricted graphs, and gradients are
-checked against finite differences of the plain evaluator.
+checked against finite differences of the plain evaluator.  The exact
+Shapley cells are also pinned bit for bit to the submask enumeration they
+replaced, kept here verbatim.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import pytest
 
 from qbag import QBAG, FuzzConfig, evaluate, random_qbag, restrict, with_initial_strength
+from qbag.contributions import _shapley_weights
 from qbag.semantics import PRESETS
 
 
@@ -39,6 +42,28 @@ def shapley_bruteforce(graph: QBAG, semantics, topic: str, contributor: str) -> 
             )[topic]
             total += weight * (with_x - without_x)
     return total
+
+
+def shapley_submask_sum(cache, t: int, x: int) -> float:
+    """One exact Shapley cell as the library computed it before its
+    coalition table: the removed sets run over the submasks of the other
+    arguments in increasing order, and each marginal reads two kept-set
+    vectors from ``cache.strengths``.  Any change of summation order moves
+    last digits, so the cells must equal this bit for bit."""
+    full = cache.full_mask
+    weights = _shapley_weights(len(cache.graph) - 1)
+    x_bit = 1 << x
+    others = full & ~(1 << t) & ~x_bit
+    total = 0.0
+    removed = 0
+    while True:
+        # removed runs over the submasks of others in increasing order
+        kept = full & ~removed
+        marginal = cache.strengths(kept)[t] - cache.strengths(kept & ~x_bit)[t]
+        total += weights[removed.bit_count()] * marginal
+        if removed == others:
+            return total
+        removed = (removed - others) & others
 
 
 def finite_difference_partials(graph: QBAG, semantics, h: float = 1e-6) -> dict[str, list[float]]:

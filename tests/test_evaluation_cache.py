@@ -6,6 +6,9 @@ pairwise ``strictly_closer`` definition.
 """
 
 import dataclasses
+import math
+import random
+import re
 import tracemalloc
 
 import pytest
@@ -38,12 +41,13 @@ from qbag import (
     strictly_closer,
     with_initial_strength,
 )
-from qbag.contributions import _shapley_exact, _shapley_weights
+from qbag.contributions import _UNSET, _shapley_exact, _shapley_weights
+from qbag.corpus import supporters_graph
 from qbag.graph import strictly_closer_pairs
 from qbag.principles import _first_contradictions
 from qbag.semantics import PRESETS, _Compiled
 
-from conftest import random_graphs, shapley_bruteforce, strength_vector
+from conftest import random_graphs, shapley_bruteforce, shapley_submask_sum, strength_vector
 
 METHODS = (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient())
 CONFIGS = (
@@ -51,6 +55,13 @@ CONFIGS = (
     CheckConfig(eq_tol=1e-4),
     CheckConfig(zero_tol=1e-6, eps_schedule=(1e-1, 1e-2), grid_points=11),
 )
+# A custom semantics whose aggregates leave the linear influence's domain on
+# many fuzz graphs and coalitions.
+LINEAR_HALF = GradualSemantics(Aggregation.SUM, Linear(0.5))
+
+
+def ancestor_count(g, topic):
+    return sum(reaches(g, a, g.arguments[topic]) for a in g.arguments if a != g.arguments[topic])
 
 
 def linked_pair(seed):
@@ -237,6 +248,146 @@ def test_one_scan_witnesses_equal_per_sign_scans():
     assert found == {(s, w) for s in (-1, 0, 1) for w in (True, False)}
 
 
+def test_sweep_columns_equal_point_by_point_perturbations():
+    # every argument's sweep columns, one per topic it reaches, against
+    # single perturbations; under sum + linear(0.5) some points are
+    # undefined, and a sweep raises the error of one of them, while
+    # sweep_column raises the first undefined grid point's error
+    points = 21
+    grid = [j / (points - 1) for j in range(points)]
+    values = grid + [0.37, 1e-5, 1.0 - 1e-5, 0.5]
+    failed = defined = 0
+    for g in random_graphs(seed=61, count=30, max_args=7):
+        n = len(g)
+        for semantics in (*PRESETS.values(), LINEAR_HALF):
+            cache = EvaluationCache(g, semantics)
+            try:
+                cache.strengths()
+            except DomainError:
+                continue
+            for x in range(n):
+                rows, errors = [], []
+                for value in values:
+                    try:
+                        rows.append(cache.strengths_perturbed(x, value))
+                    except DomainError as exc:
+                        rows.append(None)
+                        errors.append(str(exc))
+                reached = {t for t in range(n) if t == x or reaches(g, g.arguments[x], g.arguments[t])}
+                try:
+                    columns = cache._sweep_columns(x, values)
+                except DomainError as exc:
+                    assert str(exc) in errors, (g, semantics.label(), x)
+                    failed += 1
+                else:
+                    assert not errors and set(columns) == reached, (g, semantics.label(), x)
+                    for t in reached:
+                        assert columns[t] == tuple(row[t] for row in rows), (g, semantics.label(), x, t)
+                    defined += 1
+                # the grid points come first, so errors[0] is the first
+                # undefined grid point's, if there is one
+                for t in reached:
+                    if None in rows[:points]:
+                        with pytest.raises(DomainError) as swept:
+                            cache.sweep_column(x, t, points)
+                        assert str(swept.value) == errors[0]
+                    else:
+                        assert cache.sweep_column(x, t, points) == tuple(row[t] for row in rows[:points])
+    assert failed and defined
+
+
+# The contradiction scan as the library ran it before it settled signs by
+# the extremes of each side of tau, kept verbatim as the reference.
+_HIGHER_BELOW = (1, 2)
+_HIGHER_ABOVE = (1, 0)
+_EQUAL = (0, 2)
+
+
+def reference_contradictions(cache, t, base, x, points, eq_tol):
+    column = cache.sweep_column(x, t, points)
+    found = [None, None, None]
+    pending = 2 if max(column) - base <= eq_tol and min(column) - base >= -eq_tol else 3
+    base_tau = cache.graph._tau[x]
+    last = points - 1
+    for j, strength in enumerate(column):
+        eps = j / last
+        if abs(eps - base_tau) <= 1e-12:
+            continue
+        diff = strength - base
+        if diff > eq_tol:
+            bad = _HIGHER_BELOW if eps < base_tau else _HIGHER_ABOVE
+        elif diff < -eq_tol:
+            bad = _HIGHER_ABOVE if eps < base_tau else _HIGHER_BELOW
+        elif diff == diff:
+            bad = _EQUAL
+        else:
+            continue  # nan contradicts nothing
+        for k in bad:
+            if found[k] is None:
+                found[k] = {"epsilon": eps, "strength_diff": diff}
+                pending -= 1
+        if not pending:
+            break
+    return found
+
+
+class HandMadeSweep(EvaluationCache):
+    """x -> t, or x beside t, with one hand-made sweep column of t over x."""
+
+    def __init__(self, tau, column, linked=True):
+        supports = [("x", "t")] if linked else []
+        super().__init__(QBAG([("x", tau), ("t", 0.5)], supports=supports), QE)
+        self.column = tuple(column)
+
+    def sweep_column(self, index, topic, points):
+        assert len(self.column) == points
+        return self.column
+
+
+def test_first_contradictions_equal_the_reference_scan():
+    # fuzz pools: every (topic, contributor) pair, off the cone included
+    for seed in (31, 53):
+        for g in random_graphs(seed=seed, count=12, max_args=7):
+            for semantics in PRESETS.values():
+                cache = EvaluationCache(g, semantics)
+                base = cache.strengths()
+                for cfg in CONFIGS:
+                    cfg = cfg or CheckConfig()
+                    for t in range(len(g)):
+                        for x in range(len(g)):
+                            if x != t:
+                                args = (cache, t, base[t], x, cfg.grid_points, cfg.eq_tol)
+                                assert _first_contradictions(*args) == reference_contradictions(*args)
+    # hand-made columns: flat, nan, noise within and beyond eq_tol, and tau
+    # on a grid point, within 1e-12 of one, just beyond that, at 0 and at 1
+    rng = random.Random(5)
+    nan = math.nan
+    taus = (0.3, 0.3 + 5e-13, 0.3 - 5e-13, 0.3 + 3e-12, 0.0, 1.0, 1e-13, 1.0 - 1e-13, 0.55)
+    cases = 0
+    for points in (2, 3, 11, 101):
+        for eq_tol in (1e-9, 1e-4):
+            for base in (0.5, nan):
+                shapes = [
+                    [base] * points,
+                    [0.5 + (j - points / 2) * 1e-3 for j in range(points)],
+                    [0.5 - (j - points / 2) * 1e-3 for j in range(points)],
+                    [0.5 + abs(j - points / 2) * 1e-3 for j in range(points)],
+                    [0.5 + rng.uniform(-eq_tol, eq_tol) for _ in range(points)],
+                    [0.5 + rng.choice((0.0, eq_tol, -eq_tol, 2 * eq_tol, -2 * eq_tol, nan)) for _ in range(points)],
+                    [nan] + [0.5 + rng.uniform(-1e-3, 1e-3) for _ in range(points - 1)],
+                    [rng.choice((nan, 0.4, 0.5, 0.6)) for _ in range(points)],
+                ]
+                for tau in taus:
+                    for column in shapes:
+                        for linked in (True, False):
+                            cache = HandMadeSweep(tau, column if linked else [base] * points, linked)
+                            args = (cache, 1, base, 0, points, eq_tol)
+                            got, want = _first_contradictions(*args), reference_contradictions(*args)
+                            assert repr(got) == repr(want), (points, eq_tol, base, tau, column, linked)
+                            cases += 1
+    assert cases == 4 * 2 * 2 * 8 * len(taus) * 2
+
+
 def test_sweep_kernel_equals_per_point_full_passes():
     values = [j / 8 for j in range(9)]
     parentless = topic_itself = 0
@@ -321,6 +472,81 @@ def test_submask_shapley_equals_bit_by_bit_enumeration():
                     assert abs(got - shapley_bruteforce(g, semantics, topic, contributor)) <= 1e-12
 
 
+def test_exact_shapley_cells_equal_the_submask_enumeration():
+    # the coalition table must leave every cell bit-identical to the
+    # enumeration over kept-set vectors, summed in the same order
+    cells = 0
+    for g in random_graphs(seed=73, count=40, max_args=9):
+        for semantics in PRESETS.values():
+            cache, reference = EvaluationCache(g, semantics), EvaluationCache(g, semantics)
+            for t in range(len(g)):
+                for x in range(len(g)):
+                    if x != t and (cache.ancestors(t) >> x) & 1:
+                        assert cache.contribution(ShapleyExact(), t, x) == shapley_submask_sum(reference, t, x)
+                        cells += 1
+    assert cells > 1000
+
+
+@pytest.mark.slow
+def test_exact_shapley_cells_of_the_20_argument_supporters_graph():
+    # 19 ancestors: a table of 2^19 strengths, against 2^19 kept-set vectors
+    g = supporters_graph(19)
+    cache, reference = EvaluationCache(g, QE), EvaluationCache(g, QE)
+    for x in (1, 19):
+        assert cache.contribution(ShapleyExact(), 0, x) == shapley_submask_sum(reference, 0, x)
+
+
+def test_exact_shapley_enumerates_where_a_coalition_may_be_undefined():
+    # under sum + linear(0.5) a coalition's masked pass may fail at any
+    # argument, an ancestor of the topic or not: a cell fails with the first
+    # failing coalition's error, or equals the enumeration
+    failed = defined = 0
+    for g in random_graphs(seed=79, count=30, max_args=6):
+        cache, reference = EvaluationCache(g, LINEAR_HALF), EvaluationCache(g, LINEAR_HALF)
+        try:
+            cache.strengths()
+        except DomainError:
+            continue
+        for t in range(len(g)):
+            for x in range(len(g)):
+                if x == t or not (cache.ancestors(t) >> x) & 1:
+                    continue
+                try:
+                    want = shapley_submask_sum(reference, t, x)
+                except DomainError as exc:
+                    with pytest.raises(DomainError, match=re.escape(str(exc))):
+                        cache.contribution(ShapleyExact(), t, x)
+                    failed += 1
+                else:
+                    assert cache.contribution(ShapleyExact(), t, x) == want
+                    defined += 1
+    assert failed and defined
+
+
+def test_an_exact_shapley_column_holds_one_table_of_its_topic_ancestors():
+    # a 14-argument column reads a table of 2^m floats for the topic's m
+    # ancestors, dropped once the column is filled, plus lookup tables of at
+    # most 2^10 ranks and weights; it stores no kept-set vector (2^m of them
+    # took about 4 MB here)
+    fuzzed = next(g for g in random_graphs(seed=7, count=200, max_args=14) if len(g) == 14)
+    for g in (supporters_graph(13), fuzzed):
+        n = len(g)
+        t = max(range(n), key=lambda a: ancestor_count(g, a))
+        m = ancestor_count(g, t)
+        cache = EvaluationCache(g, QE)
+        cache.strengths()
+        x = next(a for a in range(n) if (cache.ancestors(t) >> a) & 1)
+        tracemalloc.start()
+        try:
+            cache.contribution(ShapleyExact(), t, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**m + 256_000, (m, peak)
+        assert set(cache._by_mask) == {cache.full_mask}
+        assert all(cell is not _UNSET for cell in cache.column(ShapleyExact(), t))
+
+
 def test_probe_columns_equal_single_perturbations():
     # position 2k holds tau + schedule[k], position 2k + 1 holds
     # tau - schedule[k]; None where the point leaves [0, 1]
@@ -369,6 +595,27 @@ def test_unread_undefined_probes_do_not_fail_a_check():
             with pytest.raises(DomainError) as read:
                 run_check(g, semantics, Removal(), principle, "d", cache=cache)
             assert str(read.value) == str(single.value)
+
+
+def test_quantitative_local_faithfulness_raises_where_the_probe_scan_did():
+    # y - x is d's aggregate, 0.5 at tau(x) = 0.5: every probe below tau(x)
+    # leaves the domain of linear(0.5), every probe above it does not.  The
+    # + direction is read first: a witness there ends the check without
+    # the error, and only a + direction without one reaches the error
+    g = QBAG([("x", 0.5), ("y", 1.0), ("d", 0.2)], attacks=[("x", "d")], supports=[("y", "d")])
+    cache = EvaluationCache(g, LINEAR_HALF)
+    with pytest.raises(DomainError) as single:
+        cache.strengths_perturbed(0, 0.5 - 1e-2)
+
+    def steep(graph, semantics, topic, contributor):
+        return 5.0
+
+    for _ in range(2):
+        report = run_check(g, LINEAR_HALF, steep, PrincipleId.QUANT_LOCAL_FAITHFULNESS, "d", cache=cache)
+        assert report.witness["contributor"] == "x" and report.witness["direction"] == 1.0
+        with pytest.raises(DomainError) as read:
+            run_check(g, LINEAR_HALF, Gradient(), PrincipleId.QUANT_LOCAL_FAITHFULNESS, "d", cache=cache)
+        assert str(read.value) == str(single.value)
 
 
 def test_local_faithfulness_checks_fill_no_single_perturbation(monkeypatch):
@@ -450,10 +697,11 @@ def test_cache_stores_stay_within_their_documented_bounds():
     grids = {cfg.grid_points for cfg in configs}
     schedules = {cfg.eps_schedule for cfg in configs}
     tables = {(cfg.grid_points, cfg.eq_tol) for cfg in configs}
+    permutations = 20
 
-    def one_pass(cache, g, semantics, configs, sampler):
+    def one_pass(cache, g, semantics, configs, methods):
         for principle in PrincipleId:
-            for method in METHODS + (sampler,):
+            for method in methods:
                 for topic in g.arguments:
                     for cfg in configs:
                         run_check(g, semantics, method, principle, topic, cfg, cache=cache)
@@ -463,8 +711,12 @@ def test_cache_stores_stay_within_their_documented_bounds():
         n = len(g)
         for semantics in PRESETS.values():
             cache = EvaluationCache(g, semantics)
-            one_pass(cache, g, semantics, CONFIGS, ShapleySampled(20, 3))
-            assert len(cache._by_mask) <= 2 ** n
+            # exact Shapley reads coalition tables, not kept-set vectors
+            one_pass(cache, g, semantics, CONFIGS, METHODS)
+            assert set(cache._by_mask) == {cache.full_mask}
+            one_pass(cache, g, semantics, CONFIGS, (ShapleySampled(permutations, 3),))
+            # each sampled cell adds at most two kept sets per permutation
+            assert len(cache._by_mask) <= min(2**n, 1 + 2 * permutations * n * (n - 1))
             for store in (cache._removed, cache._severed):
                 assert len(store) == n
                 for x, changed in enumerate(store):
@@ -474,12 +726,16 @@ def test_cache_stores_stay_within_their_documented_bounds():
             assert all(len(row) == n for row in cache._probes.values())
             assert len(cache._columns) <= len(METHODS) + 1
             assert all(len(columns) == n for columns in cache._columns.values())
-            assert len(cache.derived) <= 2 + len(tables)
+            # two visit orders, n x n contradictions per (grid_points, eq_tol)
+            # and n x n signed probes per eps schedule
+            assert len(cache.derived) <= 2 + len(tables) + len(schedules)
+            for key, rows in cache.derived.items():
+                assert len(rows) == n and all(row is None or len(row) <= n for row in rows), key
             tracemalloc.start()
             try:
                 before, _ = tracemalloc.get_traced_memory()
                 copies = tuple(None if cfg is None else dataclasses.replace(cfg) for cfg in CONFIGS)
-                one_pass(cache, g, semantics, copies, ShapleySampled(20, 3))
+                one_pass(cache, g, semantics, copies, METHODS + (ShapleySampled(permutations, 3),))
                 del copies
                 after, _ = tracemalloc.get_traced_memory()
             finally:
