@@ -34,13 +34,13 @@ memoized; use the seeded permutation sampler instead for big graphs.
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
 pair memoizes strength vectors per kept-set mask (the full graph and the
 sampled Shapley coalitions), the strengths that removing or severing each argument
-changes, grid sweeps per (argument, grid size) as one column per topic
-the argument reaches, faithfulness probes per (argument, eps schedule) as
-one column per topic, one lazily filled cell column per (built-in method,
+changes, perturbation sweeps per (argument, values), a strong-faithfulness
+grid or a faithfulness probe schedule, as one column per topic the
+argument reaches, one lazily filled cell column per (built-in method,
 topic), each topic's ancestors and strictly-closer pairs, and the plan of
-the last principle check.  The principle checkers read probe columns;
-single perturbations (:meth:`EvaluationCache.strengths_perturbed`) serve the
-corpus expectations and other callers and are not memoized.  A gradient
+the last principle check.  Single perturbations
+(:meth:`EvaluationCache.strengths_perturbed`) serve the corpus expectations,
+other callers and a sweep that fails, and are not memoized.  A gradient
 column is filled whole by one reverse pass over the memoized full-graph
 vector, and an exact Shapley column by one coalition table.  Removing,
 severing, perturbing or sweeping one argument re-folds only that argument's
@@ -56,7 +56,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .errors import DomainError, TooLarge, UnknownArgument
 from .graph import QBAG, ancestor_mask, descendant_cone, strictly_closer_pairs
@@ -196,17 +196,17 @@ class EvaluationCache:
     - ``_removed``, ``_severed``: per argument, the strengths of its
       descendants with it removed, or with its incoming edges severed, by
       descendant: at most n entries of at most n - 1 floats each.
-    - ``_sweeps``: one grid sweep per (argument, points), as one column of
-      points floats per topic the argument reaches.
-    - ``_probes``: per eps schedule, one row of n probe columns (two points
-      per radius) per argument.
+    - ``_sweeps``: one sweep per (argument, values), the values of a grid
+      or of the probe points of an eps schedule inside [0, 1], as one
+      column of a strength or an error per value for each topic the
+      argument reaches.
     - ``_columns``: n cell columns of n cells per built-in method (per
       instance for the seeded sampler).
     - ``_descendants``, ``_ancestors``, ``_closer_pairs``: one entry per
       argument or topic.
-    - ``derived``: the principle checkers' results: two visit orders per
+    - ``derived``: the principle checkers' tables: two visit orders per
       topic, n x n strong-faithfulness entries per (grid_points, eq_tol),
-      and n x n signed probe rows per eps schedule.
+      and n x n probe columns and signed probe rows per eps schedule.
     - ``plan``: one slot, the last principle check's resolved plan; a check
       with another (principle, method, configuration) replaces it.
 
@@ -229,8 +229,7 @@ class EvaluationCache:
         self._by_mask: dict[int, tuple[float, ...]] = {}
         self._removed: list[dict[int, float] | None] = [None] * len(graph)
         self._severed: list[dict[int, float] | None] = [None] * len(graph)
-        self._sweeps: dict[tuple[int, int], dict[int, tuple[float, ...]]] = {}
-        self._probes: dict[tuple[float, ...], list[list[tuple] | None]] = {}
+        self._sweeps: dict[tuple[int, tuple[float, ...]], dict[int, tuple]] = {}
         self._descendants: dict[int, tuple[int, ...]] = {}
         self._ancestors: dict[int, int] = {}
         self._closer_pairs: dict[int, list[tuple[int, int]]] = {}
@@ -277,24 +276,26 @@ class EvaluationCache:
         comp = self._comp
         return comp.fold(self.strengths(), comp.attackers[index], comp.supporters[index], -1)
 
-    def _sweep_columns(self, index: int, values: list[float]) -> dict[int, tuple[float, ...]]:
+    def _sweep_columns(self, index: int, values: Sequence[float]) -> dict[int, tuple[float, ...]]:
         """The final strength of argument ``index`` and of each of its
         descendants at every initial strength of ``index`` in ``values``, as
-        one column per reached topic.  Each node is folded once per column,
-        by the column forms of the aggregation and the influence: one pass
-        per parent in the scalar fold's order, a parent outside the cone
-        repeating its full-graph strength.  Every point thus runs the
-        scalar fold's operations in the same order, so the values are
-        identical to a point-by-point re-fold, and memory stays within
-        points x cone."""
+        one column per reached topic.  Each node's aggregates are folded
+        once per column, by the aggregation's column form: one pass per
+        parent in the scalar fold's order, a parent outside the cone
+        repeating its full-graph strength; the scalar influence then maps
+        each point's aggregate.  Every point thus runs the scalar fold's
+        operations in the same order, so the values are identical to a
+        point-by-point re-fold, and memory stays within points x cone."""
         comp = self._comp
-        fold_column, value_column, taus = comp.fold_column, comp.value_column, comp.tau
+        fold_column, value, taus = comp.fold_column, comp.value, comp.tau
         s = self._signal(index)
-        columns = {index: tuple(values) if s is None else value_column(values, [s] * len(values))}
+        # each column goes through a list: tuple(map(...)) guesses a length of
+        # 10 and shrinks, leaving a short column in a larger memory block
+        columns = {index: tuple(values) if s is None else tuple(list(map(value, values, repeat(s))))}
         out = self.strengths()
         for d in self._descendants_of(index):
             signals = fold_column(out, columns, comp.attackers[d], comp.supporters[d], len(values))
-            columns[d] = value_column(repeat(taus[d]), signals)
+            columns[d] = tuple(list(map(value, repeat(taus[d]), signals)))
         return columns
 
     def strengths_perturbed(self, index: int, value: float) -> tuple[float, ...]:
@@ -302,79 +303,45 @@ class EvaluationCache:
         s = self._signal(index)
         return tuple(self._refold_cone(index, value if s is None else self._comp.value(value, s)))
 
-    def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
-        """The topic's final strength as argument ``index``'s initial strength
-        takes the values j / (points - 1), j = 0 .. points - 1.  The sweep is
-        computed once per (argument, points), and only the columns of the
-        topics it reaches are kept; any other topic keeps its unmodified
-        strength.  An undefined point raises the error of the first
-        undefined point, as a point-by-point sweep would."""
-        if topic != index and not (self.ancestors(topic) >> index) & 1:
-            return (self.strengths()[topic],) * points
-        key = (index, points)
+    def sweep(self, index: int, values: tuple[float, ...]) -> dict[int, tuple]:
+        """The final strengths of argument ``index`` and of each of its
+        descendants as its initial strength takes each of ``values``, as one
+        column per reached topic, computed once per (argument, values).  If
+        the sweep raises :class:`DomainError`, each point is evaluated on
+        its own and a failing point holds its error in every column, for
+        the reader to raise."""
+        key = (index, values)
         columns = self._sweeps.get(key)
         if columns is None:
-            last = points - 1
-            values = [j / last for j in range(points)]
             try:
-                columns = self._sweeps[key] = self._sweep_columns(index, values)
+                columns = self._sweep_columns(index, values)
             except DomainError:
+                rows = []
                 for v in values:
-                    self.strengths_perturbed(index, v)
-                raise
-        return columns[topic]
+                    try:
+                        rows.append(self.strengths_perturbed(index, v))
+                    except DomainError as exc:
+                        rows.append(exc.with_traceback(None))
+                reached = (index, *self._descendants_of(index))
+                columns = {t: tuple([r if r.__class__ is DomainError else r[t] for r in rows]) for t in reached}
+            self._sweeps[key] = columns
+        return columns
 
-    def probe_table(self, schedule: tuple[float, ...]) -> list[list[tuple] | None]:
-        """The probe columns of one eps schedule, indexed [argument][topic];
-        an argument's entry is None until :meth:`probe_column` fills it."""
-        table = self._probes.get(schedule)
-        if table is None:
-            table = self._probes[schedule] = [None] * self._comp.n
-        return table
-
-    def probe_column(self, index: int, topic: int, schedule: tuple[float, ...]) -> tuple:
-        """The topic's final strength at every faithfulness probe point of
-        argument ``index``'s initial strength tau: position 2k holds the
-        point tau + schedule[k] and position 2k + 1 holds tau - schedule[k].
-        A point outside [0, 1] is None and is not evaluated.  All points of
-        one (argument, schedule) are computed by one sweep for every topic.
-        If that sweep raises :class:`DomainError`, each point is evaluated on
-        its own and a failing point holds its exception, for the reader to
-        raise: a probe that is never read must not fail the check."""
-        table = self.probe_table(schedule)
-        columns = table[index]
-        if columns is None:
-            columns = table[index] = self._probe_columns(index, schedule)
-        return columns[topic]
-
-    def _probe_columns(self, index: int, schedule: tuple[float, ...]) -> list[tuple]:
-        n = self._comp.n
-        tau = self._comp.tau[index]
-        points = [p for d in schedule for p in (tau + d, tau - d)]
-        at = [k for k, p in enumerate(points) if 0.0 <= p <= 1.0]
-        inside = [points[k] for k in at]
-        try:
-            reached = self._sweep_columns(index, inside)
-        except DomainError:
-            rows = []
-            for p in inside:
-                try:
-                    rows.append(self.strengths_perturbed(index, p))
-                except DomainError as exc:
-                    rows.append((exc.with_traceback(None),) * n)
-            columns = [tuple([row[t] for row in rows]) for t in range(n)]
-        else:
-            base = self.strengths()
-            columns = [reached[t] if t in reached else (base[t],) * len(inside) for t in range(n)]
-        if len(at) == len(points):
-            return columns
-        padded = []
-        for column in columns:
-            row = [None] * len(points)
-            for k, strength in zip(at, column):
-                row[k] = strength
-            padded.append(tuple(row))
-        return padded
+    def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
+        """The topic's final strength as argument ``index``'s initial strength
+        takes the values j / (points - 1), j = 0 .. points - 1, from
+        :meth:`sweep`.  A topic the argument does not reach keeps its
+        unmodified strength, and nothing is evaluated for it.  An undefined
+        point raises the error of the first undefined point, as a
+        point-by-point sweep would."""
+        if topic != index and not (self.ancestors(topic) >> index) & 1:
+            return (self.strengths()[topic],) * points
+        last = points - 1
+        column = self.sweep(index, tuple([j / last for j in range(points)]))[topic]
+        for strength in column:
+            if strength.__class__ is DomainError:
+                raise strength.with_traceback(None)
+        return column
 
     def ancestors(self, topic: int) -> int:
         """Bitmask of the arguments with a directed path to the topic."""

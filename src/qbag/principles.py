@@ -252,8 +252,46 @@ _LF_NOTE = (
 )
 
 
+def _table(cache, key):
+    """The checker table ``cache.derived[key]``, n entries that start as None."""
+    table = cache.derived.get(key)
+    if table is None:
+        table = cache.derived[key] = [None] * len(cache.graph)
+    return table
+
+
 def _probe_table(cache, cfg):
-    return cache.probe_table(cfg.eps_schedule)
+    return _table(cache, ("local-faithfulness", cfg.eps_schedule))
+
+
+def _probe_row(cache, cfg, x):
+    """x's entry of the probe table: per topic, its final strength at every
+    faithfulness probe point of x's initial strength tau, where position 2k
+    holds tau + eps_schedule[k] and position 2k + 1 holds tau -
+    eps_schedule[k].  The points inside [0, 1] come from one
+    :meth:`EvaluationCache.sweep`, and a point outside is None.  An
+    undefined point holds its error, for the reader to raise: a probe that
+    is never read must not fail the check.  A topic x does not reach keeps
+    its strength at the defined points."""
+    table = _probe_table(cache, cfg)
+    row = table[x]
+    if row is None:
+        tau = _initial(cache, x)
+        points = [p for d in cfg.eps_schedule for p in (tau + d, tau - d)]
+        at = [k for k, p in enumerate(points) if 0.0 <= p <= 1.0]
+        columns = cache.sweep(x, tuple([points[k] for k in at]))
+        own = columns[x]
+        base = cache.strengths()
+        row = table[x] = []
+        for t in range(len(base)):
+            column = columns.get(t)
+            if column is None:
+                column = [p if p.__class__ is DomainError else base[t] for p in own]
+            padded = [None] * len(points)
+            for k, strength in zip(at, column):
+                padded[k] = strength
+            row.append(tuple(padded))
+    return row
 
 
 def _local_faithfulness(cache, plan, t, base, x, c):
@@ -269,7 +307,7 @@ def _local_faithfulness(cache, plan, t, base, x, c):
         return None
     schedule = plan.cfg.eps_schedule
     columns = plan.table[x]
-    column = cache.probe_column(x, t, schedule) if columns is None else columns[t]
+    column = (_probe_row(cache, plan.cfg, x) if columns is None else columns)[t]
     base_tau = _initial(cache, x)
     probed = False
     probes = []
@@ -308,7 +346,7 @@ def _quant_local_faithfulness(cache, plan, t, base, x, c):
     contributor's initial strength."""
     row = plan.table[x]
     if row is None:
-        row = plan.table[x] = _signed_probes(cache, x, plan.cfg.eps_schedule)
+        row = plan.table[x] = _signed_probes(cache, plan.cfg, x)
     for direction, steps, strengths, error in row[t]:
         if error is not None:
             raise error.with_traceback(None)
@@ -325,13 +363,14 @@ def _quant_local_faithfulness(cache, plan, t, base, x, c):
     return None
 
 
-def _signed_probes(cache, x, schedule):
+def _signed_probes(cache, cfg, x):
     """Per topic, per direction + then -: (direction, the signed steps eps
     and the topic's strengths at the probes tau(x) + eps inside [0, 1] that
     precede the direction's first undefined probe, and that probe's error or
-    None).  Which probes leave [0, 1] or are undefined does not depend on
-    the topic."""
-    columns = [cache.probe_column(x, t, schedule) for t in range(len(cache.graph))]
+    None), read from :func:`_probe_row`.  Which probes leave [0, 1] or
+    are undefined does not depend on the topic."""
+    schedule = cfg.eps_schedule
+    columns = _probe_row(cache, cfg, x)
     first = columns[0]
     directions = []
     for direction, start in ((1.0, 0), (-1.0, 1)):
@@ -351,19 +390,11 @@ def _signed_probes(cache, x, schedule):
 
 
 def _signed_probe_table(cache, cfg):
-    key = ("quantitative-local-faithfulness", cfg.eps_schedule)
-    table = cache.derived.get(key)
-    if table is None:
-        table = cache.derived[key] = [None] * len(cache.graph)
-    return table
+    return _table(cache, ("quantitative-local-faithfulness", cfg.eps_schedule))
 
 
 def _contradiction_table(cache, cfg):
-    key = ("strong-faithfulness", cfg.grid_points, cfg.eq_tol)
-    table = cache.derived.get(key)
-    if table is None:
-        table = cache.derived[key] = [None] * len(cache.graph)
-    return table
+    return _table(cache, ("strong-faithfulness", cfg.grid_points, cfg.eq_tol))
 
 
 def _strong_faithfulness(cache, plan, t, base, x, c):
@@ -485,11 +516,7 @@ class _Plan:
         self.principle = principle
         self.cfg = cfg
         self.semantics = semantics
-        key = "visit-non-ancestors" if non_ancestors_only else "visit-others"
-        orders = cache.derived.get(key)
-        if orders is None:
-            orders = cache.derived[key] = [None] * len(cache.graph)
-        self.orders = orders
+        self.orders = _table(cache, "visit-non-ancestors" if non_ancestors_only else "visit-others")
         self.non_ancestors_only = non_ancestors_only
         self.rule = rule
         self.test = test

@@ -17,11 +17,11 @@ Each aggregation is written once, as a (fold, backprop, column fold) triple
 in ``_AGGREGATIONS``: the fold computes the aggregate over an argument's kept
 parents, the backprop spreads an adjoint over its parents, and the column
 fold computes the aggregate at many points at once, by one pass per parent
-in the fold's parent order.  The forward pass, the reverse pass,
-the sweeps and :func:`aggregate` all use that one table, just as every use
-of an influence goes through ``_influence_functions``, whose column form
-sits next to its scalar form.  A column form performs each point's
-operations in the scalar form's order, so its values are bit-identical.
+in the fold's parent order, so each point's value is the fold's bit for bit.
+The forward pass, the reverse pass, the sweeps and :func:`aggregate` all use
+that one table, just as every use of an influence goes through the one
+(value, d/d-aggregate, d/d-initial) triple of ``_influence_functions``; a
+sweep maps the scalar value over each point's aggregate.
 
 Influences (initial strength ``w``, aggregate ``s``):
 
@@ -52,8 +52,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import add, lt, mul, sub
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from operator import add, mul, sub
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, UnknownArgument
 from .graph import QBAG
@@ -182,25 +182,10 @@ def influence(kind: Influence, initial: float, signal: float) -> float:
     return _influence_functions(kind)[0](initial, signal)
 
 
-def _clamp_column(rs: Iterable[float]) -> tuple[float, ...]:
-    """The scalar influences' clamp, ``0.0 if r < 0.0 else 1.0 if r > 1.0
-    else r``, at every point: -0.0 and nan pass through as they do there."""
-    return tuple([0.0 if r < 0.0 else 1.0 if r > 1.0 else r for r in rs])
-
-
 def _influence_functions(
     kind: Influence,
-) -> tuple[
-    Callable[[float, float], float],
-    Callable[[float, float], float],
-    Callable[[float, float], float],
-    Callable[[Iterable[float], list[float]], tuple[float, ...]],
-]:
-    """(value, d/d-aggregate, d/d-initial, value column) closures for one
-    influence.  The value column maps initial strengths ``ws`` (a repeat for
-    one argument) and a list of aggregates to the value at each point; it
-    raises the first failing point's :class:`DomainError`, and where ``exp``
-    or ``x**p`` overflows it falls back to the scalar value point by point."""
+) -> tuple[Callable[[float, float], float], Callable[[float, float], float], Callable[[float, float], float]]:
+    """(value, d/d-aggregate, d/d-initial) closures for one influence."""
     if isinstance(kind, Linear):
         k = kind.k
 
@@ -210,19 +195,13 @@ def _influence_functions(
             r = w + (1.0 - w) * s / k if s >= 0.0 else w + w * s / k
             return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
 
-        def column(ws: Iterable[float], signals: list[float]) -> tuple[float, ...]:
-            if any(map(lt, repeat(k + _DOMAIN_SLACK), map(abs, signals))):
-                for w, s in zip(ws, signals):
-                    value(w, s)  # raises at the first point outside the domain
-            return _clamp_column([w + (1.0 - w) * s / k if s >= 0.0 else w + w * s / k for w, s in zip(ws, signals)])
-
         def d_signal(w: float, s: float) -> float:
             return (1.0 - w) / k if s >= 0.0 else w / k
 
         def d_initial(w: float, s: float) -> float:
             return 1.0 - s / k if s >= 0.0 else 1.0 + s / k
 
-        return value, d_signal, d_initial, column
+        return value, d_signal, d_initial
 
     if isinstance(kind, EulerBased):
         # Past s ~ 709.78 exp(s) overflows; there the limits as s -> inf take
@@ -238,12 +217,6 @@ def _influence_functions(
                 return 1.0 if w > 0.0 else 0.0
             r = 1.0 - (1.0 - w * w) / den
             return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
-
-        def column(ws: Iterable[float], signals: list[float]) -> tuple[float, ...]:
-            try:
-                return _clamp_column([1.0 - (1.0 - w * w) / (1.0 + w * e) for w, e in zip(ws, map(math.exp, signals))])
-            except OverflowError:
-                return tuple(map(value, ws, signals))
 
         def d_signal(w: float, s: float) -> float:
             try:
@@ -263,7 +236,7 @@ def _influence_functions(
             den2 = den * den
             return 0.0 if den2 == math.inf else (2.0 * w * den + (1.0 - w * w) * e) / den2
 
-        return value, d_signal, d_initial, column
+        return value, d_signal, d_initial
 
     if isinstance(kind, PMax):
         p, k = kind.p, kind.k
@@ -299,18 +272,6 @@ def _influence_functions(
                 r = w
             return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
 
-        def column(ws: Iterable[float], signals: list[float]) -> tuple[float, ...]:
-            # h(x) for x > 0 and h(-x) for x < 0 are both h(|x|)
-            xs = [s / k for s in signals]
-            try:
-                xps = [abs(x) ** p for x in xs]
-            except OverflowError:
-                return tuple(map(value, ws, signals))
-            return _clamp_column([
-                w + (1.0 - w) * (xp / (1.0 + xp)) if x > 0.0 else w - w * (xp / (1.0 + xp)) if x < 0.0 else w
-                for w, x, xp in zip(ws, xs, xps)
-            ])
-
         def d_signal(w: float, s: float) -> float:
             if s >= 0.0:
                 return (1.0 - w) * h_prime(s / k) / k
@@ -321,7 +282,7 @@ def _influence_functions(
                 return 1.0 - h(s / k)
             return 1.0 - h(-s / k)
 
-        return value, d_signal, d_initial, column
+        return value, d_signal, d_initial
 
     raise TypeError(f"unknown influence {kind!r}")
 
@@ -470,7 +431,7 @@ class _Compiled:
 
     __slots__ = (
         "graph", "n", "order", "attackers", "supporters", "tau", "fold", "backprop", "fold_column",
-        "value", "d_signal", "d_initial", "value_column",
+        "value", "d_signal", "d_initial",
     )
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
@@ -481,7 +442,7 @@ class _Compiled:
         self.supporters = graph._supporters
         self.tau = graph._tau
         self.fold, self.backprop, self.fold_column = _AGGREGATIONS[semantics.aggregation]
-        self.value, self.d_signal, self.d_initial, self.value_column = _influence_functions(semantics.influence)
+        self.value, self.d_signal, self.d_initial = _influence_functions(semantics.influence)
 
     def refold(self, out: list[float], nodes: Sequence[int], mask: int = -1) -> list[float]:
         """Re-fold ``nodes`` (in topological order) on ``out`` in place over
@@ -549,17 +510,30 @@ def gradient_of_topic(graph: QBAG, semantics: GradualSemantics, topic: str) -> G
 
 
 def _always_defined(graph: QBAG, semantics: GradualSemantics) -> bool:
-    """Whether every kept subgraph of the graph is defined: strengths lie in
-    [0, 1], so an aggregate is within the larger of a node's attacker and
-    supporter counts under sum and within 1 under product and top, and only
-    a linear influence has a bounded domain."""
+    """Whether every kept subgraph of the graph is defined: only a linear
+    influence has a bounded domain, and strengths lie in [0, 1], so an
+    aggregate lies within 1 under product and top.  Under sum, a node's
+    aggregate is its kept supporters' sum minus its kept attackers' sum, so
+    it lies within the larger of the two sides' bounds: the sum, in the
+    fold's parent order, of tau for a parent with no parents (its strength
+    in every kept set that contains it) and of 1.0 for any other.  This is
+    sound in floats because rounding is monotone: in a fixed order, a float
+    sum over part of a list of nonnegative terms never exceeds the sum over
+    all of them, nor over larger terms."""
     kind = semantics.influence
     if not isinstance(kind, Linear):
         return True
-    bound = kind.k + _DOMAIN_SLACK
+    limit = kind.k + _DOMAIN_SLACK
     if semantics.aggregation is not Aggregation.SUM:
-        return 1.0 <= bound
-    return all(len(a) <= bound and len(s) <= bound for a, s in zip(graph._attackers, graph._supporters))
+        return 1.0 <= limit
+    bounds = [1.0 if a or s else tau for a, s, tau in zip(graph._attackers, graph._supporters, graph._tau)]
+    for side in (*graph._attackers, *graph._supporters):
+        total = 0.0
+        for p in side:
+            total += bounds[p]
+        if total > limit:
+            return False
+    return True
 
 
 def kink_margin(graph: QBAG, semantics: GradualSemantics) -> float:

@@ -10,6 +10,7 @@ import math
 import random
 import re
 import tracemalloc
+import traceback
 
 import pytest
 
@@ -44,8 +45,8 @@ from qbag import (
 from qbag.contributions import _UNSET, _shapley_exact, _shapley_weights
 from qbag.corpus import supporters_graph
 from qbag.graph import strictly_closer_pairs
-from qbag.principles import _first_contradictions
-from qbag.semantics import PRESETS, _Compiled
+from qbag.principles import _first_contradictions, _probe_row
+from qbag.semantics import PRESETS, _always_defined, _Compiled
 
 from conftest import random_graphs, shapley_bruteforce, shapley_submask_sum, strength_vector
 
@@ -559,7 +560,7 @@ def test_probe_columns_equal_single_perturbations():
                     h = with_initial_strength(g, name, tau)
                     cache = EvaluationCache(h, semantics)
                     for t in range(len(h)):
-                        column = cache.probe_column(x, t, cfg.eps_schedule)
+                        column = _probe_row(cache, cfg, x)[t]
                         points = [p for d in cfg.eps_schedule for p in (tau + d, tau + (-1.0 * d))]
                         assert len(column) == len(points)
                         for p, strength in zip(points, column):
@@ -587,7 +588,7 @@ def test_unread_undefined_probes_do_not_fail_a_check():
     coarse = CheckConfig(eq_tol=1e-2)
     report = run_check(g, semantics, Removal(), PrincipleId.LOCAL_FAITHFULNESS, "d", coarse, cache=cache)
     assert report.satisfied and report.witness == {}
-    assert cache.probe_column(0, 1, coarse.eps_schedule)[1] == cache.strengths_perturbed(0, 0.5 - 1e-2)[1]
+    assert _probe_row(cache, coarse, 0)[1][1] == cache.strengths_perturbed(0, 0.5 - 1e-2)[1]
     # a check that reads an undefined probe fails with the error of that
     # probe's own evaluation, every time it reads it
     for principle in (PrincipleId.LOCAL_FAITHFULNESS, PrincipleId.QUANT_LOCAL_FAITHFULNESS):
@@ -630,7 +631,7 @@ def test_local_faithfulness_checks_fill_no_single_perturbation(monkeypatch):
                 for method in METHODS:
                     for topic in g.arguments:
                         run_check(g, semantics, method, principle, topic, cache=cache)
-            assert cache._probes
+            assert cache._sweeps
 
 
 def test_a_long_sweep_holds_points_times_cone():
@@ -721,14 +722,21 @@ def test_cache_stores_stay_within_their_documented_bounds():
                 assert len(store) == n
                 for x, changed in enumerate(store):
                     assert changed is None or set(changed) == set(cache._descendants_of(x))
-            assert set(cache._sweeps) <= {(x, p) for x in range(n) for p in grids}
-            assert set(cache._probes) <= schedules
-            assert all(len(row) == n for row in cache._probes.values())
+            # one sweep per (argument, grid or in-range probe points), with
+            # one column per topic the argument reaches
+            allowed = {(x, tuple(j / (p - 1) for j in range(p))) for x in range(n) for p in grids}
+            for x, tau in enumerate(g._tau):
+                for schedule in schedules:
+                    points = [p for d in schedule for p in (tau + d, tau - d)]
+                    allowed.add((x, tuple([p for p in points if 0.0 <= p <= 1.0])))
+            assert set(cache._sweeps) <= allowed
+            for (x, _), columns in cache._sweeps.items():
+                assert set(columns) == {x, *cache._descendants_of(x)}
             assert len(cache._columns) <= len(METHODS) + 1
             assert all(len(columns) == n for columns in cache._columns.values())
-            # two visit orders, n x n contradictions per (grid_points, eq_tol)
-            # and n x n signed probes per eps schedule
-            assert len(cache.derived) <= 2 + len(tables) + len(schedules)
+            # two visit orders, n x n contradictions per (grid_points, eq_tol),
+            # and n x n probe columns and signed probes per eps schedule
+            assert len(cache.derived) <= 2 + len(tables) + 2 * len(schedules)
             for key, rows in cache.derived.items():
                 assert len(rows) == n and all(row is None or len(row) <= n for row in rows), key
             tracemalloc.start()
@@ -742,3 +750,79 @@ def test_cache_stores_stay_within_their_documented_bounds():
                 tracemalloc.stop()
             grown.append(after - before)
     assert max(grown) < 4096, grown
+
+
+def test_a_failing_grid_sweep_is_computed_once(monkeypatch):
+    # d's aggregate tau(x) + 0.1 leaves [-0.5, 0.5] from grid point 0.41 on:
+    # the first check sweeps x once, evaluates each grid point once and
+    # keeps the errors; the later checks raise the stored error
+    g = QBAG([("x", 0.3), ("y", 0.1), ("d", 0.1)], [], [("x", "d"), ("y", "d")])
+    calls = {"_sweep_columns": 0, "strengths_perturbed": 0}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _method=getattr(EvaluationCache, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(EvaluationCache, name, counted)
+    cache = EvaluationCache(g, LINEAR_HALF)
+    message = "linear influence domain is [-0.5, 0.5], got aggregate 0.51"
+    depths = []
+    for _ in range(5):
+        with pytest.raises(DomainError, match=re.escape(message)) as read:
+            run_check(g, LINEAR_HALF, Removal(), PrincipleId.STRONG_FAITHFULNESS, "d", cache=cache)
+        depths.append(len(traceback.extract_tb(read.value.__traceback__)))
+    assert calls == {"_sweep_columns": 1, "strengths_perturbed": 101}
+    # a stored error is raised without the tracebacks of its earlier raises
+    assert len(set(depths)) == 1, depths
+
+
+def test_unreached_topics_read_base_grids_but_failing_probes():
+    # x supports d, and u stands alone; every probe above tau(x) = 0.5 lifts
+    # d's aggregate out of [-0.5, 0.5].  A grid sweep of x gives the topic u,
+    # which x does not reach, its base strength at every point without
+    # evaluating anything; a probe column of u holds the perturbed graph's
+    # error at each undefined point, as the whole graph is undefined there
+    g = QBAG([("x", 0.5), ("d", 0.2), ("u", 0.3)], [], [("x", "d")])
+
+    def steep(graph, semantics, topic, contributor):
+        return 5.0 if contributor == "x" else 0.0
+
+    cache = EvaluationCache(g, LINEAR_HALF)
+    for principle in (PrincipleId.LOCAL_FAITHFULNESS, PrincipleId.QUANT_LOCAL_FAITHFULNESS):
+        for _ in range(2):
+            with pytest.raises(DomainError, match=re.escape("got aggregate 0.51")):
+                run_check(g, LINEAR_HALF, steep, principle, "u", cache=cache)
+    report = run_check(g, LINEAR_HALF, steep, PrincipleId.STRONG_FAITHFULNESS, "u", cache=cache)
+    assert report.witness == {"contributor": "x", "contribution": 5.0, "epsilon": 0.0, "strength_diff": 0.0}
+
+
+def fan(k, supporter_strength, attackers=()):
+    """15 supporters of one topic under sum + linear(k), plus ``attackers``
+    as (name, strength) pairs listed right after the topic."""
+    supporters = [(f"b{i}", supporter_strength) for i in range(15)]
+    g = QBAG([("t", 0.5), *attackers, *supporters], [(a, "t") for a, _ in attackers], [(b, "t") for b, _ in supporters])
+    return g, GradualSemantics(Aggregation.SUM, Linear(k))
+
+
+def test_a_sum_bounded_by_its_parents_strengths_fills_the_coalition_table():
+    # 15 supporters of 0.05 never lift the topic's aggregate above 0.75, so
+    # under linear(1) no coalition is undefined whatever the in-degree: the
+    # column comes from the coalition table, storing no kept-set vector
+    g, semantics = fan(1.0, 0.05)
+    assert _always_defined(g, semantics)
+    cache, reference = EvaluationCache(g, semantics), EvaluationCache(g, semantics)
+    column = [cache.contribution(ShapleyExact(), 0, x) for x in range(len(g))]
+    assert column == [UNDEFINED] + [shapley_submask_sum(reference, 0, x) for x in range(1, len(g))]
+    assert set(cache._by_mask) == {cache.full_mask}
+    # with an attacker of 0.05 the full graph's aggregate is 0.7, but the
+    # supporters alone reach 0.75, just over linear(0.7499)'s domain: the
+    # cell still enumerates, and fails at the coalition without the attacker
+    g, semantics = fan(0.7499, 0.05, [("a", 0.05)])
+    assert not _always_defined(g, semantics)
+    cache = EvaluationCache(g, semantics)
+    with pytest.raises(DomainError) as want:
+        shapley_submask_sum(EvaluationCache(g, semantics), 0, 2)
+    with pytest.raises(DomainError, match=re.escape(str(want.value))):
+        cache.contribution(ShapleyExact(), 0, 2)
+    assert set(cache._by_mask) > {cache.full_mask}

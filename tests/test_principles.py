@@ -5,14 +5,18 @@ import math
 import pytest
 
 from qbag import (
+    Aggregation,
     CheckConfig,
     DFQUAD,
+    DomainError,
     EB,
     EBT,
     EvaluationCache,
     FuzzConfig,
     Gradient,
+    GradualSemantics,
     IntrinsicRemoval,
+    Linear,
     PrincipleId,
     PrincipleReport,
     QBAG,
@@ -547,6 +551,53 @@ def test_witness_digest_on_a_fixed_fuzz_pool(fixed_pool_reports):
     assert digest.hexdigest() == _POOL_DIGEST
 
 
+# sha256 over one line per perturbation-based check on the first 60 trials of
+# the seed-1 fuzz recipe with max_args=6, under sum, product and top with
+# linear(0.5), linear(1.0) and linear(1.5), one shared cache per (graph,
+# semantics): the report's repr, or the DomainError a check raises.  Sweeps
+# and probes leave the linear domain here, so this pins where each check
+# raises and with which message, which the preset pool never reaches.
+_ERROR_PATH_DIGEST = "7ae32de35f06c0ea4068191ee14d16c234bf7dae76fc58f94cca3f0144dc85d9"
+
+
+def test_error_path_digest_on_linear_semantics():
+    def ones(graph, semantics, topic, contributor):
+        return 1.0
+
+    config = FuzzConfig(seed=1, trials=60, max_args=6)
+    principles = (
+        PrincipleId.STRONG_FAITHFULNESS,
+        PrincipleId.LOCAL_FAITHFULNESS,
+        PrincipleId.QUANT_LOCAL_FAITHFULNESS,
+    )
+    methods = (*_POOL_METHODS.values(), ones)
+    semantics = [GradualSemantics(kind, Linear(k)) for kind in Aggregation for k in (0.5, 1.0, 1.5)]
+    digest = hashlib.sha256()
+    pairs = checks = 0
+    errors = dict.fromkeys(principles, 0)
+    for trial in range(config.trials):
+        g = random_qbag(config, trial)
+        for sem in semantics:
+            cache = EvaluationCache(g, sem)
+            try:
+                cache.strengths()
+            except DomainError:
+                continue  # undefined at its operating point
+            pairs += 1
+            for principle in principles:
+                for method in methods:
+                    for topic in g.arguments:
+                        checks += 1
+                        try:
+                            line = repr(run_check(g, sem, method, principle, topic, cache=cache))
+                        except DomainError as exc:
+                            line = f"DomainError: {exc}"
+                            errors[principle] += 1
+                        digest.update(line.encode() + b"\n")
+    assert (pairs, checks, tuple(errors.values())) == (427, 25_260, (525, 190, 182))
+    assert digest.hexdigest() == _ERROR_PATH_DIGEST
+
+
 class TestPlanResolution:
     """A check resolves its (principle, method, cfg, semantics) once into
     the cache's plan slot.  On one shared cache, every report must
@@ -676,7 +727,7 @@ class TestPlanResolution:
                 cache = EvaluationCache(g, semantics)
                 first = every_check(g, semantics, cache)
                 with monkeypatch.context() as patch:
-                    for name in ("column", "cell", "sweep_column", "probe_column", "strengths_perturbed"):
+                    for name in ("column", "cell", "sweep", "sweep_column", "strengths_perturbed"):
                         patch.setattr(EvaluationCache, name, None)
                     patch.setattr(EvaluationCache, "columns", counted)
                     resolved.clear()
