@@ -20,16 +20,16 @@ The gradient is total and gives the self-contribution a meaning.
 Exact Shapley fills a topic's whole column at once.  The topic's strength
 depends only on which of its m ancestors are kept, so one walk over the
 subsets of the ancestors in Gray-code order, each step re-folding one
-ancestor's cone, tabulates it in 2^m floats; every cell then sums the
-marginals over the submasks of the other arguments in increasing order,
-read from that table.  An argument with no directed path to the topic is a
-null player: every marginal of it is exactly 0.0, so its Shapley value is
-0.0 without enumeration.  Under a semantics where some coalition may be
-undefined (a linear influence whose domain an aggregate can leave), a cell
-instead enumerates full kept-set passes, which fail exactly where such a
-pass does.  Enumeration beyond ``ShapleyExact.cap`` arguments (default 20)
-raises :class:`TooLarge`, on every call whether or not the cell is
-memoized; use the seeded permutation sampler instead for big graphs.
+ancestor's cone, tabulates it in 2^m floats.  Any other argument is a null
+player, whose Shapley value is 0.0, and each ancestor's value is its value
+in the m-player game over the ancestors: an exactly rounded sum of 2^(m-1)
+weighted marginals read from that table.  Under a semantics where some
+coalition may be undefined (a linear influence whose domain an aggregate
+can leave), a scan of full kept-set passes first raises the error of the
+first one that fails, as the enumeration over all other arguments would.
+Enumeration beyond ``ShapleyExact.cap`` arguments (default 20) raises
+:class:`TooLarge`, on every call whether or not the cell is memoized; use
+the seeded permutation sampler instead for big graphs.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
 pair memoizes strength vectors per kept-set mask (the full graph and the
@@ -55,7 +55,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from math import fsum
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .errors import DomainError, TooLarge, UnknownArgument
@@ -192,7 +193,8 @@ class EvaluationCache:
     - ``_by_mask``: final-strength vectors by kept-set bitmask: the full
       graph, the coalitions the Shapley sampler visits (at most two per
       permutation of each sampled cell), and, only under a semantics where
-      a coalition may be undefined, those exact Shapley visits: at most 2^n.
+      a coalition may be undefined, the kept sets the exact Shapley scan
+      visits: at most 2^n.
     - ``_removed``, ``_severed``: per argument, the strengths of its
       descendants with it removed, or with its incoming edges severed, by
       descendant: at most n entries of at most n - 1 floats each.
@@ -211,12 +213,12 @@ class EvaluationCache:
       with another (principle, method, configuration) replaces it.
 
     An exact Shapley column is computed from a coalition table of 2^m
-    floats for the topic's m ancestors (4 MB at m = 19, the most the default
-    cap admits) and lookup tables of at most 2^10 entries; the table is
-    dropped once the column is filled, so at most one is alive.  Removing,
-    severing, perturbing or sweeping one argument re-folds only its
-    descendants, starting from the full-graph vector, and keeps only the
-    strengths it changes; single perturbations are not memoized.
+    floats for the topic's m ancestors and an array of 2^m per-rank weights
+    (8 MB at m = 19, the most the default cap admits), both dropped once the
+    column is filled.  Removing, severing, perturbing or sweeping one
+    argument re-folds only its descendants, starting from the full-graph
+    vector, and keeps only the strengths it changes; single perturbations
+    are not memoized.
     Everything is confined to the cache instance; the evaluator itself
     stays stateless.
     """
@@ -391,10 +393,10 @@ class EvaluationCache:
     ) -> ContributionValue:
         """Compute one cell and store it in its column; a gradient cell fills
         the whole column from one reverse pass, and an exact Shapley cell
-        from one coalition table, unless the semantics may leave its domain
-        on some coalition.  A callable ``(graph,
-        semantics, topic, contributor) -> value`` gets argument names and is
-        called every time.  Every exact Shapley request on a graph of more
+        from one coalition table, after a scan that raises the cell's first
+        undefined coalition if the semantics may leave its domain on some
+        coalition.  A callable ``(graph, semantics, topic, contributor) ->
+        value`` gets argument names and is called every time.  Every exact Shapley request on a graph of more
         than its cap arguments raises :class:`TooLarge`.  Shapley cells of
         arguments that do not reach the topic are an exact 0.0 (null
         players: every marginal is exactly 0.0).  A removal or intrinsic
@@ -427,11 +429,11 @@ class EvaluationCache:
             value = 0.0
         elif kind is not ShapleyExact:
             value = _shapley_sampled(self, topic, contributor, method.permutations, method.seed)
-        elif _always_defined(self.graph, self.semantics):
+        else:
+            if not _always_defined(self.graph, self.semantics):
+                _raise_undefined_coalition(self, topic, contributor)
             column[:] = _shapley_column(self, topic)
             return column[contributor]
-        else:
-            value = _shapley_exact(self, topic, contributor)
         column[contributor] = value
         return value
 
@@ -494,8 +496,9 @@ def contrib_shapley_exact(
 
     Sums, over every subset X of the arguments other than topic and
     contributor, the weighted marginal effect of removing the contributor
-    from the graph already restricted by removing X.  Subsets are visited in
-    increasing bitmask rank so the summation order is reproducible.  The
+    from the graph already restricted by removing X.  Only the topic's
+    ancestors can change its strength, so the sum runs over the subsets of
+    the other ancestors with the m-player weights, exactly rounded.  The
     cap, ``ShapleyExact(exact_cap)``, applies to every call, memoized or
     not.
     """
@@ -531,74 +534,54 @@ def _coalition_table(cache: EvaluationCache, t: int, ancestors: list[int]) -> ar
     return table
 
 
-# The low bits of a submask's rank, read through one lookup table of
-# 2^_LOW_BITS entries; the high bits go through another.
-_LOW_BITS = 10
-
-
-def _unions(bits: list[int]) -> list[int]:
-    """The union of ``bits[j]`` over the set bits j of every rank i, at i."""
-    unions = [0]
-    for bit in bits:
-        unions += [u | bit for u in unions]
-    return unions
-
-
 def _shapley_column(cache: EvaluationCache, t: int) -> list:
     """The topic's exact Shapley column: undefined on the topic, 0.0 for
-    every argument that does not reach it, and for every ancestor x the sum
-    :func:`_shapley_exact` computes, term by term in the same order: over
-    the submasks of the other arguments in increasing order, the weight of
-    the submask's size times the marginal of x.  The marginals are read from
-    :func:`_coalition_table` through two lookup tables that map the low
-    (at most ``_LOW_BITS``) and the high bits of a submask's rank to the
-    ancestors it removes."""
+    every argument that does not reach it (a null player), and for each of
+    its m ancestors its value in the m-player game over the ancestors, which
+    null players do not change (Shapley 1953).  Ancestor j's cell is the
+    exactly rounded sum of w(|A|) * (table[A] - table[A | 2^j]) over the
+    2^(m-1) ranks A of :func:`_coalition_table` without bit j, read through
+    memoryview slices: one strided slice per offset below 2^j, or one run of
+    2^j ranks per block, whichever are fewer."""
+    from array import array
+
     n = cache._comp.n
     reach = cache.ancestors(t)
     ancestors = [a for a in range(n) if (reach >> a) & 1]
-    table = _coalition_table(cache, t, ancestors)
-    weights = _shapley_weights(n - 1)
-    half = min(n - 2, _LOW_BITS)
-    low_sizes = [i.bit_count() for i in range(1 << half)]
-    # the weights of the low terms by the number of high bits
-    rows = [[weights[high + low] for low in low_sizes] for high in range(n - 1 - half)]
-    # each player's bit in a table rank, in index order: 0 for a null player
-    players = [i for i in range(n) if i != t]
-    rank_bits = [1 << ancestors.index(i) if (reach >> i) & 1 else 0 for i in players]
+    table = memoryview(_coalition_table(cache, t, ancestors))
+    size = len(table)
+    # the weight of each rank's coalition size; no cell reads the last rank
+    by_size = [*_shapley_weights(len(ancestors)), 0.0]
+    weights = memoryview(array("d", map(by_size.__getitem__, map(int.bit_count, range(size)))))
     column = [0.0] * n
     column[t] = UNDEFINED
-    for j, x in enumerate(players):
-        x_bit = rank_bits[j]
-        if not x_bit:
-            continue
-        others = rank_bits[:j] + rank_bits[j + 1:]
-        low = _unions(others[:half])
-        low_without = [r | x_bit for r in low]
-        total = 0.0
-        for high, r in enumerate(_unions(others[half:])):
-            for weight, with_x, without_x in zip(rows[high.bit_count()], low, low_without):
-                total += weight * (table[r | with_x] - table[r | without_x])
-        column[x] = total
+    for j, x in enumerate(ancestors):
+        block = 1 << j
+        if 2 * block * block <= size:
+            kept = (slice(s, size, 2 * block) for s in range(block))
+        else:
+            kept = (slice(s, s + block) for s in range(0, size, 2 * block))
+        removed = table[block:]  # the same ranks with bit j set
+        terms = (map(operator.mul, weights[k], map(operator.sub, table[k], removed[k])) for k in kept)
+        column[x] = fsum(chain.from_iterable(terms))
     return column
 
 
-def _shapley_exact(cache: EvaluationCache, t: int, x: int) -> float:
-    """One exact Shapley cell from full kept-set passes, for a semantics
-    under which a coalition may be undefined: each coalition raises the
-    error its masked pass raises, in submask order."""
+def _raise_undefined_coalition(cache: EvaluationCache, t: int, x: int) -> None:
+    """Raise the first :class:`DomainError` of the exact Shapley cell of x to
+    t over all other arguments: the removed sets run over the submasks of
+    the arguments but t and x in increasing order, each pass taken with x
+    kept, then removed.  Every cell of t scans all kept sets that keep t, so
+    once one scan returns, the whole column is defined."""
     full = cache.full_mask
-    weights = _shapley_weights(len(cache.graph) - 1)
     x_bit = 1 << x
     others = full & ~(1 << t) & ~x_bit
-    total = 0.0
     removed = 0
     while True:
-        # removed runs over the submasks of others in increasing order
-        kept = full & ~removed
-        marginal = cache.strengths(kept)[t] - cache.strengths(kept & ~x_bit)[t]
-        total += weights[removed.bit_count()] * marginal
+        cache.strengths(full & ~removed)
+        cache.strengths(full & ~removed & ~x_bit)
         if removed == others:
-            return total
+            return
         removed = (removed - others) & others
 
 

@@ -4,8 +4,8 @@ The oracles here deliberately avoid the optimized code paths they check:
 Shapley values are recomputed from the coalition-sum definition with
 factorial weights over explicitly restricted graphs, and gradients are
 checked against finite differences of the plain evaluator.  The exact
-Shapley cells are also pinned bit for bit to the submask enumeration they
-replaced, kept here verbatim.
+Shapley cells are also checked to within 1e-12 against the submask
+enumeration they replaced, kept here verbatim.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ def shapley_submask_sum(cache, t: int, x: int) -> float:
     """One exact Shapley cell as the library computed it before its
     coalition table: the removed sets run over the submasks of the other
     arguments in increasing order, and each marginal reads two kept-set
-    vectors from ``cache.strengths``.  Any change of summation order moves
-    last digits, so the cells must equal this bit for bit."""
+    vectors from ``cache.strengths``.  The library now sums each cell's
+    terms in another grouping, so the cells may differ from this in their
+    last digits."""
     full = cache.full_mask
     weights = _shapley_weights(len(cache.graph) - 1)
     x_bit = 1 << x

@@ -649,7 +649,7 @@ class TestExportCommand:
 
 
 # sha256 over the exit code, stdout and stderr of every call below, in order
-OUTPUT_DIGEST = "1e869c5a3876733829034b5749659b5fda8555d972ce12883ac88c5f6f10f824"
+OUTPUT_DIGEST = "d2a6edeffb3a5a70de8f3c10b5180d67a1bd0a1d97d425b22aabd2e6b8a54544"
 
 
 def test_contrib_and_check_output_is_pinned(corpus_dir, capsys):

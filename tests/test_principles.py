@@ -508,7 +508,7 @@ _VERDICT_COUNTS = {
 # sha256 over the repr of every report of that pool, one line each, in the
 # loop order of fixed_pool_reports: pins the witness contents as well as the
 # verdicts.
-_POOL_DIGEST = "5cc889d3d643597c699d9da38d60825a068d9d16741d353ef8d2a353486db1fd"
+_POOL_DIGEST = "4cdac145c3b1c2829d6d90aff1ff426a4c71c5858a8c2998d5459467b6d0a21e"
 _POOL_METHODS = {
     "removal": Removal(),
     "intrinsic-removal": IntrinsicRemoval(),
@@ -557,7 +557,7 @@ def test_witness_digest_on_a_fixed_fuzz_pool(fixed_pool_reports):
 # semantics): the report's repr, or the DomainError a check raises.  Sweeps
 # and probes leave the linear domain here, so this pins where each check
 # raises and with which message, which the preset pool never reaches.
-_ERROR_PATH_DIGEST = "7ae32de35f06c0ea4068191ee14d16c234bf7dae76fc58f94cca3f0144dc85d9"
+_ERROR_PATH_DIGEST = "bb84b2c957ee4f10e126f97bd3f6fdf6ff9ca67bd49b93fce75900fe643c1c05"
 
 
 def test_error_path_digest_on_linear_semantics():
