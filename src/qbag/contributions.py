@@ -24,29 +24,29 @@ ancestor's cone, tabulates it in 2^m floats.  Any other argument is a null
 player, whose Shapley value is 0.0, and each ancestor's value is its value
 in the m-player game over the ancestors: an exactly rounded sum of 2^(m-1)
 weighted marginals read from that table.  Under a semantics where some
-coalition may be undefined (a linear influence whose domain an aggregate
-can leave), a scan of full kept-set passes first raises the error of the
-first one that fails, as the enumeration over all other arguments would.
-Enumeration beyond ``ShapleyExact.cap`` arguments (default 20) raises
-:class:`TooLarge`, on every call whether or not the cell is memoized; use
-the seeded permutation sampler instead for big graphs.
+coalition may be undefined (a linear influence whose domain an aggregate can
+leave), a scan of full kept-set passes, none of them kept, first raises the
+error of the first one that fails, as the enumeration over all other
+arguments would.  A sampled cell re-folds each coalition it visits on one
+vector.  Enumeration beyond ``ShapleyExact.cap`` arguments (default 20)
+raises :class:`TooLarge`, on every call whether or not the cell is memoized;
+use the seeded permutation sampler instead for big graphs.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
-pair memoizes strength vectors per kept-set mask (the full graph and the
-sampled Shapley coalitions), the strengths that removing or severing each argument
-changes, perturbation sweeps per (argument, values), a strong-faithfulness
-grid or a faithfulness probe schedule, as one column per topic the
-argument reaches, one lazily filled cell column per (built-in method,
-topic), each topic's ancestors and strictly-closer pairs, and the plan of
-the last principle check.  Single perturbations
-(:meth:`EvaluationCache.strengths_perturbed`) serve the corpus expectations,
-other callers and a sweep that fails, and are not memoized.  A gradient
-column is filled whole by one reverse pass over the memoized full-graph
-vector, and an exact Shapley column by one coalition table.  Removing,
-severing, perturbing or sweeping one argument re-folds only that argument's
-descendants, starting from the full-graph vector (a removal with the
-argument dropped from the kept set), which gives bit-identical results; a
-sweep folds each node of the cone once for all its points, so it never
+pair memoizes the full graph's strength vector, never a coalition's, the
+strengths that removing or severing each argument changes, perturbation
+sweeps per (argument, values), a strong-faithfulness grid or a faithfulness
+probe schedule, as one column per topic the argument reaches, one lazily
+filled cell column per (built-in method, topic), each topic's ancestors and
+strictly-closer pairs, and the plan of the last principle check.  Single
+perturbations (:meth:`EvaluationCache.strengths_perturbed`) serve the corpus
+expectations, other callers and a sweep that fails, and are not memoized.  A
+gradient column is filled whole by one reverse pass over the memoized
+full-graph vector, and an exact Shapley column by one coalition table.
+Removing, severing, perturbing or sweeping one argument re-folds only that
+argument's descendants, starting from the full-graph vector (a removal with
+the argument dropped from the kept set), which gives bit-identical results;
+a sweep folds each node of the cone once for all its points, so it never
 holds a full-length vector per point.  Cells of callable methods are never
 memoized.
 """
@@ -137,7 +137,8 @@ class ShapleySampled:
     def __post_init__(self):
         if _integer(self, "permutations") < 1:
             raise ValueError("permutation count must be at least 1")
-        _integer(self, "seed")
+        if not 0 <= _integer(self, "seed") < 1 << 64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -187,14 +188,12 @@ _UNSET = object()
 class EvaluationCache:
     """Memoized evaluations for one (graph, semantics) pair.
 
-    Each store is indexed as follows (n arguments), so what a cache holds is
-    bounded by the graph and by the distinct configurations its callers use:
+    Each store is indexed by argument, topic or configuration, never by
+    coalition (n arguments), so what a cache holds is bounded by the graph
+    and by the distinct configurations its callers use:
 
-    - ``_by_mask``: final-strength vectors by kept-set bitmask: the full
-      graph, the coalitions the Shapley sampler visits (at most two per
-      permutation of each sampled cell), and, only under a semantics where
-      a coalition may be undefined, the kept sets the exact Shapley scan
-      visits: at most 2^n.
+    - ``_full``, ``_scanned``: the full graph's final-strength vector, and
+      the bitmask of the topics whose exact Shapley coalition scan passed.
     - ``_removed``, ``_severed``: per argument, the strengths of its
       descendants with it removed, or with its incoming edges severed, by
       descendant: at most n entries of at most n - 1 floats each.
@@ -212,15 +211,14 @@ class EvaluationCache:
     - ``plan``: one slot, the last principle check's resolved plan; a check
       with another (principle, method, configuration) replaces it.
 
-    An exact Shapley column is computed from a coalition table of 2^m
-    floats for the topic's m ancestors and an array of 2^m per-rank weights
-    (8 MB at m = 19, the most the default cap admits), both dropped once the
-    column is filled.  Removing, severing, perturbing or sweeping one
-    argument re-folds only its descendants, starting from the full-graph
-    vector, and keeps only the strengths it changes; single perturbations
-    are not memoized.
-    Everything is confined to the cache instance; the evaluator itself
-    stays stateless.
+    An exact Shapley column is computed from a coalition table of 2^m floats
+    for the topic's m ancestors and an array of 2^m per-rank weights (8 MB
+    at m = 19, the most the default cap admits), both dropped once the
+    column is filled; a sampled cell re-folds its coalitions on one vector.
+    Removing, severing, perturbing or sweeping one argument re-folds only
+    its descendants, starting from the full-graph vector, and keeps only the
+    strengths it changes; no single perturbation is memoized.  Everything
+    is confined to the cache instance; the evaluator itself stays stateless.
     """
 
     def __init__(self, graph: QBAG, semantics: GradualSemantics):
@@ -228,7 +226,8 @@ class EvaluationCache:
         self.semantics = semantics
         self._comp = _Compiled(graph, semantics)
         self.full_mask = (1 << len(graph)) - 1
-        self._by_mask: dict[int, tuple[float, ...]] = {}
+        self._full: tuple[float, ...] | None = None
+        self._scanned = 0
         self._removed: list[dict[int, float] | None] = [None] * len(graph)
         self._severed: list[dict[int, float] | None] = [None] * len(graph)
         self._sweeps: dict[tuple[int, tuple[float, ...]], dict[int, tuple]] = {}
@@ -241,12 +240,12 @@ class EvaluationCache:
         self.derived: dict[tuple, object] = {}
         self.plan = None
 
-    def strengths(self, mask: int | None = None) -> tuple[float, ...]:
-        key = self.full_mask if mask is None else mask
-        hit = self._by_mask.get(key)
-        if hit is None:
-            hit = self._by_mask[key] = tuple(self._comp.strengths(key))
-        return hit
+    def strengths(self) -> tuple[float, ...]:
+        """The full graph's final strengths, computed once."""
+        full = self._full
+        if full is None:
+            full = self._full = tuple(self._comp.strengths())
+        return full
 
     def _descendants_of(self, index: int) -> tuple[int, ...]:
         """Argument ``index``'s strict descendants in topological order."""
@@ -571,16 +570,18 @@ def _raise_undefined_coalition(cache: EvaluationCache, t: int, x: int) -> None:
     """Raise the first :class:`DomainError` of the exact Shapley cell of x to
     t over all other arguments: the removed sets run over the submasks of
     the arguments but t and x in increasing order, each pass taken with x
-    kept, then removed.  Every cell of t scans all kept sets that keep t, so
-    once one scan returns, the whole column is defined."""
+    kept, then removed, and none kept.  Every cell of t scans all kept sets
+    that keep t, so once one scan returns, the whole column is defined and
+    t joins ``cache._scanned``; later scans skip the kept sets it keeps."""
     full = cache.full_mask
-    x_bit = 1 << x
-    others = full & ~(1 << t) & ~x_bit
+    others = full & ~(1 << t) & ~(1 << x)
     removed = 0
     while True:
-        cache.strengths(full & ~removed)
-        cache.strengths(full & ~removed & ~x_bit)
+        for kept in (full & ~removed, full & ~removed & ~(1 << x)):
+            if not kept & cache._scanned:
+                cache._comp.strengths(kept)
         if removed == others:
+            cache._scanned |= 1 << t
             return
         removed = (removed - others) & others
 
@@ -607,20 +608,26 @@ def contrib_shapley_sampled(
 
 
 def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, seed: int) -> float:
-    rng = SplitMix64(seed)
-    players = [i for i in range(len(cache.graph)) if i != t]
+    """Each shuffle's two kept sets are re-folded on one vector, unmemoized:
+    the topic's ancestors and the topic, then x's cone within them with x
+    dropped; or, where a kept set may be undefined, every argument, then
+    x's whole cone, so that each raises the error of its full pass."""
+    comp = cache._comp
     full = cache.full_mask
-    x_bit = 1 << x
+    scope = cache.ancestors(t) | 1 << t if _always_defined(cache.graph, cache.semantics) else full
+    nodes = [i for i in comp.order if (scope >> i) & 1]
+    cone = [d for d in cache._descendants_of(x) if (scope >> d) & 1]
+    out = [0.0] * comp.n
+    rng = SplitMix64(seed)
+    players = [i for i in range(comp.n) if i != t]
     total = 0.0
     for _ in range(permutations):
         rng.shuffle(players)
-        removed = 0
-        for i in players:
-            if i == x:
-                break
-            removed |= 1 << i
-        kept = full & ~removed
-        total += cache.strengths(kept)[t] - cache.strengths(kept & ~x_bit)[t]
+        kept = full
+        for i in players[:players.index(x)]:
+            kept ^= 1 << i
+        with_x = comp.refold(out, nodes, kept)[t]
+        total += with_x - comp.refold(out, cone, kept & ~(1 << x))[t]
     return total / permutations
 
 

@@ -51,7 +51,8 @@ class FuzzConfig:
     support_only: bool = False
 
     def __post_init__(self):
-        _integer(self, "seed")
+        if not 0 <= _integer(self, "seed") < 1 << 64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if _integer(self, "trials") < 1:
             raise ValueError("trials must be positive")
         if not 2 <= _integer(self, "max_args") <= _MAX_ARGS_LIMIT:

@@ -48,9 +48,9 @@ def shapley_submask_sum(cache, t: int, x: int) -> float:
     """One exact Shapley cell as the library computed it before its
     coalition table: the removed sets run over the submasks of the other
     arguments in increasing order, and each marginal reads two kept-set
-    vectors from ``cache.strengths``.  The library now sums each cell's
-    terms in another grouping, so the cells may differ from this in their
-    last digits."""
+    passes of ``cache._comp.strengths``, unmemoized.  The library now sums
+    each cell's terms in another grouping, so the cells may differ from this
+    in their last digits."""
     full = cache.full_mask
     weights = _shapley_weights(len(cache.graph) - 1)
     x_bit = 1 << x
@@ -60,7 +60,7 @@ def shapley_submask_sum(cache, t: int, x: int) -> float:
     while True:
         # removed runs over the submasks of others in increasing order
         kept = full & ~removed
-        marginal = cache.strengths(kept)[t] - cache.strengths(kept & ~x_bit)[t]
+        marginal = cache._comp.strengths(kept)[t] - cache._comp.strengths(kept & ~x_bit)[t]
         total += weights[removed.bit_count()] * marginal
         if removed == others:
             return total

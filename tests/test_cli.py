@@ -621,6 +621,27 @@ class TestFuzzCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ValueError: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("fuzz", "--seed", "-1"),
+            ("fuzz", "--seed", "18446744073709551616"),
+            ("fuzz", "--sample-seed", "-1"),
+            ("contrib", "--sample-seed", "18446744073709551616"),
+        ],
+    )
+    def test_seed_beyond_64_bits_exits_2(self, corpus_dir, capsys, command, flag, value):
+        # SplitMix64 keeps 64 bits of state, so these seeds used to run as
+        # the seed 2**64 away under another cache key
+        if command == "fuzz":
+            argv = ["fuzz", "--principle", "directionality", "--trials", "3", "--seed", "1"]
+        else:
+            argv = ["contrib", str(corpus_dir / "table-example.json"), "--topic", "a"]
+        method = ["--semantics", "qe", "--method", "shapley-sampled", "--permutations", "5"]
+        code, out, err = run(capsys, *argv, *method, flag, value)
+        assert code == 2 and out == ""
+        assert err == "error: ValueError: seed must lie in [0, 2**64)\n"
+
     def test_support_only_flag(self, capsys):
         code, out, _ = run(
             capsys,

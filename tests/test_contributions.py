@@ -209,6 +209,14 @@ class TestShapleySampled:
         with pytest.raises(ValueError):
             ShapleySampled(0, 1)
 
+    def test_rejects_seeds_beyond_64_bits(self):
+        # the generator keeps 64 bits of state: these seeds used to alias
+        # the seed 2**64 away, as a separate cache key
+        for seed in (-1, 1 << 64, (1 << 64) + 5):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                ShapleySampled(10, seed)
+        assert ShapleySampled(10, (1 << 64) - 1).seed == (1 << 64) - 1
+
 
 class TestGradientContribution:
     def test_total_including_self(self):

@@ -6,6 +6,7 @@ pairwise ``strictly_closer`` definition.
 """
 
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -21,6 +22,7 @@ from qbag import (
     CheckConfig,
     DomainError,
     EvaluationCache,
+    FuzzConfig,
     Gradient,
     GradualSemantics,
     IntrinsicRemoval,
@@ -33,8 +35,10 @@ from qbag import (
     UNDEFINED,
     contrib_shapley_exact,
     contribution,
+    contribution_table,
     evaluate,
     gradient_of_topic,
+    random_qbag,
     reaches,
     restrict,
     remove_incoming,
@@ -126,7 +130,7 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
                 # a removal re-folds x's descendants with x dropped from the
                 # kept set, and severing x re-folds them with x at its initial
                 # strength: each cell equals the full passes bit for bit,
-                # whether or not Shapley has filled the masked vector first
+                # whether or not Shapley has re-folded coalitions first
                 mask = cache.full_mask & ~(1 << x)
                 removed = _Compiled(g, semantics).strengths(mask)
                 others = [a for a in g.arguments if a != g.arguments[x]]
@@ -139,7 +143,7 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
                     removal = cache.contribution(Removal(), t, x)
                     assert removal == base[t] - removed[t] == shapley_first.contribution(Removal(), t, x)
                     assert cache.contribution(IntrinsicRemoval(), t, x) == severed[t] - removed[t]
-                assert shapley_first.strengths(mask) == tuple(removed)
+                assert shapley_first.strengths() == base
     # removing x lifts d's sum aggregate from 0.1 to 0.9, outside [-0.5, 0.5]:
     # the removal cell fails with the masked pass' error
     g = QBAG([("x", 0.8), ("y", 0.9), ("d", 0.2), ("e", 0.3)], [("x", "d")], [("y", "d"), ("d", "e")])
@@ -158,10 +162,16 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
     with pytest.raises(DomainError) as cell:
         EvaluationCache(g, semantics).contribution(IntrinsicRemoval(), 3, 1)
     assert str(cell.value) == str(severed.value) and "0.7" in str(cell.value)
-    # the full graph is undefined here and the graph without x is not: a
-    # fresh cache evaluates that kept set without the full-graph vector
+    # the full graph is undefined here and the graph without y is not: seed
+    # 8 puts y before x in each of three shuffles, so a sampled cell of x to
+    # d never keeps every argument and needs no full-graph vector
     g = QBAG([("x", 0.5), ("y", 0.3), ("d", 0.2)], [], [("x", "d"), ("y", "d")])
-    assert EvaluationCache(g, semantics).strengths(0b110) == tuple(_Compiled(g, semantics).strengths(0b110))
+    cache = EvaluationCache(g, semantics)
+    comp = _Compiled(g, semantics)
+    marginal = comp.strengths(0b101)[2] - comp.strengths(0b100)[2]
+    assert cache.contribution(ShapleySampled(3, 8), 2, 0) == (marginal + marginal + marginal) / 3 == 0.8000000000000002
+    with pytest.raises(DomainError):
+        cache.strengths()
 
 
 def test_memoized_shapley_cell_still_enforces_the_cap():
@@ -207,6 +217,44 @@ def test_sampled_cells_are_memoized_per_seed():
     assert one != other
     assert one == contribution(g, QE, ShapleySampled(50, 1), topic, contributor)
     assert other == contribution(g, QE, ShapleySampled(50, 2), topic, contributor)
+
+
+# sha256 over one line per Shapley cell of the first 40 trials of the seed-5
+# fuzz recipe with max_args=8, under the five presets and sum with linear(1.0)
+# and linear(0.5): the cell's repr, or the DomainError it raises.  Each
+# (graph, semantics) pair gets two fresh caches: one asks for the sampled
+# cells, then the exact ones, topic-major; the other for the exact cells,
+# then the sampled ones, contributor-major.  This pins every sampled value
+# and where each sampled or exact cell raises, with which message.
+_SHAPLEY_DIGEST = "64041c2350ed1c9cbd40f4e126126bdbc8bc7c4c66d2ebd7188fb9e3795659e8"
+
+
+def test_shapley_digest_on_a_fixed_fuzz_pool():
+    config = FuzzConfig(seed=5, trials=40, max_args=8)
+    semantics = (*PRESETS.values(), GradualSemantics(Aggregation.SUM, Linear(1.0)), LINEAR_HALF)
+    digest = hashlib.sha256()
+    cells = 0
+    errors = {ShapleySampled: 0, ShapleyExact: 0}
+    for trial in range(config.trials):
+        g = random_qbag(config, trial)
+        n = len(g)
+        for sem in semantics:
+            for topic_major in (True, False):
+                cache = EvaluationCache(g, sem)
+                methods = (ShapleySampled(100, trial), ShapleyExact())
+                for method in methods if topic_major else methods[::-1]:
+                    for a in range(n):
+                        for b in range(n):
+                            t, x = (a, b) if topic_major else (b, a)
+                            try:
+                                line = repr(cache.contribution(method, t, x))
+                            except DomainError as exc:
+                                line = f"DomainError: {exc}"
+                                errors[type(method)] += 1
+                            cells += 1
+                            digest.update(line.encode() + b"\n")
+    assert (cells, errors[ShapleySampled], errors[ShapleyExact]) == (41_104, 868, 868)
+    assert digest.hexdigest() == _SHAPLEY_DIGEST
 
 
 def per_sign_scan(cache, t, base, x, sign, points, eq_tol):
@@ -456,7 +504,7 @@ def shapley_bit_by_bit(cache, t, x):
             if (subset >> j) & 1:
                 removed |= 1 << i
         kept = full & ~removed
-        marginal = cache.strengths(kept)[t] - cache.strengths(kept & ~(1 << x))[t]
+        marginal = cache._comp.strengths(kept)[t] - cache._comp.strengths(kept & ~(1 << x))[t]
         total += weights[subset.bit_count()] * marginal
     return total
 
@@ -544,6 +592,15 @@ def test_null_players_leave_every_exact_shapley_cell_unchanged():
     assert ancestor_cells == 2390
 
 
+def counted_passes(monkeypatch):
+    """The masks of every full pass ``_Compiled.strengths`` makes from now
+    on, -1 for the full graph."""
+    masks = []
+    full_pass = _Compiled.strengths
+    monkeypatch.setattr(_Compiled, "strengths", lambda self, mask=-1: masks.append(mask) or full_pass(self, mask))
+    return masks
+
+
 def test_the_coalition_scan_passes_once_and_the_table_fills_the_column(monkeypatch):
     # each s_i has a parent, so _always_defined bounds it by 1.0 and rejects
     # linear(1.0) on t's six supporters, yet t's aggregate stays below 1 in
@@ -556,20 +613,34 @@ def test_the_coalition_scan_passes_once_and_the_table_fills_the_column(monkeypat
     scan = contributions._raise_undefined_coalition
     monkeypatch.setattr(contributions, "_raise_undefined_coalition", lambda *a: scans.append(a) or scan(*a))
     cache = EvaluationCache(g, semantics)
-    cache.contribution(ShapleyExact(), 0, 1)
+    tracemalloc.start()
+    try:
+        cache.contribution(ShapleyExact(), 0, 1)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the scan keeps none of its 2^12 passes (a cache that memoized them held
+    # them all after this cell)
+    assert kept < 64 * len(g) ** 2, kept
     column = cache.column(ShapleyExact(), 0)
     assert _UNSET not in column and column[0] is UNDEFINED
     reference = EvaluationCache(g, semantics)
     for x in range(1, len(g)):
         assert abs(cache.contribution(ShapleyExact(), 0, x) - shapley_submask_sum(reference, 0, x)) <= 1e-12
     assert scans == [(cache, 0, 1)]
+    # a scan skips the kept sets that keep a topic already scanned: a table
+    # passes once over each kept set keeping t or a supporter, and once over
+    # the full graph for its vector
+    passes = counted_passes(monkeypatch)
+    contribution_table(g, semantics, ShapleyExact(), cache=EvaluationCache(g, semantics))
+    assert len(passes) == len(set(passes)) == 1 + 2**13 - 2**6
 
 
 def test_an_exact_shapley_column_holds_one_table_of_its_topic_ancestors():
     # a 14-argument column reads a table of 2^m floats for the topic's m
     # ancestors and an array of 2^m per-rank weights, both dropped once the
-    # column is filled; it stores no kept-set vector (2^m of them took about
-    # 4 MB here)
+    # column is filled: the cache keeps the column and no kept-set vector
+    # (2^m of them took about 4 MB here)
     fuzzed = next(g for g in random_graphs(seed=7, count=200, max_args=14) if len(g) == 14)
     for g in (supporters_graph(13), fuzzed):
         n = len(g)
@@ -581,12 +652,35 @@ def test_an_exact_shapley_column_holds_one_table_of_its_topic_ancestors():
         tracemalloc.start()
         try:
             cache.contribution(ShapleyExact(), t, x)
-            _, peak = tracemalloc.get_traced_memory()
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**m + 256_000, (m, peak)
-        assert set(cache._by_mask) == {cache.full_mask}
+        assert kept < 64 * n * n, (m, kept)
         assert all(cell is not _UNSET for cell in cache.column(ShapleyExact(), t))
+
+
+def test_a_sampled_cell_holds_the_same_memory_at_any_permutation_count():
+    # a 109-argument fuzz graph whose topic has 72 ancestors: each shuffle
+    # re-folds its two coalitions on one vector, so 20x the permutations
+    # peak at the same traced memory (the values are those of the sampler
+    # that kept every coalition's vector: 181 KB and 3.7 MB here)
+    g = random_qbag(FuzzConfig(seed=3, trials=1, max_args=120, edge_prob=0.05), 0)
+    probe = EvaluationCache(g, QE)
+    t = max(range(len(g)), key=lambda a: probe.ancestors(a).bit_count())
+    x = next(a for a in range(len(g)) if (probe.ancestors(t) >> a) & 1)
+    assert (len(g), probe.ancestors(t).bit_count()) == (109, 72)
+    values, peaks = [], []
+    for permutations in (50, 1000):
+        cache = EvaluationCache(g, QE)
+        tracemalloc.start()
+        try:
+            values.append(cache.contribution(ShapleySampled(permutations, 1), t, x))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert values == [-0.14144202198088712, -0.1305244102184718]
+    assert abs(peaks[1] - peaks[0]) < 4096 and peaks[1] < 64_000, peaks
 
 
 def test_probe_columns_equal_single_perturbations():
@@ -753,12 +847,21 @@ def test_cache_stores_stay_within_their_documented_bounds():
         n = len(g)
         for semantics in PRESETS.values():
             cache = EvaluationCache(g, semantics)
-            # exact Shapley reads coalition tables, not kept-set vectors
             one_pass(cache, g, semantics, CONFIGS, METHODS)
-            assert set(cache._by_mask) == {cache.full_mask}
-            one_pass(cache, g, semantics, CONFIGS, (ShapleySampled(permutations, 3),))
-            # each sampled cell adds at most two kept sets per permutation
-            assert len(cache._by_mask) <= min(2**n, 1 + 2 * permutations * n * (n - 1))
+            # the sampler keeps its cells and no coalition: its pass adds its
+            # n cell columns of n cells
+            tracemalloc.start()
+            try:
+                one_pass(cache, g, semantics, CONFIGS, (ShapleySampled(permutations, 3),))
+                sampled, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sampled < 1024 + 64 * n * n, (n, sampled)
+            # the stores the class docstring lists, none indexed by coalition
+            stores = {"_full", "_removed", "_severed", "_sweeps", "_columns", "_descendants", "_ancestors"}
+            stores |= {"_closer_pairs", "_scanned", "derived", "plan"}
+            assert set(vars(cache)) == {"graph", "semantics", "_comp", "full_mask", *stores}
+            assert cache._full == tuple(_Compiled(g, semantics).strengths())
             for store in (cache._removed, cache._severed):
                 assert len(store) == n
                 for x, changed in enumerate(store):
@@ -846,17 +949,18 @@ def fan(k, supporter_strength, attackers=()):
     return g, GradualSemantics(Aggregation.SUM, Linear(k))
 
 
-def test_a_sum_bounded_by_its_parents_strengths_fills_the_coalition_table():
+def test_a_sum_bounded_by_its_parents_strengths_fills_the_coalition_table(monkeypatch):
     # 15 supporters of 0.05 never lift the topic's aggregate above 0.75, so
     # under linear(1) no coalition is undefined whatever the in-degree: the
-    # column comes from the coalition table, storing no kept-set vector
+    # column comes from the coalition table, with no kept-set pass
     g, semantics = fan(1.0, 0.05)
     assert _always_defined(g, semantics)
     cache, reference = EvaluationCache(g, semantics), EvaluationCache(g, semantics)
+    passes = counted_passes(monkeypatch)
     column = [cache.contribution(ShapleyExact(), 0, x) for x in range(len(g))]
+    assert passes == [-1]
     assert column[0] is UNDEFINED
     assert all(abs(column[x] - shapley_submask_sum(reference, 0, x)) <= 1e-12 for x in range(1, len(g)))
-    assert set(cache._by_mask) == {cache.full_mask}
     # with an attacker of 0.05 the full graph's aggregate is 0.7, but the
     # supporters alone reach 0.75, just over linear(0.7499)'s domain: the
     # cell still enumerates, and fails at the coalition without the attacker
@@ -865,6 +969,7 @@ def test_a_sum_bounded_by_its_parents_strengths_fills_the_coalition_table():
     cache = EvaluationCache(g, semantics)
     with pytest.raises(DomainError) as want:
         shapley_submask_sum(EvaluationCache(g, semantics), 0, 2)
+    passes.clear()
     with pytest.raises(DomainError, match=re.escape(str(want.value))):
         cache.contribution(ShapleyExact(), 0, 2)
-    assert set(cache._by_mask) > {cache.full_mask}
+    assert len(passes) > 1

@@ -70,6 +70,11 @@ class TestGeneration:
         for grid in (1e-200, 1e-320):
             with pytest.raises(ValueError):
                 FuzzConfig(seed=1, trials=1, strength_grid=grid)
+        # seeds the 64-bit generator state would alias
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                FuzzConfig(seed=seed, trials=1)
+        assert FuzzConfig(seed=(1 << 64) - 1, trials=1).seed == (1 << 64) - 1
 
     def test_trials_are_reproducible(self):
         config = FuzzConfig(seed=77, trials=50)
