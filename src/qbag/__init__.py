@@ -6,6 +6,8 @@ instance-level principle checking, a replayable example corpus, and a
 seeded violation fuzzer.  See the README for the command line interface.
 """
 
+from types import ModuleType as _ModuleType
+
 from .contributions import (
     DEFAULT_EXACT_CAP,
     ContributionMethod,
@@ -92,5 +94,6 @@ from .semantics import (
     semantics_by_name,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds here
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))]
 __version__ = "0.1.0"

@@ -23,30 +23,36 @@ subsets of the ancestors in Gray-code order, each step re-folding one
 ancestor's cone, tabulates it in 2^m floats.  Any other argument is a null
 player, whose Shapley value is 0.0, and each ancestor's value is its value
 in the m-player game over the ancestors: an exactly rounded sum of 2^(m-1)
-weighted marginals read from that table.  Under a semantics where some
-coalition may be undefined (a linear influence whose domain an aggregate can
-leave), a scan of full kept-set passes, none of them kept, first raises the
-error of the first one that fails, as the enumeration over all other
-arguments would.  A sampled cell re-folds each coalition it visits on one
-vector.  Enumeration beyond ``ShapleyExact.cap`` arguments (default 20)
+weighted marginals read from that table.  A sampled cell re-folds each
+coalition it visits on one vector, within the topic's ancestors and the
+topic.  Enumeration beyond ``ShapleyExact.cap`` arguments (default 20)
 raises :class:`TooLarge`, on every call whether or not the cell is memoized;
 use the seeded permutation sampler instead for big graphs.
+
+One rule decides where a result is undefined, under a semantics whose
+influence has a bounded domain (a custom ``linear``): a quantity about topic
+t raises :class:`DomainError` exactly when re-folding t's ancestors and t
+fails in the modified graph it reads, since no other argument can move t.
+Every quantity but a sampled cell also needs the full graph defined.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
 pair memoizes the full graph's strength vector, never a coalition's, the
 strengths that removing or severing each argument changes, perturbation
 sweeps per (argument, values), a strong-faithfulness grid or a faithfulness
 probe schedule, as one column per topic the argument reaches, one lazily
-filled cell column per (built-in method, topic), each topic's ancestors and
-strictly-closer pairs, and the plan of the last principle check.  Single
-perturbations (:meth:`EvaluationCache.strengths_perturbed`) serve the corpus
+filled cell column per (built-in method, topic), the error of each topic
+whose exact Shapley walk fails, each topic's ancestors and strictly-closer
+pairs, and the plan of the last principle check.  Single perturbations
+(:meth:`EvaluationCache.strengths_perturbed`) serve the corpus
 expectations, other callers and a sweep that fails, and are not memoized.  A
 gradient column is filled whole by one reverse pass over the memoized
 full-graph vector, and an exact Shapley column by one coalition table.
 Removing, severing, perturbing or sweeping one argument re-folds only that
 argument's descendants, starting from the full-graph vector (a removal with
 the argument dropped from the kept set), which gives bit-identical results;
-a sweep folds each node of the cone once for all its points, so it never
+a descendant that fails, and every descendant that reads it, holds its
+error in place of a strength, which only a reader of that entry raises.  A
+sweep folds each node of the cone once for all its points, so it never
 holds a full-length vector per point.  Cells of callable methods are never
 memoized.
 """
@@ -62,7 +68,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, Union
 from .errors import DomainError, TooLarge, UnknownArgument
 from .graph import QBAG, ancestor_mask, descendant_cone, strictly_closer_pairs
 from .rng import SplitMix64
-from .semantics import GradualSemantics, _always_defined, _Compiled
+from .semantics import GradualSemantics, _Compiled
 
 if TYPE_CHECKING:
     from array import array
@@ -192,17 +198,17 @@ class EvaluationCache:
     coalition (n arguments), so what a cache holds is bounded by the graph
     and by the distinct configurations its callers use:
 
-    - ``_full``, ``_scanned``: the full graph's final-strength vector, and
-      the bitmask of the topics whose exact Shapley coalition scan passed.
+    - ``_full``: the full graph's final-strength vector.
     - ``_removed``, ``_severed``: per argument, the strengths of its
       descendants with it removed, or with its incoming edges severed, by
-      descendant: at most n entries of at most n - 1 floats each.
+      descendant: at most n entries of at most n - 1 floats (or errors) each.
     - ``_sweeps``: one sweep per (argument, values), the values of a grid
       or of the probe points of an eps schedule inside [0, 1], as one
       column of a strength or an error per value for each topic the
       argument reaches.
     - ``_columns``: n cell columns of n cells per built-in method (per
       instance for the seeded sampler).
+    - ``_walk_errors``: per topic, the error of its exact Shapley table walk.
     - ``_descendants``, ``_ancestors``, ``_closer_pairs``: one entry per
       argument or topic.
     - ``derived``: the principle checkers' tables: two visit orders per
@@ -227,7 +233,6 @@ class EvaluationCache:
         self._comp = _Compiled(graph, semantics)
         self.full_mask = (1 << len(graph)) - 1
         self._full: tuple[float, ...] | None = None
-        self._scanned = 0
         self._removed: list[dict[int, float] | None] = [None] * len(graph)
         self._severed: list[dict[int, float] | None] = [None] * len(graph)
         self._sweeps: dict[tuple[int, tuple[float, ...]], dict[int, tuple]] = {}
@@ -237,6 +242,7 @@ class EvaluationCache:
         # method key -> per-topic cell columns; the key is the method's type,
         # or the method itself for the seeded sampler
         self._columns: dict[object, list[list | None]] = {}
+        self._walk_errors: dict[int, DomainError] = {}
         self.derived: dict[tuple, object] = {}
         self.plan = None
 
@@ -254,13 +260,32 @@ class EvaluationCache:
             descendants = self._descendants[index] = descendant_cone(self.graph, index)[1:]
         return descendants
 
-    def _refold_cone(self, index: int, entry: float, mask: int = -1) -> list[float]:
+    def _refold_cone(self, index: int, entry: float, mask: int = -1) -> list:
         """The full-graph vector with argument ``index``'s final strength set
         to ``entry`` and its descendants re-folded over the parents kept in
-        ``mask``."""
+        ``mask``.  A descendant that leaves the domain holds its
+        :class:`DomainError` in place of a strength, and so does every
+        descendant that reads it: the error of the first failing node, in
+        topological order, that it reads."""
+        comp, cone = self._comp, self._descendants_of(index)
         out = list(self.strengths())
         out[index] = entry
-        return self._comp.refold(out, self._descendants_of(index), mask)
+        try:
+            return comp.refold(out, cone, mask)
+        except DomainError:
+            failed = []
+        for d in cone:
+            parents = chain(comp.attackers[d], comp.supporters[d])
+            errors = [out[p] for p in parents if (mask >> p) & 1 and out[p].__class__ is DomainError]
+            if errors:
+                out[d] = min(errors, key=failed.index)
+                continue
+            try:
+                comp.refold(out, (d,), mask)
+            except DomainError as exc:
+                out[d] = exc.with_traceback(None)
+                failed.append(out[d])
+        return out
 
     def _changed(self, store: list, index: int, entry: float, mask: int = -1) -> dict[int, float]:
         """Argument ``index``'s entry of ``store``: its descendants'
@@ -299,8 +324,9 @@ class EvaluationCache:
             columns[d] = tuple(list(map(value, repeat(taus[d]), signals)))
         return columns
 
-    def strengths_perturbed(self, index: int, value: float) -> tuple[float, ...]:
-        """Strengths with one initial strength changed; not memoized."""
+    def strengths_perturbed(self, index: int, value: float) -> tuple:
+        """Strengths with one initial strength changed, an undefined one
+        holding its error as :meth:`_refold_cone` says; not memoized."""
         s = self._signal(index)
         return tuple(self._refold_cone(index, value if s is None else self._comp.value(value, s)))
 
@@ -309,22 +335,16 @@ class EvaluationCache:
         descendants as its initial strength takes each of ``values``, as one
         column per reached topic, computed once per (argument, values).  If
         the sweep raises :class:`DomainError`, each point is evaluated on
-        its own and a failing point holds its error in every column, for
-        the reader to raise."""
+        its own by :meth:`strengths_perturbed`, and an undefined strength
+        holds its error, for the reader to raise."""
         key = (index, values)
         columns = self._sweeps.get(key)
         if columns is None:
             try:
                 columns = self._sweep_columns(index, values)
             except DomainError:
-                rows = []
-                for v in values:
-                    try:
-                        rows.append(self.strengths_perturbed(index, v))
-                    except DomainError as exc:
-                        rows.append(exc.with_traceback(None))
-                reached = (index, *self._descendants_of(index))
-                columns = {t: tuple([r if r.__class__ is DomainError else r[t] for r in rows]) for t in reached}
+                rows = [self.strengths_perturbed(index, v) for v in values]
+                columns = {t: tuple([r[t] for r in rows]) for t in (index, *self._descendants_of(index))}
             self._sweeps[key] = columns
         return columns
 
@@ -392,15 +412,16 @@ class EvaluationCache:
     ) -> ContributionValue:
         """Compute one cell and store it in its column; a gradient cell fills
         the whole column from one reverse pass, and an exact Shapley cell
-        from one coalition table, after a scan that raises the cell's first
-        undefined coalition if the semantics may leave its domain on some
-        coalition.  A callable ``(graph, semantics, topic, contributor) ->
-        value`` gets argument names and is called every time.  Every exact Shapley request on a graph of more
-        than its cap arguments raises :class:`TooLarge`.  Shapley cells of
-        arguments that do not reach the topic are an exact 0.0 (null
-        players: every marginal is exactly 0.0).  A removal or intrinsic
-        removal cell reads the contributor's removal and severing stores; an
-        intrinsic cell evaluates the severed graph first."""
+        from one coalition table, whose walk raises the first undefined
+        coalition's error, kept for every later cell of the topic.  A
+        callable ``(graph, semantics, topic, contributor) -> value`` gets
+        argument names and is called every time.  Every exact Shapley
+        request on a graph of more than its cap arguments raises
+        :class:`TooLarge`.  Shapley cells of arguments that do not reach the
+        topic are an exact 0.0 (null players: every marginal is exactly
+        0.0).  A removal or intrinsic removal cell reads the topic's entry
+        of the contributor's removal and severing stores, and raises the
+        error an entry holds, the severed graph's first."""
         kind = type(method)
         if kind not in _METHOD_NAMES:
             if callable(method):
@@ -423,16 +444,24 @@ class EvaluationCache:
             # the contributor is dropped from the kept set, so its
             # descendants never read it as a 0.0-strength parent
             without = self._changed(self._removed, contributor, 0.0, self.full_mask & ~(1 << contributor))
-            value = with_x - without.get(topic, base)
+            without = without.get(topic, base)
+            for strength in (with_x, without):
+                if strength.__class__ is DomainError:
+                    raise strength.with_traceback(None)
+            value = with_x - without
         elif not (self.ancestors(topic) >> contributor) & 1:
             value = 0.0
         elif kind is not ShapleyExact:
             value = _shapley_sampled(self, topic, contributor, method.permutations, method.seed)
         else:
-            if not _always_defined(self.graph, self.semantics):
-                _raise_undefined_coalition(self, topic, contributor)
-            column[:] = _shapley_column(self, topic)
-            return column[contributor]
+            error = self._walk_errors.get(topic)
+            if error is None:
+                try:
+                    column[:] = _shapley_column(self, topic)
+                    return column[contributor]
+                except DomainError as exc:
+                    error = self._walk_errors[topic] = exc.with_traceback(None)
+            raise error.with_traceback(None)
         column[contributor] = value
         return value
 
@@ -512,7 +541,8 @@ def _coalition_table(cache: EvaluationCache, t: int, ancestors: list[int]) -> ar
     and the ancestor itself when it is put back; every other argument is
     irrelevant to the topic's strength.  Each node folds the same kept
     parents in the same order as a masked full pass, so every entry equals
-    that pass' value bit for bit."""
+    that pass' value bit for bit.  A step that fails raises its error: the
+    walk's first undefined coalition of the ancestors and the topic."""
     # imported here: a CLI process that fills no exact Shapley column would
     # map the array extension for nothing
     from array import array
@@ -566,26 +596,6 @@ def _shapley_column(cache: EvaluationCache, t: int) -> list:
     return column
 
 
-def _raise_undefined_coalition(cache: EvaluationCache, t: int, x: int) -> None:
-    """Raise the first :class:`DomainError` of the exact Shapley cell of x to
-    t over all other arguments: the removed sets run over the submasks of
-    the arguments but t and x in increasing order, each pass taken with x
-    kept, then removed, and none kept.  Every cell of t scans all kept sets
-    that keep t, so once one scan returns, the whole column is defined and
-    t joins ``cache._scanned``; later scans skip the kept sets it keeps."""
-    full = cache.full_mask
-    others = full & ~(1 << t) & ~(1 << x)
-    removed = 0
-    while True:
-        for kept in (full & ~removed, full & ~removed & ~(1 << x)):
-            if not kept & cache._scanned:
-                cache._comp.strengths(kept)
-        if removed == others:
-            cache._scanned |= 1 << t
-            return
-        removed = (removed - others) & others
-
-
 def contrib_shapley_sampled(
     graph: QBAG,
     semantics: GradualSemantics,
@@ -608,13 +618,14 @@ def contrib_shapley_sampled(
 
 
 def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, seed: int) -> float:
-    """Each shuffle's two kept sets are re-folded on one vector, unmemoized:
-    the topic's ancestors and the topic, then x's cone within them with x
-    dropped; or, where a kept set may be undefined, every argument, then
-    x's whole cone, so that each raises the error of its full pass."""
+    """Each shuffle's two kept sets are re-folded on one vector, unmemoized,
+    within the topic's ancestors and the topic, the only arguments that move
+    its strength: all of them, then x's cone within them with x dropped.
+    Each raises the error of the first node that fails there, and no other
+    argument is evaluated, so the full graph may be undefined."""
     comp = cache._comp
     full = cache.full_mask
-    scope = cache.ancestors(t) | 1 << t if _always_defined(cache.graph, cache.semantics) else full
+    scope = cache.ancestors(t) | 1 << t
     nodes = [i for i in comp.order if (scope >> i) & 1]
     cone = [d for d in cache._descendants_of(x) if (scope >> d) & 1]
     out = [0.0] * comp.n

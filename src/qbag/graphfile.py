@@ -81,7 +81,13 @@ def serialize_graph(graph: QBAG) -> str:
 
 
 def load_graph(path: str | Path) -> QBAG:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a graph file; bytes that are not UTF-8 raise
+    GraphFormatError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8: {exc}") from None
+    return parse_graph(text)
 
 
 def save_graph(graph: QBAG, path: str | Path) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable
 
 from .contributions import (
@@ -272,7 +273,7 @@ def _probe_row(cache, cfg, x):
     :meth:`EvaluationCache.sweep`, and a point outside is None.  An
     undefined point holds its error, for the reader to raise: a probe that
     is never read must not fail the check.  A topic x does not reach keeps
-    its strength at the defined points."""
+    its strength at every point inside [0, 1], as on a grid."""
     table = _probe_table(cache, cfg)
     row = table[x]
     if row is None:
@@ -280,13 +281,10 @@ def _probe_row(cache, cfg, x):
         points = [p for d in cfg.eps_schedule for p in (tau + d, tau - d)]
         at = [k for k, p in enumerate(points) if 0.0 <= p <= 1.0]
         columns = cache.sweep(x, tuple([points[k] for k in at]))
-        own = columns[x]
         base = cache.strengths()
         row = table[x] = []
         for t in range(len(base)):
-            column = columns.get(t)
-            if column is None:
-                column = [p if p.__class__ is DomainError else base[t] for p in own]
+            column = columns[t] if t in columns else repeat(base[t])
             padded = [None] * len(points)
             for k, strength in zip(at, column):
                 padded[k] = strength
@@ -367,26 +365,25 @@ def _signed_probes(cache, cfg, x):
     """Per topic, per direction + then -: (direction, the signed steps eps
     and the topic's strengths at the probes tau(x) + eps inside [0, 1] that
     precede the direction's first undefined probe, and that probe's error or
-    None), read from :func:`_probe_row`.  Which probes leave [0, 1] or
-    are undefined does not depend on the topic."""
+    None), read from :func:`_probe_row`.  Which probes leave [0, 1] does
+    not depend on the topic; which are undefined does."""
     schedule = cfg.eps_schedule
-    columns = _probe_row(cache, cfg, x)
-    first = columns[0]
-    directions = []
-    for direction, start in ((1.0, 0), (-1.0, 1)):
-        at, error = [], None
-        for k in range(start, len(first), 2):
-            if first[k].__class__ is DomainError:
-                error = first[k]
-                break
-            if first[k] is not None:  # else the probe leaves [0, 1]
-                at.append(k)
-        steps = [direction * schedule[k // 2] for k in at]
-        directions.append((direction, steps, at, error))
-    return [
-        [(direction, steps, [column[k] for k in at], error) for direction, steps, at, error in directions]
-        for column in columns
-    ]
+    rows = []
+    for column in _probe_row(cache, cfg, x):
+        row = []
+        for direction, start in ((1.0, 0), (-1.0, 1)):
+            steps, strengths, error = [], [], None
+            for k in range(start, len(column), 2):
+                strength = column[k]
+                if strength.__class__ is DomainError:
+                    error = strength
+                    break
+                if strength is not None:  # else the probe leaves [0, 1]
+                    steps.append(direction * schedule[k // 2])
+                    strengths.append(strength)
+            row.append((direction, steps, strengths, error))
+        rows.append(row)
+    return rows
 
 
 def _signed_probe_table(cache, cfg):

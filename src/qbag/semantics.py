@@ -509,33 +509,6 @@ def gradient_of_topic(graph: QBAG, semantics: GradualSemantics, topic: str) -> G
     return GradientVector(topic, {name: partials[i] for i, name in enumerate(graph.arguments)})
 
 
-def _always_defined(graph: QBAG, semantics: GradualSemantics) -> bool:
-    """Whether every kept subgraph of the graph is defined: only a linear
-    influence has a bounded domain, and strengths lie in [0, 1], so an
-    aggregate lies within 1 under product and top.  Under sum, a node's
-    aggregate is its kept supporters' sum minus its kept attackers' sum, so
-    it lies within the larger of the two sides' bounds: the sum, in the
-    fold's parent order, of tau for a parent with no parents (its strength
-    in every kept set that contains it) and of 1.0 for any other.  This is
-    sound in floats because rounding is monotone: in a fixed order, a float
-    sum over part of a list of nonnegative terms never exceeds the sum over
-    all of them, nor over larger terms."""
-    kind = semantics.influence
-    if not isinstance(kind, Linear):
-        return True
-    limit = kind.k + _DOMAIN_SLACK
-    if semantics.aggregation is not Aggregation.SUM:
-        return 1.0 <= limit
-    bounds = [1.0 if a or s else tau for a, s, tau in zip(graph._attackers, graph._supporters, graph._tau)]
-    for side in (*graph._attackers, *graph._supporters):
-        total = 0.0
-        for p in side:
-            total += bounds[p]
-        if total > limit:
-            return False
-    return True
-
-
 def kink_margin(graph: QBAG, semantics: GradualSemantics) -> float:
     """Distance from the graph's operating point to the nearest non-smooth
     configuration of the semantics; ``inf`` when the semantics is smooth at

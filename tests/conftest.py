@@ -2,10 +2,15 @@
 
 The oracles here deliberately avoid the optimized code paths they check:
 Shapley values are recomputed from the coalition-sum definition with
-factorial weights over explicitly restricted graphs, and gradients are
+factorial weights over explicitly restricted graphs, sampled Shapley cells
+by replaying the sampler's shuffles on restricted graphs, and gradients are
 checked against finite differences of the plain evaluator.  The exact
 Shapley cells are also checked to within 1e-12 against the submask
 enumeration they replaced, kept here verbatim.
+
+A quantity about a topic t is undefined exactly when evaluating the graph
+it reads restricted to t's ancestors and t fails: :func:`strength_within`
+is that rule, through the public graph API only.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ import math
 
 import pytest
 
-from qbag import QBAG, FuzzConfig, evaluate, random_qbag, restrict, with_initial_strength
+from qbag import QBAG, FuzzConfig, evaluate, random_qbag, reaches, restrict, with_initial_strength
 from qbag.contributions import _shapley_weights
+from qbag.rng import SplitMix64
 from qbag.semantics import PRESETS
 
 
@@ -26,22 +32,52 @@ def presets():
 
 
 def shapley_bruteforce(graph: QBAG, semantics, topic: str, contributor: str) -> float:
-    """Direct coalition sum with factorial weights; restriction and
-    evaluation go through the public graph API only."""
+    """Direct coalition sum with factorial weights over every coalition of
+    the other arguments, each side evaluated as :func:`strength_within`
+    says; restriction and evaluation go through the public graph API only."""
     players = [p for p in graph.arguments if p != topic]
     others = [p for p in players if p != contributor]
+    inside = {a for a in graph.arguments if a == topic or reaches(graph, a, topic)}
     n = len(players)
     total = 0.0
     for size in range(len(others) + 1):
         weight = math.factorial(size) * math.factorial(n - size - 1) / math.factorial(n)
         for removed in itertools.combinations(others, size):
-            kept = [a for a in graph.arguments if a not in removed]
+            kept = [a for a in graph.arguments if a in inside and a not in removed]
             with_x = evaluate(restrict(graph, kept), semantics)[topic]
             without_x = evaluate(
                 restrict(graph, [a for a in kept if a != contributor]), semantics
             )[topic]
             total += weight * (with_x - without_x)
     return total
+
+
+def strength_within(graph: QBAG, semantics, kept, topic: str) -> float:
+    """The topic's final strength in ``restrict(graph, kept)``, evaluated
+    on the kept arguments that are the topic or reach it in ``graph``:
+    raises DomainError exactly when that evaluation fails."""
+    inside = [a for a in kept if a == topic or reaches(graph, a, topic)]
+    return evaluate(restrict(graph, inside), semantics)[topic]
+
+
+def shapley_sampled_reference(graph: QBAG, semantics, topic: str, contributor: str, permutations: int, seed: int):
+    """``ShapleySampled(permutations, seed)``'s cell, replayed: the same
+    ``SplitMix64(seed)`` shuffles of the other arguments in list order, each
+    giving the marginal of removing the contributor after the arguments
+    before it, both sides read by :func:`strength_within`.  A contributor
+    that does not reach the topic is a null player: 0.0."""
+    if not reaches(graph, contributor, topic):
+        return 0.0
+    rng = SplitMix64(seed)
+    players = [a for a in graph.arguments if a != topic]
+    total = 0.0
+    for _ in range(permutations):
+        rng.shuffle(players)
+        removed = set(players[: players.index(contributor)])
+        kept = [a for a in graph.arguments if a not in removed]
+        with_x = strength_within(graph, semantics, kept, topic)
+        total += with_x - strength_within(graph, semantics, [a for a in kept if a != contributor], topic)
+    return total / permutations
 
 
 def shapley_submask_sum(cache, t: int, x: int) -> float:

@@ -112,6 +112,13 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error: GraphFormatError: ") and err.count("\n") == 1
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "eval", str(path), "--semantics", "qe")
+        assert code == 2 and out == ""
+        assert err.startswith("error: GraphFormatError: not UTF-8: ") and err.count("\n") == 1
+
     def test_missing_semantics_is_an_error(self, corpus_dir, capsys):
         code, _, err = run(capsys, "eval", str(corpus_dir / "fig-intro.json"))
         assert code == 2 and "semantics" in err

@@ -51,9 +51,15 @@ from qbag.contributions import _UNSET, _shapley_weights
 from qbag.corpus import supporters_graph
 from qbag.graph import strictly_closer_pairs
 from qbag.principles import _first_contradictions, _probe_row
-from qbag.semantics import PRESETS, _always_defined, _Compiled
+from qbag.semantics import PRESETS, _Compiled
 
-from conftest import random_graphs, shapley_bruteforce, shapley_submask_sum, strength_vector
+from conftest import (
+    random_graphs,
+    shapley_bruteforce,
+    shapley_sampled_reference,
+    shapley_submask_sum,
+    strength_vector,
+)
 
 METHODS = (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient())
 CONFIGS = (
@@ -225,8 +231,9 @@ def test_sampled_cells_are_memoized_per_seed():
 # (graph, semantics) pair gets two fresh caches: one asks for the sampled
 # cells, then the exact ones, topic-major; the other for the exact cells,
 # then the sampled ones, contributor-major.  This pins every sampled value
-# and where each sampled or exact cell raises, with which message.
-_SHAPLEY_DIGEST = "64041c2350ed1c9cbd40f4e126126bdbc8bc7c4c66d2ebd7188fb9e3795659e8"
+# and where each sampled or exact cell raises, with which message: only
+# where re-folding a coalition of the topic's ancestors and the topic fails.
+_SHAPLEY_DIGEST = "412f848d2fa69dc63d4864e22bb3566838cdadbe81470b16138532a0c2e0d4c8"
 
 
 def test_shapley_digest_on_a_fixed_fuzz_pool():
@@ -253,7 +260,7 @@ def test_shapley_digest_on_a_fixed_fuzz_pool():
                                 errors[type(method)] += 1
                             cells += 1
                             digest.update(line.encode() + b"\n")
-    assert (cells, errors[ShapleySampled], errors[ShapleyExact]) == (41_104, 868, 868)
+    assert (cells, errors[ShapleySampled], errors[ShapleyExact]) == (41_104, 682, 810)
     assert digest.hexdigest() == _SHAPLEY_DIGEST
 
 
@@ -301,12 +308,13 @@ def test_one_scan_witnesses_equal_per_sign_scans():
 def test_sweep_columns_equal_point_by_point_perturbations():
     # every argument's sweep columns, one per topic it reaches, against
     # single perturbations; under sum + linear(0.5) some points are
-    # undefined, and a sweep raises the error of one of them, while
-    # sweep_column raises the first undefined grid point's error
+    # undefined for some topics, and a sweep raises the error of one of
+    # them, while sweep_column raises the topic's first undefined grid
+    # point's error, and a topic whose points are all defined reads them
     points = 21
     grid = [j / (points - 1) for j in range(points)]
     values = grid + [0.37, 1e-5, 1.0 - 1e-5, 0.5]
-    failed = defined = 0
+    failed = defined = spared = 0
     for g in random_graphs(seed=61, count=30, max_args=7):
         n = len(g)
         for semantics in (*PRESETS.values(), LINEAR_HALF):
@@ -316,13 +324,8 @@ def test_sweep_columns_equal_point_by_point_perturbations():
             except DomainError:
                 continue
             for x in range(n):
-                rows, errors = [], []
-                for value in values:
-                    try:
-                        rows.append(cache.strengths_perturbed(x, value))
-                    except DomainError as exc:
-                        rows.append(None)
-                        errors.append(str(exc))
+                rows = [cache.strengths_perturbed(x, value) for value in values]
+                errors = [str(e) for row in rows for e in row if e.__class__ is DomainError]
                 reached = {t for t in range(n) if t == x or reaches(g, g.arguments[x], g.arguments[t])}
                 try:
                     columns = cache._sweep_columns(x, values)
@@ -334,16 +337,19 @@ def test_sweep_columns_equal_point_by_point_perturbations():
                     for t in reached:
                         assert columns[t] == tuple(row[t] for row in rows), (g, semantics.label(), x, t)
                     defined += 1
-                # the grid points come first, so errors[0] is the first
-                # undefined grid point's, if there is one
+                # the grid points come first, so a topic's first undefined
+                # entry among them is its first undefined grid point's
                 for t in reached:
-                    if None in rows[:points]:
+                    column = tuple(row[t] for row in rows[:points])
+                    undefined = [e for e in column if e.__class__ is DomainError]
+                    if undefined:
                         with pytest.raises(DomainError) as swept:
                             cache.sweep_column(x, t, points)
-                        assert str(swept.value) == errors[0]
+                        assert str(swept.value) == str(undefined[0])
                     else:
-                        assert cache.sweep_column(x, t, points) == tuple(row[t] for row in rows[:points])
-    assert failed and defined
+                        assert cache.sweep_column(x, t, points) == column
+                        spared += bool(errors)
+    assert failed and defined and spared
 
 
 # The contradiction scan as the library ran it before it settled signs by
@@ -549,30 +555,36 @@ def test_exact_shapley_cells_of_the_20_argument_supporters_graph():
 
 
 def test_exact_shapley_enumerates_where_a_coalition_may_be_undefined():
-    # under sum + linear(0.5) a coalition's masked pass may fail at any
-    # argument, an ancestor of the topic or not: a cell fails with the first
-    # failing coalition's error, or equals the enumeration
-    failed = defined = 0
+    # under sum + linear(0.5) a coalition may fail at any argument, an
+    # ancestor of the topic or not: a cell fails exactly when the
+    # enumeration over coalitions restricted to the topic's ancestors and
+    # the topic fails, or equals it.  A coalition failing elsewhere fails
+    # the enumeration over whole kept sets, and leaves the cell defined
+    failed = defined = spared = 0
     for g in random_graphs(seed=79, count=30, max_args=6):
         cache, reference = EvaluationCache(g, LINEAR_HALF), EvaluationCache(g, LINEAR_HALF)
         try:
             cache.strengths()
         except DomainError:
             continue
-        for t in range(len(g)):
-            for x in range(len(g)):
+        for t, topic in enumerate(g.arguments):
+            for x, contributor in enumerate(g.arguments):
                 if x == t or not (cache.ancestors(t) >> x) & 1:
                     continue
                 try:
-                    want = shapley_submask_sum(reference, t, x)
-                except DomainError as exc:
-                    with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    want = shapley_bruteforce(g, LINEAR_HALF, topic, contributor)
+                except DomainError:
+                    with pytest.raises(DomainError):
                         cache.contribution(ShapleyExact(), t, x)
                     failed += 1
-                else:
-                    assert abs(cache.contribution(ShapleyExact(), t, x) - want) <= 1e-12
-                    defined += 1
-    assert failed and defined
+                    continue
+                assert abs(cache.contribution(ShapleyExact(), t, x) - want) <= 1e-12
+                defined += 1
+                try:
+                    shapley_submask_sum(reference, t, x)
+                except DomainError:
+                    spared += 1
+    assert failed and defined and spared
 
 
 def test_null_players_leave_every_exact_shapley_cell_unchanged():
@@ -601,39 +613,33 @@ def counted_passes(monkeypatch):
     return masks
 
 
-def test_the_coalition_scan_passes_once_and_the_table_fills_the_column(monkeypatch):
-    # each s_i has a parent, so _always_defined bounds it by 1.0 and rejects
+def test_the_coalition_table_fills_the_column_without_a_kept_set_pass(monkeypatch):
+    # each s_i has a parent, so a bound of 1.0 per such parent would reject
     # linear(1.0) on t's six supporters, yet t's aggregate stays below 1 in
-    # every coalition: one scan passes, and the table fills the whole column
+    # every coalition: one walk over t's ancestors fills the whole column,
+    # keeps none of its coalitions, and no cell evaluates a kept set
     args = [("t", 0.5)] + [(f"s{i}", 0.1) for i in range(6)] + [(f"p{i}", 0.05) for i in range(6)]
     supports = [(f"s{i}", "t") for i in range(6)] + [(f"p{i}", f"s{i}") for i in range(6)]
     g, semantics = QBAG(args, supports=supports), GradualSemantics(Aggregation.SUM, Linear(1.0))
-    assert not _always_defined(g, semantics)
-    scans = []
-    scan = contributions._raise_undefined_coalition
-    monkeypatch.setattr(contributions, "_raise_undefined_coalition", lambda *a: scans.append(a) or scan(*a))
     cache = EvaluationCache(g, semantics)
+    passes = counted_passes(monkeypatch)
     tracemalloc.start()
     try:
         cache.contribution(ShapleyExact(), 0, 1)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the scan keeps none of its 2^12 passes (a cache that memoized them held
-    # them all after this cell)
     assert kept < 64 * len(g) ** 2, kept
+    assert passes == [-1]  # the full-graph vector, and no kept set
     column = cache.column(ShapleyExact(), 0)
     assert _UNSET not in column and column[0] is UNDEFINED
     reference = EvaluationCache(g, semantics)
     for x in range(1, len(g)):
         assert abs(cache.contribution(ShapleyExact(), 0, x) - shapley_submask_sum(reference, 0, x)) <= 1e-12
-    assert scans == [(cache, 0, 1)]
-    # a scan skips the kept sets that keep a topic already scanned: a table
-    # passes once over each kept set keeping t or a supporter, and once over
-    # the full graph for its vector
-    passes = counted_passes(monkeypatch)
+    # a whole table walks each topic's ancestors once, and makes one pass
+    passes.clear()
     contribution_table(g, semantics, ShapleyExact(), cache=EvaluationCache(g, semantics))
-    assert len(passes) == len(set(passes)) == 1 + 2**13 - 2**6
+    assert passes == [-1]
 
 
 def test_an_exact_shapley_column_holds_one_table_of_its_topic_ancestors():
@@ -716,8 +722,8 @@ def linear_edge():
 def test_unread_undefined_probes_do_not_fail_a_check():
     g, semantics = linear_edge()
     cache = EvaluationCache(g, semantics)
-    with pytest.raises(DomainError) as single:
-        cache.strengths_perturbed(0, 0.5 + 1e-2)
+    single = cache.strengths_perturbed(0, 0.5 + 1e-2)[1]
+    assert single.__class__ is DomainError
     # at this eq_tol every radius is below the probe headroom: local
     # faithfulness reads no probe, so the undefined ones cannot fail it
     coarse = CheckConfig(eq_tol=1e-2)
@@ -730,7 +736,7 @@ def test_unread_undefined_probes_do_not_fail_a_check():
         for _ in range(2):
             with pytest.raises(DomainError) as read:
                 run_check(g, semantics, Removal(), principle, "d", cache=cache)
-            assert str(read.value) == str(single.value)
+            assert str(read.value) == str(single)
 
 
 def test_quantitative_local_faithfulness_raises_where_the_probe_scan_did():
@@ -740,8 +746,8 @@ def test_quantitative_local_faithfulness_raises_where_the_probe_scan_did():
     # the error, and only a + direction without one reaches the error
     g = QBAG([("x", 0.5), ("y", 1.0), ("d", 0.2)], attacks=[("x", "d")], supports=[("y", "d")])
     cache = EvaluationCache(g, LINEAR_HALF)
-    with pytest.raises(DomainError) as single:
-        cache.strengths_perturbed(0, 0.5 - 1e-2)
+    single = cache.strengths_perturbed(0, 0.5 - 1e-2)[2]
+    assert single.__class__ is DomainError
 
     def steep(graph, semantics, topic, contributor):
         return 5.0
@@ -751,7 +757,7 @@ def test_quantitative_local_faithfulness_raises_where_the_probe_scan_did():
         assert report.witness["contributor"] == "x" and report.witness["direction"] == 1.0
         with pytest.raises(DomainError) as read:
             run_check(g, LINEAR_HALF, Gradient(), PrincipleId.QUANT_LOCAL_FAITHFULNESS, "d", cache=cache)
-        assert str(read.value) == str(single.value)
+        assert str(read.value) == str(single)
 
 
 def test_local_faithfulness_checks_fill_no_single_perturbation(monkeypatch):
@@ -859,7 +865,7 @@ def test_cache_stores_stay_within_their_documented_bounds():
             assert sampled < 1024 + 64 * n * n, (n, sampled)
             # the stores the class docstring lists, none indexed by coalition
             stores = {"_full", "_removed", "_severed", "_sweeps", "_columns", "_descendants", "_ancestors"}
-            stores |= {"_closer_pairs", "_scanned", "derived", "plan"}
+            stores |= {"_closer_pairs", "_walk_errors", "derived", "plan"}
             assert set(vars(cache)) == {"graph", "semantics", "_comp", "full_mask", *stores}
             assert cache._full == tuple(_Compiled(g, semantics).strengths())
             for store in (cache._removed, cache._severed):
@@ -921,24 +927,28 @@ def test_a_failing_grid_sweep_is_computed_once(monkeypatch):
     assert len(set(depths)) == 1, depths
 
 
-def test_unreached_topics_read_base_grids_but_failing_probes():
+def test_unreached_topics_read_base_grids_and_base_probes():
     # x supports d, and u stands alone; every probe above tau(x) = 0.5 lifts
-    # d's aggregate out of [-0.5, 0.5].  A grid sweep of x gives the topic u,
-    # which x does not reach, its base strength at every point without
-    # evaluating anything; a probe column of u holds the perturbed graph's
-    # error at each undefined point, as the whole graph is undefined there
+    # d's aggregate out of [-0.5, 0.5].  Grid and probe sweeps of x give the
+    # topic u, which x does not reach, its base strength at every point, so
+    # the three sibling checkers all report x's 5.0 as a violation on u;
+    # on d, which reads the undefined points, all three raise
     g = QBAG([("x", 0.5), ("d", 0.2), ("u", 0.3)], [], [("x", "d")])
 
     def steep(graph, semantics, topic, contributor):
         return 5.0 if contributor == "x" else 0.0
 
     cache = EvaluationCache(g, LINEAR_HALF)
-    for principle in (PrincipleId.LOCAL_FAITHFULNESS, PrincipleId.QUANT_LOCAL_FAITHFULNESS):
-        for _ in range(2):
+    principles = (PrincipleId.STRONG_FAITHFULNESS, PrincipleId.LOCAL_FAITHFULNESS, PrincipleId.QUANT_LOCAL_FAITHFULNESS)
+    for _ in range(2):
+        witnesses = [run_check(g, LINEAR_HALF, steep, principle, "u", cache=cache).witness for principle in principles]
+        assert witnesses[0] == {"contributor": "x", "contribution": 5.0, "epsilon": 0.0, "strength_diff": 0.0}
+        schedule = CheckConfig().eps_schedule
+        assert witnesses[1]["probes"] == [(0.5 + sign * eps, 0.0) for eps in schedule for sign in (1.0, -1.0)]
+        assert witnesses[2]["direction"] == 1.0 and witnesses[2]["error_ratios"][-1] > 1.0
+        for principle in principles:
             with pytest.raises(DomainError, match=re.escape("got aggregate 0.51")):
-                run_check(g, LINEAR_HALF, steep, principle, "u", cache=cache)
-    report = run_check(g, LINEAR_HALF, steep, PrincipleId.STRONG_FAITHFULNESS, "u", cache=cache)
-    assert report.witness == {"contributor": "x", "contribution": 5.0, "epsilon": 0.0, "strength_diff": 0.0}
+                run_check(g, LINEAR_HALF, steep, principle, "d", cache=cache)
 
 
 def fan(k, supporter_strength, attackers=()):
@@ -954,7 +964,6 @@ def test_a_sum_bounded_by_its_parents_strengths_fills_the_coalition_table(monkey
     # under linear(1) no coalition is undefined whatever the in-degree: the
     # column comes from the coalition table, with no kept-set pass
     g, semantics = fan(1.0, 0.05)
-    assert _always_defined(g, semantics)
     cache, reference = EvaluationCache(g, semantics), EvaluationCache(g, semantics)
     passes = counted_passes(monkeypatch)
     column = [cache.contribution(ShapleyExact(), 0, x) for x in range(len(g))]
@@ -963,13 +972,91 @@ def test_a_sum_bounded_by_its_parents_strengths_fills_the_coalition_table(monkey
     assert all(abs(column[x] - shapley_submask_sum(reference, 0, x)) <= 1e-12 for x in range(1, len(g)))
     # with an attacker of 0.05 the full graph's aggregate is 0.7, but the
     # supporters alone reach 0.75, just over linear(0.7499)'s domain: the
-    # cell still enumerates, and fails at the coalition without the attacker
+    # walk's first step removes the attacker and fails there, with the
+    # error of the enumeration's first coalition and no kept-set pass
     g, semantics = fan(0.7499, 0.05, [("a", 0.05)])
-    assert not _always_defined(g, semantics)
     cache = EvaluationCache(g, semantics)
     with pytest.raises(DomainError) as want:
         shapley_submask_sum(EvaluationCache(g, semantics), 0, 2)
     passes.clear()
-    with pytest.raises(DomainError, match=re.escape(str(want.value))):
-        cache.contribution(ShapleyExact(), 0, 2)
-    assert len(passes) > 1
+    for x in (2, 1, 16):
+        with pytest.raises(DomainError, match=re.escape(str(want.value))):
+            cache.contribution(ShapleyExact(), 0, x)
+    assert passes == [-1]
+
+
+def test_a_failure_off_the_topics_ancestors_leaves_its_results_defined():
+    # s1, s2 (0.5) support u (0.2), a (0.5) attacks u, and x (0.3) supports
+    # t (0.4), under sum + linear(0.6): removing a lifts u's aggregate to
+    # 1.0, but no argument of u's component reaches t, so every cell of t is
+    # a number, and every check on t a report, except strong faithfulness,
+    # whose grid of x lifts t's own aggregate to 0.61
+    g = QBAG(
+        [("s1", 0.5), ("s2", 0.5), ("u", 0.2), ("a", 0.5), ("x", 0.3), ("t", 0.4)],
+        [("a", "u")],
+        [("s1", "u"), ("s2", "u"), ("x", "t")],
+    )
+    semantics = GradualSemantics(Aggregation.SUM, Linear(0.6))
+    methods = (Removal(), IntrinsicRemoval(), ShapleyExact(), ShapleySampled(50, 1), Gradient())
+    want = {
+        Removal: 0.29999999999999993,
+        IntrinsicRemoval: 0.29999999999999993,
+        ShapleyExact: 0.29999999999999993,
+        ShapleySampled: shapley_sampled_reference(g, semantics, "t", "x", 50, 1),
+        Gradient: 1.0,
+    }
+    for method in methods:
+        cells = [EvaluationCache(g, semantics).contribution(method, 5, x) for x in range(5)]
+        assert cells == [0.0, 0.0, 0.0, 0.0, want[type(method)]], method
+    cache = EvaluationCache(g, semantics)
+    for method in methods:
+        for principle in PrincipleId:
+            if principle is PrincipleId.STRONG_FAITHFULNESS:
+                with pytest.raises(DomainError, match=re.escape("got aggregate 0.61")):
+                    run_check(g, semantics, method, principle, "t", cache=cache)
+            else:
+                assert run_check(g, semantics, method, principle, "t", cache=cache).topic == "t"
+    # a's removal store holds u's error, which a cell of u raises
+    with pytest.raises(DomainError, match=re.escape("got aggregate 1.0")):
+        cache.contribution(Removal(), 2, 3)
+    assert cache._removed[3][2].__class__ is DomainError
+
+
+def test_a_cone_entry_holds_the_error_of_the_first_failing_node_it_reads():
+    # without x, p's aggregate is 0.8 and q's 0.7, both out of [-0.5, 0.5];
+    # t's parents list its attacker q before its supporter p, but p fails
+    # first in topological order, so t's removal entry holds p's error, the
+    # one a full pass of the graph without x raises
+    g = QBAG(
+        [("x", 0.3), ("y", 0.8), ("z", 0.7), ("p", 0.2), ("q", 0.2), ("t", 0.5)],
+        [("x", "p"), ("x", "q"), ("q", "t")],
+        [("y", "p"), ("z", "q"), ("p", "t")],
+    )
+    with pytest.raises(DomainError) as full:
+        evaluate(restrict(g, g.arguments[1:]), LINEAR_HALF)
+    cache = EvaluationCache(g, LINEAR_HALF)
+    for topic, message in (("p", str(full.value)), ("q", "got aggregate 0.7"), ("t", str(full.value))):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cache.contribution(Removal(), g.index_of(topic), 0)
+    assert "got aggregate 0.8" in str(full.value)
+
+
+def test_a_failing_coalition_table_raises_every_cell_from_one_walk(monkeypatch):
+    # t (0.5) with fourteen supporters of 0.06, then four attackers of 0.05,
+    # under sum + linear(0.8): only the coalition that keeps every supporter
+    # and no attacker leaves the domain.  The first exact cell walks t's 18
+    # ancestors once and raises there; t keeps that error, and the other 17
+    # cells raise it with no further walk and no kept-set pass
+    args = [("t", 0.5)] + [(f"s{i}", 0.06) for i in range(14)] + [(f"a{i}", 0.05) for i in range(4)]
+    g = QBAG(args, [(f"a{i}", "t") for i in range(4)], [(f"s{i}", "t") for i in range(14)])
+    semantics = GradualSemantics(Aggregation.SUM, Linear(0.8))
+    walks = []
+    walk = contributions._coalition_table
+    monkeypatch.setattr(contributions, "_coalition_table", lambda *a: walks.append(a[1]) or walk(*a))
+    passes = counted_passes(monkeypatch)
+    cache = EvaluationCache(g, semantics)
+    for x in range(1, 19):
+        with pytest.raises(DomainError, match=re.escape("got aggregate 0.8400000000000003")):
+            cache.contribution(ShapleyExact(), 0, x)
+    assert walks == [0] and passes == [-1]
+    assert cache.column(ShapleyExact(), 0) == [_UNSET] * 19

@@ -295,3 +295,18 @@ def test_build_rejects_only_the_five_error_classes(args, attacks, supports):
     assert not set(g.attacks) & set(g.supports)
     pos = {name: i for i, name in enumerate(topological_order(g))}
     assert all(pos[s] < pos[d] for s, d in g.attacks + g.supports)
+
+
+def test_the_package_exports_its_names_and_no_module():
+    import types
+
+    import qbag
+
+    assert len(qbag.__all__) == len(set(qbag.__all__)) > 50
+    for name in qbag.__all__:
+        assert not isinstance(getattr(qbag, name), types.ModuleType), name
+    assert {"QBAG", "EvaluationCache", "run_check", "load_graph", "DomainError"} <= set(qbag.__all__)
+    assert not {"graph", "fuzz", "semantics", "contributions", "principles", "errors", "graphfile", "rng"} & set(qbag.__all__)
+    namespace = {}
+    exec("from qbag import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qbag.__all__)

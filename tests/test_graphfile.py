@@ -5,6 +5,7 @@ from qbag import (
     GraphFormatError,
     OverlappingRelation,
     UnknownEndpoint,
+    load_graph,
     parse_graph,
     serialize_graph,
 )
@@ -61,6 +62,15 @@ class TestParsing:
                 '{"arguments": [{"id": "a", "initial": 0.5}, {"id": "b", "initial": 0.5}],'
                 ' "attacks": [["a", "b"]], "supports": [["a", "b"]]}'
             )
+
+
+def test_a_file_that_is_not_utf8_raises_graph_format_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"arguments": [{"id": "\u00e9", "initial": 0.5}], "attacks": [], "supports": []}'.encode("latin-1"))
+    with pytest.raises(GraphFormatError, match="^not UTF-8: 'utf-8' codec can't decode byte 0xe9"):
+        load_graph(path)
+    path.write_bytes(path.read_bytes().decode("latin-1").encode("utf-8"))
+    assert load_graph(path).arguments == ("\u00e9",)
 
 
 class TestRoundTrip:

@@ -556,8 +556,9 @@ def test_witness_digest_on_a_fixed_fuzz_pool(fixed_pool_reports):
 # linear(0.5), linear(1.0) and linear(1.5), one shared cache per (graph,
 # semantics): the report's repr, or the DomainError a check raises.  Sweeps
 # and probes leave the linear domain here, so this pins where each check
-# raises and with which message, which the preset pool never reaches.
-_ERROR_PATH_DIGEST = "bb84b2c957ee4f10e126f97bd3f6fdf6ff9ca67bd49b93fce75900fe643c1c05"
+# raises and with which message, which the preset pool never reaches: only
+# where re-folding the topic's ancestors and the topic fails.
+_ERROR_PATH_DIGEST = "072d1df6fe008ef1aaff8509c09b59eef49fbae9976f979e0c560b0d37327d51"
 
 
 def test_error_path_digest_on_linear_semantics():
@@ -594,7 +595,7 @@ def test_error_path_digest_on_linear_semantics():
                             line = f"DomainError: {exc}"
                             errors[principle] += 1
                         digest.update(line.encode() + b"\n")
-    assert (pairs, checks, tuple(errors.values())) == (427, 25_260, (525, 190, 182))
+    assert (pairs, checks, tuple(errors.values())) == (427, 25_260, (380, 63, 47))
     assert digest.hexdigest() == _ERROR_PATH_DIGEST
 
 

@@ -4,25 +4,42 @@ Each principle is re-implemented here from its docstring in
 ``qbag.principles``, with the public graph API only: ``evaluate``,
 ``restrict``, ``with_initial_strength``, ``reaches`` and ``strictly_closer``.
 Every probe, grid point and removal is a rebuilt graph evaluated from
-scratch, and no ``EvaluationCache`` is used.  Contribution cells come from
-``contribution()`` on fresh caches; they have their own oracles.  The test
-compares the verdict and the first witness's contributor with ``run_check``.
+scratch, and no ``EvaluationCache`` is used.  Under the presets,
+contribution cells come from ``contribution()`` on fresh caches; they have
+their own oracles.  The test compares the verdict and the first witness's
+contributor with ``run_check``.
+
+Under a linear influence a rebuilt graph may leave the domain.  A topic's
+strength in it is then read from the graph restricted to the topic's
+ancestors and the topic (``conftest.strength_within``), and raises only if
+that fails; the reference also rebuilds every cell, reads cells and probes
+in the order the checker does, and must raise wherever ``run_check`` does.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from qbag import (
+    QBAG,
+    Aggregation,
     CheckConfig,
+    DomainError,
     Gradient,
+    GradualSemantics,
     IntrinsicRemoval,
+    Linear,
     PrincipleId,
     Removal,
     ShapleyExact,
+    ShapleySampled,
     UNDEFINED,
     EvaluationCache,
     contribution,
     evaluate,
+    gradient_of_topic,
     reaches,
+    remove_incoming,
     restrict,
     run_check,
     strictly_closer,
@@ -30,7 +47,7 @@ from qbag import (
 )
 from qbag.semantics import PRESETS
 
-from conftest import random_graphs
+from conftest import random_graphs, shapley_bruteforce, shapley_sampled_reference, strength_within
 
 CFG = CheckConfig()
 
@@ -58,27 +75,44 @@ def sign(value: float, tol: float) -> int:
 
 class Instance:
     """One (graph, semantics) pair, with every evaluation the reference
-    reads built on demand from a rebuilt graph and kept in plain dicts."""
+    reads built on demand from a rebuilt graph and kept in plain dicts.  A
+    rebuilt graph that fails as a whole is kept instead of its strengths,
+    and each topic is read from it by ``strength_within``."""
 
     def __init__(self, graph, semantics):
         self.graph = graph
         self.semantics = semantics
         self.base = evaluate(graph, semantics)
-        self._at = {}
-        self._without = {}
+        self._rebuilt = {}
+        self.local_reads = 0  # topics read from a graph that fails as a whole
 
-    def at(self, x: str, value: float) -> dict:
-        """Final strengths with x's initial strength set to ``value``."""
-        key = (x, value)
-        if key not in self._at:
-            self._at[key] = evaluate(with_initial_strength(self.graph, x, value), self.semantics)
-        return self._at[key]
+    def strength(self, key, rebuild, topic: str) -> float:
+        """The topic's final strength in the graph ``rebuild()`` builds."""
+        if key not in self._rebuilt:
+            graph = rebuild()
+            try:
+                self._rebuilt[key] = evaluate(graph, self.semantics)
+            except DomainError:
+                self._rebuilt[key] = graph
+        hit = self._rebuilt[key]
+        if isinstance(hit, QBAG):
+            self.local_reads += 1
+            return strength_within(hit, self.semantics, hit.arguments, topic)
+        return hit[topic]
+
+    def at(self, x: str, value: float, topic: str) -> float:
+        """The topic's final strength with x's initial strength set to ``value``."""
+        return self.strength(("at", x, value), lambda: with_initial_strength(self.graph, x, value), topic)
+
+    def without(self, x: str, topic: str) -> float:
+        kept = [a for a in self.graph.arguments if a != x]
+        return self.strength(("without", x), lambda: restrict(self.graph, kept), topic)
+
+    def severed(self, x: str, topic: str) -> float:
+        return self.strength(("severed", x), lambda: remove_incoming(self.graph, x), topic)
 
     def removal_delta(self, x: str, topic: str) -> float:
-        if x not in self._without:
-            kept = [a for a in self.graph.arguments if a != x]
-            self._without[x] = evaluate(restrict(self.graph, kept), self.semantics)
-        return self.base[topic] - self._without[x][topic]
+        return self.base[topic] - self.without(x, topic)
 
 
 # ------------------------------------------------------ whole-instance rules
@@ -90,7 +124,8 @@ def contribution_existence(inst, topic, cells):
     delta = inst.base[topic] - inst.graph.initial_strength(topic)
     if abs(delta) <= CFG.eq_tol:
         return False
-    return not any(c is not UNDEFINED and abs(c) > CFG.zero_tol for x, c in cells.items() if x != topic)
+    others = [cells[x] for x in inst.graph.arguments if x != topic]
+    return not any(c is not UNDEFINED and abs(c) > CFG.zero_tol for c in others)
 
 
 def quant_contribution_existence(inst, topic, cells):
@@ -156,7 +191,7 @@ def local_faithfulness(inst, topic, x, c):
             if not 0.0 <= value <= 1.0:
                 continue
             any_direction = True
-            response = inst.at(x, value)[topic] - inst.base[topic]
+            response = inst.at(x, value, topic) - inst.base[topic]
             if (s > 0) == (direction > 0):
                 ok = ok and response > CFG.eq_tol
             else:
@@ -178,7 +213,7 @@ def quant_local_faithfulness(inst, topic, x, c):
         steps = [direction * r for r in CFG.eps_schedule if 0.0 <= tau + direction * r <= 1.0]
         if not steps:
             continue
-        ratios = [abs((inst.at(x, tau + eps)[topic] - (base + eps * c)) / eps) for eps in steps]
+        ratios = [abs((inst.at(x, tau + eps, topic) - (base + eps * c)) / eps) for eps in steps]
         if ratios[-1] <= RATIO_FLOOR:
             continue
         if any(not later <= RATIO_DECAY * earlier + 1e-15 for earlier, later in zip(ratios, ratios[1:])):
@@ -191,15 +226,17 @@ def strong_faithfulness(inst, topic, x, c):
     contradicts the sign: a positive contribution promises a strictly lower
     topic strength below tau and a strictly higher one above, a negative one
     the reverse, and a zero one no change; a point within 1e-12 of tau is
-    skipped, and a nan difference contradicts nothing."""
+    skipped, and a nan difference contradicts nothing.  The whole grid is
+    read first: any undefined point fails the check."""
     s = sign(c, CFG.zero_tol)
     tau = inst.graph.initial_strength(x)
     last = CFG.grid_points - 1
-    for j in range(CFG.grid_points):
+    strengths = [inst.at(x, j / last, topic) for j in range(CFG.grid_points)]
+    for j, strength in enumerate(strengths):
         value = j / last
         if abs(value - tau) <= 1e-12:
             continue
-        diff = inst.at(x, value)[topic] - inst.base[topic]
+        diff = strength - inst.base[topic]
         rises = 1 if value > tau else -1  # the direction tau moves in
         if s == 0:
             if diff > CFG.eq_tol or diff < -CFG.eq_tol:
@@ -228,11 +265,15 @@ TESTS = {
 
 
 def reference(inst, principle, topic, cells):
-    """(violated, the first witness's contributor or None)."""
+    """(violated, the first witness's contributor or None).  Directionality
+    visits, and reads the cells of, only the arguments that do not reach
+    the topic."""
     if principle in RULES:
         return RULES[principle](inst, topic, cells), None
     for x in inst.graph.arguments:
-        if x != topic and cells[x] is not UNDEFINED and TESTS[principle](inst, topic, x, cells[x]):
+        if x == topic or (principle is PrincipleId.DIRECTIONALITY and reaches(inst.graph, x, topic)):
+            continue
+        if cells[x] is not UNDEFINED and TESTS[principle](inst, topic, x, cells[x]):
             return True, x
     return False, None
 
@@ -260,3 +301,97 @@ def test_reference_checker_agrees_with_run_check():
                             disagreements.append((g, semantics.label(), report.method, principle, topic, got, want))
     assert instances == 12_960 and all(violations.values()), (instances, violations)
     assert not disagreements, disagreements[:3]
+
+
+LINEAR = tuple(GradualSemantics(kind, Linear(k)) for kind in Aggregation for k in (0.5, 1.0, 1.5))
+LINEAR_METHODS = (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient(), ShapleySampled(20, 1), zeros, ones)
+
+
+def reference_cell(inst, method, topic, x):
+    """One contribution cell from rebuilt graphs: Shapley cells by the
+    coalition sums of ``conftest``, 0.0 for an argument that does not reach
+    the topic (a null player); raises DomainError where it is undefined."""
+    g, semantics = inst.graph, inst.semantics
+    if callable(method):
+        return method(g, semantics, topic, x)
+    if isinstance(method, Gradient):
+        return gradient_of_topic(g, semantics, topic)[x]
+    if x == topic:
+        return UNDEFINED
+    if isinstance(method, Removal):
+        return inst.removal_delta(x, topic)
+    if isinstance(method, IntrinsicRemoval):
+        return inst.severed(x, topic) - inst.without(x, topic)
+    if not reaches(g, x, topic):
+        return 0.0
+    if isinstance(method, ShapleyExact):
+        return shapley_bruteforce(g, semantics, topic, x)
+    return shapley_sampled_reference(g, semantics, topic, x, method.permutations, method.seed)
+
+
+class LazyCells(dict):
+    """The reference cells of one (method, topic), each computed when first
+    read; a cell that raises raises at every read."""
+
+    def __init__(self, inst, method, topic):
+        super().__init__()
+        self.args = inst, method, topic
+
+    def __missing__(self, x):
+        try:
+            self[x] = reference_cell(*self.args, x)
+        except DomainError as exc:
+            self[x] = exc
+        return self[x]
+
+    def __getitem__(self, x):
+        value = super().__getitem__(x)
+        if isinstance(value, DomainError):
+            raise value
+        return value
+
+
+def outcome(call):
+    """``call()``, or the DomainError class it raises."""
+    try:
+        return call()
+    except DomainError:
+        return DomainError
+
+
+def test_reference_checker_agrees_under_the_definedness_rule():
+    # sum, product and top with linear(0.5/1.0/1.5): every cell and every
+    # check raises exactly where the reference does, and agrees with it
+    # elsewhere; a graph undefined as a whole fails every check
+    counts = dict.fromkeys(("graph undefined", "cells raised", "checks raised", "reports", "local reads"), 0)
+    disagreements = []
+    for g in random_graphs(seed=2, count=10, max_args=5, edge_prob=0.7):
+        for semantics in LINEAR:
+            cache = EvaluationCache(g, semantics)
+            try:
+                inst = Instance(g, semantics)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    run_check(g, semantics, Gradient(), PrincipleId.DIRECTIONALITY, g.arguments[0], cache=cache)
+                counts["graph undefined"] += 1
+                continue
+            for method in LINEAR_METHODS:
+                for topic in g.arguments:
+                    cells = LazyCells(inst, method, topic)
+                    for x in g.arguments:
+                        got = outcome(lambda: contribution(g, semantics, method, topic, x))
+                        want = outcome(lambda: cells[x])
+                        counts["cells raised"] += want is DomainError
+                        close = isinstance(method, ShapleyExact) and got is not DomainError and want is not DomainError
+                        if not (got is want or got == want or (close and abs(got - want) <= 1e-12)):
+                            disagreements.append((g, semantics, method, topic, x, got, want))
+                    for principle in PrincipleId:
+                        report = outcome(lambda: run_check(g, semantics, method, principle, topic, cache=cache))
+                        got = report if report is DomainError else (not report.satisfied, report.witness.get("contributor"))
+                        want = outcome(lambda: reference(inst, principle, topic, cells))
+                        counts["checks raised" if want is DomainError else "reports"] += 1
+                        if got != want:
+                            disagreements.append((g, semantics, method, principle, topic, got, want))
+            counts["local reads"] += inst.local_reads
+    assert not disagreements, disagreements[:3]
+    assert all(counts.values()), counts
