@@ -8,7 +8,8 @@ examples), ``fuzz`` (randomized violation search), and ``export-examples``
 
 Exit codes: 0 success (for ``check``/``fuzz``: no violation), 1 violation
 found, 2 usage or input error.  The environment variable ``QBAG_EXACT_CAP``
-overrides the argument cap for exact coalition enumeration.
+overrides the cap on a topic and its ancestors for exact coalition
+enumeration.
 """
 
 from __future__ import annotations

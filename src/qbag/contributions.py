@@ -23,11 +23,12 @@ subsets of the ancestors in Gray-code order, each step re-folding one
 ancestor's cone, tabulates it in 2^m floats.  Any other argument is a null
 player, whose Shapley value is 0.0, and each ancestor's value is its value
 in the m-player game over the ancestors: an exactly rounded sum of 2^(m-1)
-weighted marginals read from that table.  A sampled cell re-folds each
-coalition it visits on one vector, within the topic's ancestors and the
-topic.  Enumeration beyond ``ShapleyExact.cap`` arguments (default 20)
-raises :class:`TooLarge`, on every call whether or not the cell is memoized;
-use the seeded permutation sampler instead for big graphs.
+weighted marginals read from that table.  A sampled cell shuffles only the
+topic's ancestors, and re-folds each coalition it visits on one vector,
+within the ancestors and the topic.  A topic that with its ancestors counts
+more than ``ShapleyExact.cap`` arguments (default 20) raises
+:class:`TooLarge` for every exact cell, whatever the graph's size; use the
+seeded permutation sampler instead for such topics.
 
 One rule decides where a result is undefined, under a semantics whose
 influence has a bounded domain (a custom ``linear``): a quantity about topic
@@ -126,7 +127,7 @@ def _integer(owner, field: str) -> int:
 
 @dataclass(frozen=True)
 class ShapleyExact:
-    """Exact enumeration, on graphs of at most ``cap`` arguments."""
+    """Exact enumeration, for a topic that with its ancestors counts at most ``cap`` arguments."""
 
     cap: int = DEFAULT_EXACT_CAP
 
@@ -207,7 +208,7 @@ class EvaluationCache:
       column of a strength or an error per value for each topic the
       argument reaches.
     - ``_columns``: n cell columns of n cells per built-in method (per
-      instance for the seeded sampler).
+      instance for the two Shapley methods, so per cap and per seed).
     - ``_walk_errors``: per topic, the error of its exact Shapley table walk.
     - ``_descendants``, ``_ancestors``, ``_closer_pairs``: one entry per
       argument or topic.
@@ -381,8 +382,7 @@ class EvaluationCache:
     def column(self, method: ContributionMethod | Callable[..., ContributionValue], topic: int) -> list:
         """The topic's memoized cell column under a built-in method, indexed
         by contributor: a float, :data:`UNDEFINED`, or ``_UNSET`` until
-        :meth:`cell` computes it.  A callable method, or exact Shapley
-        on a graph of more than its cap arguments, gets a fresh unset
+        :meth:`cell` computes it.  A callable method gets a fresh unset
         column, so every request goes through :meth:`cell`."""
         columns = self.columns(method)
         if columns is None:
@@ -394,14 +394,12 @@ class EvaluationCache:
 
     def columns(self, method: ContributionMethod | Callable[..., ContributionValue]) -> list[list | None] | None:
         """A built-in method's memoized cell columns, indexed by topic (None
-        until :meth:`column` creates one); None for a callable method and for
-        exact Shapley on a graph of more than its cap arguments, whose cells
-        are never memoized.  Exact Shapley's columns are shared by every cap
-        that admits the graph: a cell does not depend on the cap."""
+        until :meth:`column` creates one); None for a callable method, whose
+        cells are never memoized.  Shapley columns are kept per method value."""
         kind = type(method)
-        if kind not in _METHOD_NAMES or (kind is ShapleyExact and self._comp.n > method.cap):
+        if kind not in _METHOD_NAMES:
             return None
-        key = method if kind is ShapleySampled else kind
+        key = method if kind is ShapleySampled or kind is ShapleyExact else kind
         columns = self._columns.get(key)
         if columns is None:
             columns = self._columns[key] = [None] * self._comp.n
@@ -416,10 +414,10 @@ class EvaluationCache:
         coalition's error, kept for every later cell of the topic.  A
         callable ``(graph, semantics, topic, contributor) -> value`` gets
         argument names and is called every time.  Every exact Shapley
-        request on a graph of more than its cap arguments raises
-        :class:`TooLarge`.  Shapley cells of arguments that do not reach the
-        topic are an exact 0.0 (null players: every marginal is exactly
-        0.0).  A removal or intrinsic removal cell reads the topic's entry
+        request on a topic that with its ancestors counts more than the cap
+        raises :class:`TooLarge`.  Shapley cells of arguments that do not
+        reach the topic are an exact 0.0 (null players: every marginal is
+        exactly 0.0).  A removal or intrinsic removal cell reads the topic's entry
         of the contributor's removal and severing stores, and raises the
         error an entry holds, the severed graph's first."""
         kind = type(method)
@@ -429,8 +427,9 @@ class EvaluationCache:
                 value = method(self.graph, self.semantics, names[topic], names[contributor])
                 return value if value is UNDEFINED else float(value)
             raise TypeError(f"unknown contribution method {method!r}")
-        if kind is ShapleyExact and len(self.graph) > method.cap:
-            raise TooLarge(f"exact enumeration is capped at {method.cap} arguments, graph has {len(self.graph)}")
+        if kind is ShapleyExact and (scope := self.ancestors(topic).bit_count() + 1) > method.cap:
+            name = self.graph.arguments[topic]
+            raise TooLarge(f"exact enumeration is capped at {method.cap} arguments, topic {name} with its ancestors has {scope}")
         column = self.column(method, topic)
         if kind is Gradient:
             column[:] = self._comp.gradient(topic, self.strengths())
@@ -527,8 +526,8 @@ def contrib_shapley_exact(
     from the graph already restricted by removing X.  Only the topic's
     ancestors can change its strength, so the sum runs over the subsets of
     the other ancestors with the m-player weights, exactly rounded.  The
-    cap, ``ShapleyExact(exact_cap)``, applies to every call, memoized or
-    not.
+    cap, ``ShapleyExact(exact_cap)``, bounds the topic and its ancestors,
+    m + 1, on every call, memoized or not.
     """
     return contribution(graph, semantics, ShapleyExact(exact_cap), topic, contributor, cache=cache)
 
@@ -608,9 +607,10 @@ def contrib_shapley_sampled(
 ) -> ContributionValue:
     """Unbiased permutation-sampling estimate of the exact Shapley value.
 
-    Each sample draws a uniform ordering of the arguments other than the
-    topic and takes the marginal effect of removing the contributor after
-    the prefix preceding it has been removed.  Deterministic given the seed.
+    Each sample draws a uniform ordering of the topic's ancestors (the
+    other arguments are null players) and takes the marginal effect of
+    removing the contributor after the prefix preceding it was removed.
+    Deterministic given the seed.
     """
     return contribution(
         graph, semantics, ShapleySampled(permutations, seed), topic, contributor, cache=cache
@@ -618,11 +618,11 @@ def contrib_shapley_sampled(
 
 
 def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, seed: int) -> float:
-    """Each shuffle's two kept sets are re-folded on one vector, unmemoized,
-    within the topic's ancestors and the topic, the only arguments that move
-    its strength: all of them, then x's cone within them with x dropped.
-    Each raises the error of the first node that fails there, and no other
-    argument is evaluated, so the full graph may be undefined."""
+    """Each permutation shuffles the topic's ancestors, in argument-list
+    order, and re-folds its two kept sets on one vector, unmemoized, within
+    the ancestors and the topic: all of them, then x's cone within them with
+    x dropped.  Each raises the error of the first node that fails there,
+    and no other argument is evaluated, so the full graph may be undefined."""
     comp = cache._comp
     full = cache.full_mask
     scope = cache.ancestors(t) | 1 << t
@@ -630,7 +630,7 @@ def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, 
     cone = [d for d in cache._descendants_of(x) if (scope >> d) & 1]
     out = [0.0] * comp.n
     rng = SplitMix64(seed)
-    players = [i for i in range(comp.n) if i != t]
+    players = [i for i in range(comp.n) if (scope >> i) & 1 and i != t]
     total = 0.0
     for _ in range(permutations):
         rng.shuffle(players)

@@ -38,7 +38,7 @@ class DomainError(QBAGError):
 
 
 class TooLarge(QBAGError):
-    """The graph exceeds the cap for exact coalition enumeration."""
+    """A topic and its ancestors exceed the cap for exact coalition enumeration."""
 
 
 class UnknownExample(QBAGError):

@@ -28,7 +28,7 @@ import string
 from dataclasses import dataclass
 
 from .contributions import ContributionMethod, EvaluationCache, _integer
-from .errors import DomainError
+from .errors import DomainError, TooLarge
 from .graph import QBAG
 from .principles import CheckConfig, PrincipleId, PrincipleReport, run_check
 from .rng import SplitMix64
@@ -122,8 +122,8 @@ def search_violation(
         for topic in graph.arguments:
             try:
                 report = run_check(graph, semantics, method, principle, topic, check_cfg, cache=cache)
-            except DomainError as exc:
-                raise DomainError(f"trial {trial}, topic {topic}: {exc}") from exc
+            except (DomainError, TooLarge) as exc:
+                raise type(exc)(f"trial {trial}, topic {topic}: {exc}") from exc
             if not report.satisfied:
                 return FuzzWitness(trial, topic, graph, report)
     return None

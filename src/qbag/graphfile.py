@@ -9,7 +9,8 @@ A graph file is a UTF-8 JSON document with three top-level keys:
     }
 
 Argument order in the file is the graph's argument order.  Numbers may be
-written in decimal or scientific notation.  Parsing applies the full graph
+written in decimal or scientific notation.  A key given twice in one object,
+at any level, is rejected.  Parsing applies the full graph
 validation, so a file that names unknown endpoints, duplicates an argument,
 overlaps the relations, or encodes a cycle is rejected with the matching
 error.
@@ -24,11 +25,22 @@ from .errors import GraphFormatError
 from .graph import QBAG
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; a key given twice raises GraphFormatError,
+    where ``json.loads`` would keep the last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        duplicate = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise GraphFormatError(f"duplicate key {duplicate!r}")
+    return doc
+
+
 def parse_graph(text: str) -> QBAG:
     """Parse a graph document; raises GraphFormatError for malformed input
     and the specific construction errors for structurally invalid graphs."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:

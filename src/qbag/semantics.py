@@ -29,8 +29,9 @@ Influences (initial strength ``w``, aggregate ``s``):
     euler-based    1 - (1 - w^2) / (1 + w * exp(s))
     p-max(p, k)    w - w * h(-s/k) + (1 - w) * h(s/k),  h(x) = max(0,x)^p / (1 + max(0,x)^p)
 
-Where ``exp(s)`` or ``x**p`` leaves the float range, an influence returns its
-limit as the aggregate grows instead of raising ``OverflowError``.
+Where ``exp(s)`` or ``x**p`` leaves the float range, or ``s/k`` overflows to
+inf, an influence returns its limit as the aggregate grows instead of
+raising ``OverflowError`` or giving ``nan``.
 
 Non-smooth points get a fixed one-sided convention so the derivative map is
 total: at aggregate 0, linear and p-max use the positive branch (slope
@@ -241,15 +242,16 @@ def _influence_functions(
     if isinstance(kind, PMax):
         p, k = kind.p, kind.k
 
-        # Where x**p overflows, h takes its limit 1 and h' its limit 0; a
-        # squared denominator that overflows likewise leaves h' = 0.
+        # Where x**p overflows or x is inf (s / k overflows for a tiny k), h
+        # takes its limit 1 and h' its limit 0; a squared denominator that
+        # overflows likewise leaves h' = 0.
 
         def h(x: float) -> float:
             try:
                 xp = x**p
             except OverflowError:
                 return 1.0
-            return xp / (1.0 + xp)
+            return 1.0 if xp == math.inf else xp / (1.0 + xp)
 
         def h_prime(x: float) -> float:
             # one-sided derivative at 0+: 1 for p == 1, 0 for p >= 2

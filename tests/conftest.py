@@ -62,14 +62,14 @@ def strength_within(graph: QBAG, semantics, kept, topic: str) -> float:
 
 def shapley_sampled_reference(graph: QBAG, semantics, topic: str, contributor: str, permutations: int, seed: int):
     """``ShapleySampled(permutations, seed)``'s cell, replayed: the same
-    ``SplitMix64(seed)`` shuffles of the other arguments in list order, each
-    giving the marginal of removing the contributor after the arguments
-    before it, both sides read by :func:`strength_within`.  A contributor
-    that does not reach the topic is a null player: 0.0."""
+    ``SplitMix64(seed)`` shuffles of the topic's ancestors in list order,
+    each giving the marginal of removing the contributor after the
+    ancestors before it, both sides read by :func:`strength_within`.  A
+    contributor that does not reach the topic is a null player: 0.0."""
     if not reaches(graph, contributor, topic):
         return 0.0
     rng = SplitMix64(seed)
-    players = [a for a in graph.arguments if a != topic]
+    players = [a for a in graph.arguments if a != topic and reaches(graph, a, topic)]
     total = 0.0
     for _ in range(permutations):
         rng.shuffle(players)

@@ -66,6 +66,15 @@ class TestEval:
         assert code == 0 and err == ""
         assert out.splitlines()[-1] == "a 0.500000 1.000000"
 
+    def test_p_max_with_a_tiny_k_takes_the_limit(self, tmp_path, capsys):
+        # s / k overflows to inf; the influence takes its limit, not nan
+        path = tmp_path / "pair.json"
+        path.write_text('{"arguments": [{"id": "a", "initial": 0.5}, {"id": "b", "initial": 0.3}],'
+                        ' "attacks": [], "supports": [["b", "a"]]}')
+        flags = ["--aggregation", "sum", "--influence", "p-max", "--p", "3", "--k", "1e-320"]
+        code, out, err = run(capsys, "eval", str(path), *flags)
+        assert (code, out, err) == (0, "b 0.300000 0.300000\na 0.500000 1.000000\n", "")
+
     def test_singleton(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text('{"arguments": [{"id": "a", "initial": 0.3}], "attacks": [], "supports": []}')
@@ -111,6 +120,16 @@ class TestEval:
         code, out, err = run(capsys, "eval", str(path), "--semantics", "qe")
         assert code == 2 and out == ""
         assert err.startswith("error: GraphFormatError: ") and err.count("\n") == 1
+
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        # json.loads would keep the second list and erase the attack
+        path = tmp_path / "twice.json"
+        path.write_text(
+            '{"arguments": [{"id": "a", "initial": 0.5}, {"id": "b", "initial": 0.5}],'
+            ' "attacks": [["b", "a"]], "supports": [], "attacks": []}'
+        )
+        code, out, err = run(capsys, "eval", str(path), "--semantics", "qe")
+        assert (code, out, err) == (2, "", "error: GraphFormatError: duplicate key 'attacks'\n")
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "binary.json"
@@ -200,11 +219,13 @@ class TestContrib:
         assert code == 2 and "method" in err
 
     def test_too_large_suggests_sampler(self, tmp_path, capsys, monkeypatch):
+        # the cap counts the topic and its ancestors: x0 with its three
+        # supporters is over a cap of 3, x1 alone in the same graph is not
         monkeypatch.setenv("QBAG_EXACT_CAP", "3")
         doc = {
             "arguments": [{"id": f"x{i}", "initial": 0.5} for i in range(4)],
             "attacks": [],
-            "supports": [["x1", "x0"]],
+            "supports": [["x1", "x0"], ["x2", "x0"], ["x3", "x0"]],
         }
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -212,7 +233,12 @@ class TestContrib:
             capsys, "contrib", str(path), "--semantics", "qe", "--method", "shapley", "--topic", "x0"
         )
         assert code == 2
-        assert "TooLarge" in err and "shapley-sampled" in err
+        assert err == (
+            "error: TooLarge: exact enumeration is capped at 3 arguments, topic x0 with its ancestors has 4"
+            " (use --method shapley-sampled)\n"
+        )
+        code, out, _ = run(capsys, "contrib", str(path), "--semantics", "qe", "--method", "shapley", "--topic", "x1")
+        assert code == 0 and out
 
     def test_exact_cap_env_default_allows_20(self, capsys, tmp_path):
         doc = {
@@ -505,6 +531,21 @@ class TestFuzzCommand:
         save_graph(random_qbag(FuzzConfig(seed=2, trials=50), int(trial)), path)
         code, _, replayed = run(capsys, "check", str(path), *shlex.split(semantics), "--topic", topic)
         assert (code, replayed) == (2, f"error: DomainError: {message}")
+
+    def test_too_large_names_trial_and_topic(self, tmp_path, capsys, monkeypatch):
+        # a topic over the exact cap stops the search; the error names the
+        # graph and topic so the refusal can be replayed
+        monkeypatch.setenv("QBAG_EXACT_CAP", "2")
+        flags = ["--semantics", "qe", "--method", "shapley", "--principle", "directionality"]
+        code, out, err = run(capsys, "fuzz", *flags, "--seed", "1", "--trials", "50")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        _, kind, where, message = err.split(": ", 3)
+        assert kind == "TooLarge" and message.startswith("exact enumeration is capped at 2 arguments, topic ")
+        trial, topic = where.removeprefix("trial ").split(", topic ")
+        path = tmp_path / "refused.json"
+        save_graph(random_qbag(FuzzConfig(seed=1, trials=50), int(trial)), path)
+        code, _, replayed = run(capsys, "check", str(path), *flags, "--topic", topic)
+        assert (code, replayed) == (2, f"error: TooLarge: {message}")
 
     @pytest.mark.parametrize(
         "flags",

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qbag import (
@@ -27,6 +29,7 @@ from qbag import (
     reaches,
     restrict,
 )
+from qbag.contributions import _coalition_table
 from qbag.semantics import PRESETS
 
 from conftest import random_graphs, shapley_bruteforce
@@ -159,10 +162,18 @@ class TestShapleyExact:
                     )
 
     def test_exact_cap(self):
-        g = QBAG([(f"x{i}", 0.5) for i in range(21)])
-        with pytest.raises(TooLarge):
-            contrib_shapley_exact(g, QE, "x0", "x1")
-        assert contrib_shapley_exact(g, QE, "x0", "x1", exact_cap=21) == 0.0
+        # the cap counts the topic and its ancestors, not the graph: in 22
+        # arguments, x0 with its 21 ancestors is refused and x1 with y is not
+        supports = [(f"x{i}", "x0") for i in range(1, 21)] + [("y", "x1")]
+        g = QBAG([(f"x{i}", 0.5) for i in range(21)] + [("y", 0.5)], supports=supports)
+        for cap in (20, 21):
+            with pytest.raises(TooLarge, match=f"capped at {cap} arguments, topic x0 with its ancestors has 22$"):
+                contrib_shapley_exact(g, QE, "x0", "x1", exact_cap=cap)
+        removal = contrib_removal(g, QE, "x1", "y")
+        assert removal > 0.0
+        assert contrib_shapley_exact(g, QE, "x1", "y") == contrib_shapley_exact(g, QE, "x1", "y", exact_cap=2) == removal
+        with pytest.raises(TooLarge, match="capped at 1 arguments, topic x1 with its ancestors has 2$"):
+            contrib_shapley_exact(g, QE, "x1", "y", exact_cap=1)
 
     def test_cache_and_fresh_agree(self):
         g = chain_graph()
@@ -186,6 +197,45 @@ class TestShapleySampled:
                 exact = contrib_shapley_exact(g, DFQUAD, topic, x)
                 estimate = contrib_shapley_sampled(g, DFQUAD, topic, x, 100_000, seed=77)
                 assert estimate == pytest.approx(exact, abs=0.01)
+
+    def test_estimates_lie_within_five_exact_standard_errors(self):
+        # a cell averages 50 permutation marginals of x; its standard error
+        # is the exact spread of that marginal over the coalitions of the
+        # other ancestors, each weighted by its Shapley weight (the spread of
+        # the 50 samples understates heavy-tailed marginals).  A cell whose
+        # spread is zero up to rounding must equal the exact cell; all cells
+        # of a topic share their permutations, so they sum to its total
+        method = ShapleySampled(50, 7)
+        worst, cells, settled = 0.0, 0, 0
+        for g in random_graphs(seed=3, count=200, max_args=8):
+            for sem in PRESETS.values():
+                cache = EvaluationCache(g, sem)
+                for t in range(len(g)):
+                    reach = cache.ancestors(t)
+                    ancestors = [a for a in range(len(g)) if (reach >> a) & 1]
+                    m = len(ancestors)
+                    table = _coalition_table(cache, t, ancestors)
+                    estimates = []
+                    for j, x in enumerate(ancestors):
+                        exact = cache.contribution(ShapleyExact(), t, x)
+                        estimates.append(cache.contribution(method, t, x))
+                        variance = math.fsum(
+                            math.factorial(r.bit_count()) * math.factorial(m - 1 - r.bit_count()) / math.factorial(m)
+                            * (table[r] - table[r | 1 << j] - exact) ** 2
+                            for r in range(1 << m)
+                            if not (r >> j) & 1
+                        )
+                        error = math.sqrt(variance / method.permutations)
+                        if error <= 1e-12:
+                            assert abs(estimates[-1] - exact) <= 1e-12, (g, sem, t, x)
+                            settled += 1
+                        else:
+                            worst = max(worst, abs(estimates[-1] - exact) / error)
+                        cells += 1
+                    gap = math.fsum(estimates) - (cache.strengths()[t] - g._tau[t])
+                    assert abs(gap) <= 1e-9, (g, sem, t)
+        assert cells == 5465 and 0 < settled < cells
+        assert worst <= 5.0
 
     def test_deterministic_given_seed(self):
         g = chain_graph()

@@ -17,6 +17,8 @@ import pytest
 
 from qbag import (
     QBAG,
+    DFQUAD,
+    EB,
     QE,
     Aggregation,
     CheckConfig,
@@ -48,7 +50,7 @@ from qbag import (
 )
 from qbag import contributions
 from qbag.contributions import _UNSET, _shapley_weights
-from qbag.corpus import supporters_graph
+from qbag.corpus import load_example, supporters_graph
 from qbag.graph import strictly_closer_pairs
 from qbag.principles import _first_contradictions, _probe_row
 from qbag.semantics import PRESETS, _Compiled
@@ -181,20 +183,25 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
 
 
 def test_memoized_shapley_cell_still_enforces_the_cap():
+    # the cap counts the topic and its ancestors; each cap keeps its own
+    # columns, which an over-cap topic never fills, so every one of its cells
+    # raises on every call, also after a larger cap has filled the column
     g, topic, contributor = linked_pair(5)
     cache = EvaluationCache(g, QE)
+    t = g.index_of(topic)
+    scope = cache.ancestors(t).bit_count() + 1
     value = contrib_shapley_exact(g, QE, topic, contributor, cache=cache)
-    assert contribution(g, QE, ShapleyExact(len(g)), topic, contributor, cache=cache) == value
-    small = ShapleyExact(len(g) - 1)
-    message = f"exact enumeration is capped at {len(g) - 1} arguments, graph has {len(g)}"
+    assert contribution(g, QE, ShapleyExact(scope), topic, contributor, cache=cache) == value
+    small = ShapleyExact(scope - 1)
+    message = f"exact enumeration is capped at {scope - 1} arguments, topic {topic} with its ancestors has {scope}"
     for _ in range(2):
         with pytest.raises(TooLarge, match=message):
-            contrib_shapley_exact(g, QE, topic, contributor, exact_cap=len(g) - 1, cache=cache)
+            contrib_shapley_exact(g, QE, topic, contributor, exact_cap=scope - 1, cache=cache)
         with pytest.raises(TooLarge, match=message):
             contribution(g, QE, small, topic, contributor, cache=cache)
         with pytest.raises(TooLarge, match=message):
             run_check(g, QE, small, PrincipleId.DIRECTIONALITY, topic, cache=cache)
-        assert cache.columns(small) is None
+        assert all(cell is _UNSET for cell in cache.column(small, t))
         assert contrib_shapley_exact(g, QE, topic, contributor, cache=cache) == value
 
 
@@ -233,7 +240,7 @@ def test_sampled_cells_are_memoized_per_seed():
 # then the sampled ones, contributor-major.  This pins every sampled value
 # and where each sampled or exact cell raises, with which message: only
 # where re-folding a coalition of the topic's ancestors and the topic fails.
-_SHAPLEY_DIGEST = "412f848d2fa69dc63d4864e22bb3566838cdadbe81470b16138532a0c2e0d4c8"
+_SHAPLEY_DIGEST = "c1cc751de7e75a61fec8e0ef7be8910e742e14044c65378a972a8389e23dc867"
 
 
 def test_shapley_digest_on_a_fixed_fuzz_pool():
@@ -554,6 +561,37 @@ def test_exact_shapley_cells_of_the_20_argument_supporters_graph():
         assert abs(cache.contribution(ShapleyExact(), 0, x) - shapley_submask_sum(reference, 0, x)) <= 1e-12
 
 
+def test_the_exact_cap_counts_the_topic_and_its_ancestors_not_the_graph():
+    # t has 12 ancestors among 2,000 arguments, and its ancestors reach 30
+    # arguments outside its scope: the column fills under the default cap
+    # and equals the submask enumeration of the graph restricted to t and
+    # its ancestors; the prox-gradient-eb topics with 36 and 37 ancestors
+    # stay refused, while the graph's other topics are admitted
+    scope = [f"a{i}" for i in range(12)] + ["t"]
+    names = scope + [f"z{i}" for i in range(1987)]
+    arguments = [(name, (37 * i % 101) / 100) for i, name in enumerate(names)]
+    edges = [(f"a{i}", "t") for i in range(6)] + [(f"a{i + 6}", f"a{i}") for i in range(6)]
+    edges += [(f"a{i}", f"a{i - 1}") for i in range(7, 12)] + [(f"a{i % 12}", f"z{i}") for i in range(30)]
+    edges += [(f"z{i}", f"z{i + 1}") for i in range(1986)] + [(f"z{i}", f"z{i + 7}") for i in range(0, 1980, 3)]
+    g = QBAG(arguments, edges[::2], edges[1::2])
+    restricted = restrict(g, scope)
+    for semantics in (QE, DFQUAD):
+        cache, reference = EvaluationCache(g, semantics), EvaluationCache(restricted, semantics)
+        assert cache.ancestors(12) == (1 << 12) - 1
+        column = [cache.contribution(ShapleyExact(), 12, x) for x in range(len(g))]
+        assert column[12] is UNDEFINED and column[13:] == [0.0] * 1987
+        for x in range(12):
+            assert abs(column[x] - shapley_submask_sum(reference, 12, x)) <= 1e-12
+        with pytest.raises(TooLarge, match="capped at 12 arguments, topic t with its ancestors has 13$"):
+            cache.contribution(ShapleyExact(12), 12, 0)
+    wide = load_example("prox-gradient-eb").graph
+    cache = EvaluationCache(wide, EB)
+    for topic, scope_size in (("a", 38), ("b", 37)):
+        with pytest.raises(TooLarge, match=f"capped at 20 arguments, topic {topic} with its ancestors has {scope_size}$"):
+            contrib_shapley_exact(wide, EB, topic, "c8", cache=cache)
+    assert contrib_shapley_exact(wide, EB, "c8", "a", cache=cache) == 0.0
+
+
 def test_exact_shapley_enumerates_where_a_coalition_may_be_undefined():
     # under sum + linear(0.5) a coalition may fail at any argument, an
     # ancestor of the topic or not: a cell fails exactly when the
@@ -685,7 +723,7 @@ def test_a_sampled_cell_holds_the_same_memory_at_any_permutation_count():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert values == [-0.14144202198088712, -0.1305244102184718]
+    assert values == [-0.12726600801532298, -0.12942884168406757]
     assert abs(peaks[1] - peaks[0]) < 4096 and peaks[1] < 64_000, peaks
 
 

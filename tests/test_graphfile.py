@@ -64,6 +64,20 @@ class TestParsing:
             )
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"arguments": [], "attacks": [["b", "a"]], "supports": [], "attacks": []}', "attacks"),
+        ('{"arguments": [{"id": "a", "initial": 0.5, "initial": 0.7}], "attacks": [], "supports": []}', "initial"),
+        ('{"arguments": [{"id": "a", "initial": 0.5, "x": {"k": 1, "k": 2}}], "attacks": [], "supports": []}', "k"),
+    ],
+)
+def test_a_key_given_twice_raises_graph_format_error(text, key):
+    # json.loads keeps a duplicate key's last value; a graph file may not
+    with pytest.raises(GraphFormatError, match=f"^duplicate key '{key}'$"):
+        parse_graph(text)
+
+
 def test_a_file_that_is_not_utf8_raises_graph_format_error(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"arguments": [{"id": "\u00e9", "initial": 0.5}], "attacks": [], "supports": []}'.encode("latin-1"))

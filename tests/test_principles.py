@@ -650,14 +650,18 @@ class TestPlanResolution:
 
     def test_exact_cap_is_read_on_every_call(self, graphs):
         # each cap is a new method object; a plan that matched the method by
-        # type would serve the memoized cells of cap 20 under cap n - 1
+        # type would serve the memoized cells of cap 20 to a topic whose
+        # ancestors and itself exceed the smaller cap
         g = graphs[0]
         cache = EvaluationCache(g, QE)
+        scopes = {topic: cache.ancestors(g.index_of(topic)).bit_count() + 1 for topic in g.arguments}
+        small = max(scopes.values()) - 1
+        assert min(scopes.values()) <= small
         principle = PrincipleId.COUNTERFACTUALITY
-        for cap in (20, len(g) - 1, 20, len(g) - 1):
+        for cap in (20, small, 20, small):
             method = ShapleyExact(cap)
             for topic in g.arguments:
-                if cap < len(g):
+                if scopes[topic] > cap:
                     with pytest.raises(TooLarge):
                         run_check(g, QE, method, principle, topic, cache=cache)
                     continue

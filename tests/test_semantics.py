@@ -24,7 +24,7 @@ from qbag import (
     semantics_by_name,
 )
 from qbag.corpus import supporters_graph
-from qbag.semantics import PRESETS
+from qbag.semantics import PRESETS, _influence_functions
 
 from conftest import finite_difference_partials, random_graphs
 
@@ -375,3 +375,15 @@ class TestPMaxOverflow:
         grad = gradient_of_topic(supporters_graph(2), GradualSemantics(Aggregation.SUM, PMax(50)), "a")
         xp = 2.0**50
         assert grad["b1"] == 0.5 * (50 * 2.0**49 / ((1.0 + xp) * (1.0 + xp)))
+
+    def test_infinite_scaled_aggregate_takes_the_limit(self):
+        # a tiny k sends s / k to inf, where x**p / (1 + x**p) would read inf / inf
+        tiny = PMax(3, 1e-320)
+        value, d_signal, d_initial = _influence_functions(tiny)
+        assert influence(tiny, 0.5, 0.3) == value(0.5, 0.3) == 1.0 and value(0.5, -0.3) == 0.0
+        for s in (0.3, -0.3):
+            assert (d_signal(0.5, s), d_initial(0.5, s)) == (0.0, 0.0)
+        semantics = GradualSemantics(Aggregation.SUM, tiny)
+        assert evaluate(supporters_graph(2), semantics)["a"] == 1.0
+        grad = gradient_of_topic(supporters_graph(2), semantics, "a")
+        assert all(value == 0.0 for value in grad.partials.values())
