@@ -30,20 +30,27 @@ more than ``ShapleyExact.cap`` arguments (default 20) raises
 :class:`TooLarge` for every exact cell, whatever the graph's size; use the
 seeded permutation sampler instead for such topics.
 
+Directionality holds exactly under every built-in method: the cell of an
+argument that does not reach the topic is +0.0, set without evaluating
+anything, since removing, severing or varying that argument cannot move the
+topic, and it is a Shapley null player.  The principle checkers rely on
+this to read only a topic's ancestors.
+
 One rule decides where a result is undefined, under a semantics whose
 influence has a bounded domain (a custom ``linear``): a quantity about topic
 t raises :class:`DomainError` exactly when re-folding t's ancestors and t
 fails in the modified graph it reads, since no other argument can move t.
-Every quantity but a sampled cell also needs the full graph defined.
+Every quantity but a sampled cell or a cell of an argument that does not
+reach the topic also needs the full graph defined.
 
 An :class:`EvaluationCache` shared across calls on one (graph, semantics)
 pair memoizes the full graph's strength vector, never a coalition's, the
 strengths that removing or severing each argument changes, perturbation
-sweeps per (argument, values), a strong-faithfulness grid or a faithfulness
-probe schedule, as one column per topic the argument reaches, one lazily
-filled cell column per (built-in method, topic), the error of each topic
-whose exact Shapley walk fails, each topic's ancestors and strictly-closer
-pairs, and the plan of the last principle check.  Single perturbations
+sweeps per (argument, grid point count) or (argument, probe values), as one
+column per topic the argument reaches, one lazily filled cell column per
+(built-in method, topic), the error of each topic whose exact Shapley walk
+fails, each topic's ancestors and strictly-closer pairs, and the plan of the
+last principle check.  Single perturbations
 (:meth:`EvaluationCache.strengths_perturbed`) serve the corpus
 expectations, other callers and a sweep that fails, and are not memoized.  A
 gradient column is filled whole by one reverse pass over the memoized
@@ -192,6 +199,11 @@ def method_by_name(name: str, *, permutations: int = DEFAULT_PERMUTATIONS, seed:
 _UNSET = object()
 
 
+class _PointByPoint(dict):
+    """A stored sweep whose column sweep failed and whose points were then
+    evaluated one by one: the only sweep whose columns can hold errors."""
+
+
 class EvaluationCache:
     """Memoized evaluations for one (graph, semantics) pair.
 
@@ -203,17 +215,19 @@ class EvaluationCache:
     - ``_removed``, ``_severed``: per argument, the strengths of its
       descendants with it removed, or with its incoming edges severed, by
       descendant: at most n entries of at most n - 1 floats (or errors) each.
-    - ``_sweeps``: one sweep per (argument, values), the values of a grid
-      or of the probe points of an eps schedule inside [0, 1], as one
-      column of a strength or an error per value for each topic the
-      argument reaches.
+    - ``_sweeps``: one sweep per (argument, point count) of a grid or per
+      (argument, values) of the probe points of an eps schedule inside
+      [0, 1], as one column per topic the argument reaches.  Only a sweep
+      evaluated point by point, a :class:`_PointByPoint`, holds errors in
+      place of strengths.
     - ``_columns``: n cell columns of n cells per built-in method (per
       instance for the two Shapley methods, so per cap and per seed).
     - ``_walk_errors``: per topic, the error of its exact Shapley table walk.
     - ``_descendants``, ``_ancestors``, ``_closer_pairs``: one entry per
       argument or topic.
-    - ``derived``: the principle checkers' tables: two visit orders per
-      topic, n x n strong-faithfulness entries per (grid_points, eq_tol),
+    - ``derived``: the principle checkers' tables: three visit orders per
+      topic (its ancestors, the other arguments, and those of them with no
+      path to it), n x n strong-faithfulness entries per (grid_points, eq_tol),
       and n x n probe columns and signed probe rows per eps schedule.
     - ``plan``: one slot, the last principle check's resolved plan; a check
       with another (principle, method, configuration) replaces it.
@@ -236,7 +250,7 @@ class EvaluationCache:
         self._full: tuple[float, ...] | None = None
         self._removed: list[dict[int, float] | None] = [None] * len(graph)
         self._severed: list[dict[int, float] | None] = [None] * len(graph)
-        self._sweeps: dict[tuple[int, tuple[float, ...]], dict[int, tuple]] = {}
+        self._sweeps: dict[tuple[int, int | tuple[float, ...]], dict[int, tuple]] = {}
         self._descendants: dict[int, tuple[int, ...]] = {}
         self._ancestors: dict[int, int] = {}
         self._closer_pairs: dict[int, list[tuple[int, int]]] = {}
@@ -331,38 +345,45 @@ class EvaluationCache:
         s = self._signal(index)
         return tuple(self._refold_cone(index, value if s is None else self._comp.value(value, s)))
 
+    def _sweep(self, index: int, values: Sequence[float]) -> dict[int, tuple]:
+        """:meth:`_sweep_columns`, unmemoized.  If it raises
+        :class:`DomainError`, each point is evaluated on its own by
+        :meth:`strengths_perturbed`, an undefined strength holds its error,
+        for the reader to raise, and the sweep is a :class:`_PointByPoint`."""
+        try:
+            return self._sweep_columns(index, values)
+        except DomainError:
+            rows = [self.strengths_perturbed(index, v) for v in values]
+            return _PointByPoint({t: tuple([r[t] for r in rows]) for t in (index, *self._descendants_of(index))})
+
     def sweep(self, index: int, values: tuple[float, ...]) -> dict[int, tuple]:
         """The final strengths of argument ``index`` and of each of its
         descendants as its initial strength takes each of ``values``, as one
-        column per reached topic, computed once per (argument, values).  If
-        the sweep raises :class:`DomainError`, each point is evaluated on
-        its own by :meth:`strengths_perturbed`, and an undefined strength
-        holds its error, for the reader to raise."""
-        key = (index, values)
-        columns = self._sweeps.get(key)
+        column per reached topic, computed once per (argument, values); an
+        undefined strength holds its error, for the reader to raise."""
+        columns = self._sweeps.get((index, values))
         if columns is None:
-            try:
-                columns = self._sweep_columns(index, values)
-            except DomainError:
-                rows = [self.strengths_perturbed(index, v) for v in values]
-                columns = {t: tuple([r[t] for r in rows]) for t in (index, *self._descendants_of(index))}
-            self._sweeps[key] = columns
+            columns = self._sweeps[index, values] = self._sweep(index, values)
         return columns
 
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
-        takes the values j / (points - 1), j = 0 .. points - 1, from
-        :meth:`sweep`.  A topic the argument does not reach keeps its
-        unmodified strength, and nothing is evaluated for it.  An undefined
-        point raises the error of the first undefined point, as a
+        takes the values j / (points - 1), j = 0 .. points - 1, computed once
+        per (argument, points).  A topic the argument does not reach keeps
+        its unmodified strength, and nothing is evaluated for it.  An
+        undefined point raises the error of the first undefined point, as a
         point-by-point sweep would."""
         if topic != index and not (self.ancestors(topic) >> index) & 1:
             return (self.strengths()[topic],) * points
-        last = points - 1
-        column = self.sweep(index, tuple([j / last for j in range(points)]))[topic]
-        for strength in column:
-            if strength.__class__ is DomainError:
-                raise strength.with_traceback(None)
+        columns = self._sweeps.get((index, points))
+        if columns is None:
+            last = points - 1
+            columns = self._sweeps[index, points] = self._sweep(index, [j / last for j in range(points)])
+        column = columns[topic]
+        if columns.__class__ is _PointByPoint:
+            for strength in column:
+                if strength.__class__ is DomainError:
+                    raise strength.with_traceback(None)
         return column
 
     def ancestors(self, topic: int) -> int:
@@ -415,11 +436,14 @@ class EvaluationCache:
         callable ``(graph, semantics, topic, contributor) -> value`` gets
         argument names and is called every time.  Every exact Shapley
         request on a topic that with its ancestors counts more than the cap
-        raises :class:`TooLarge`.  Shapley cells of arguments that do not
-        reach the topic are an exact 0.0 (null players: every marginal is
-        exactly 0.0).  A removal or intrinsic removal cell reads the topic's entry
-        of the contributor's removal and severing stores, and raises the
-        error an entry holds, the severed graph's first."""
+        raises :class:`TooLarge`.  Under every built-in method the cells of
+        the arguments that do not reach the topic are an exact 0.0, all set
+        by the first request for one of them, with nothing evaluated
+        (directionality: removing, severing or varying such an argument
+        cannot move the topic, and it is a Shapley null player).  A removal
+        or intrinsic removal cell reads the topic's entry of the
+        contributor's removal and severing stores, and raises the error an
+        entry holds, the severed graph's first."""
         kind = type(method)
         if kind not in _METHOD_NAMES:
             if callable(method):
@@ -427,10 +451,17 @@ class EvaluationCache:
                 value = method(self.graph, self.semantics, names[topic], names[contributor])
                 return value if value is UNDEFINED else float(value)
             raise TypeError(f"unknown contribution method {method!r}")
-        if kind is ShapleyExact and (scope := self.ancestors(topic).bit_count() + 1) > method.cap:
+        reach = self.ancestors(topic)
+        if kind is ShapleyExact and (scope := reach.bit_count() + 1) > method.cap:
             name = self.graph.arguments[topic]
             raise TooLarge(f"exact enumeration is capped at {method.cap} arguments, topic {name} with its ancestors has {scope}")
         column = self.column(method, topic)
+        skip = reach | 1 << topic
+        if not (skip >> contributor) & 1:
+            for x in range(self._comp.n):
+                if not (skip >> x) & 1:
+                    column[x] = 0.0
+            return 0.0
         if kind is Gradient:
             column[:] = self._comp.gradient(topic, self.strengths())
             return column[contributor]
@@ -448,8 +479,6 @@ class EvaluationCache:
                 if strength.__class__ is DomainError:
                     raise strength.with_traceback(None)
             value = with_x - without
-        elif not (self.ancestors(topic) >> contributor) & 1:
-            value = 0.0
         elif kind is not ShapleyExact:
             value = _shapley_sampled(self, topic, contributor, method.permutations, method.seed)
         else:
@@ -622,12 +651,19 @@ def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, 
     order, and re-folds its two kept sets on one vector, unmemoized, within
     the ancestors and the topic: all of them, then x's cone within them with
     x dropped.  Each raises the error of the first node that fails there,
-    and no other argument is evaluated, so the full graph may be undefined."""
+    and no other argument is evaluated, so the full graph may be undefined.
+    x's cone within them comes from one forward pass over them: every path
+    from x to one of them runs inside them."""
     comp = cache._comp
     full = cache.full_mask
     scope = cache.ancestors(t) | 1 << t
     nodes = [i for i in comp.order if (scope >> i) & 1]
-    cone = [d for d in cache._descendants_of(x) if (scope >> d) & 1]
+    reached = 1 << x
+    cone = []
+    for i in nodes:
+        if any((reached >> p) & 1 for p in chain(comp.attackers[i], comp.supporters[i])):
+            reached |= 1 << i
+            cone.append(i)
     out = [0.0] * comp.n
     rng = SplitMix64(seed)
     players = [i for i in range(comp.n) if (scope >> i) & 1 and i != t]

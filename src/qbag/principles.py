@@ -20,6 +20,12 @@ the witness entries beyond the contributor and its contribution, or a
 whole-instance rule (the two existence principles and proximity).  The nine
 ``check_*`` functions are bindings of ``run_check``.
 
+Directionality holds exactly for every built-in method: an argument with no
+path to the topic contributes an exact 0.0, on which no other principle's
+test finds a witness.  So under a built-in method every principle but
+directionality reads only the topic's ancestors; a callable method is read
+at every other argument.
+
 A check resolves its method's cell columns, the visit orders, the
 principle's tables, the tolerances, the method name and the semantics label
 once into a plan that the cache keeps in a one-entry slot, matched by the
@@ -89,6 +95,10 @@ class Verdict(Enum):
     VIOLATION = "violation"
 
 
+_VIOLATION = Verdict.VIOLATION
+_SATISFIED = Verdict.SATISFIED_ON_INSTANCE
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Numeric resolution of the checkers."""
@@ -126,7 +136,7 @@ class PrincipleReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.verdict is Verdict.SATISFIED_ON_INSTANCE
+        return self.verdict is _SATISFIED
 
 
 def _initial(cache: EvaluationCache, x: int) -> float:
@@ -135,41 +145,46 @@ def _initial(cache: EvaluationCache, x: int) -> float:
 
 # ------------------------------------------------------- whole-instance rules
 #
-# rule(cache, cfg, t, base, contrib) -> (violated, witness, note): ``t`` is the
-# topic's index, ``base`` its final strength, and ``contrib(x)`` the
-# contribution of argument index ``x`` to the topic (possibly UNDEFINED).
+# rule(cache, cfg, t, base, contrib, order) -> (violated, witness, note): ``t``
+# is the topic's index, ``base`` its final strength, ``contrib(x)`` the
+# contribution of argument index ``x`` to the topic (possibly UNDEFINED), and
+# ``order`` the other arguments whose contributions can be nonzero, in list
+# order: any other argument's is an exact 0.0.
 
 
-def _contribution_existence(cache, cfg, t, base, contrib):
+def _contribution_existence(cache, cfg, t, base, contrib, order):
     """Violated when the topic's final strength moved away from its initial
     strength yet every other argument's contribution is zero."""
     names = cache.graph.arguments
     delta = base - _initial(cache, t)
     if abs(delta) <= cfg.eq_tol:
         return False, {"strength_delta": delta}, "final strength equals initial strength; nothing to explain"
-    contribs = {names[x]: contrib(x) for x in range(len(names)) if x != t}
-    nonzero = {x: c for x, c in contribs.items() if c is not UNDEFINED and abs(c) > cfg.zero_tol}
+    contribs = {x: contrib(x) for x in order}
+    nonzero = [names[x] for x, c in contribs.items() if c is not UNDEFINED and abs(c) > cfg.zero_tol]
     if nonzero:
         return False, {"strength_delta": delta, "nonzero_contributors": sorted(nonzero)}, ""
-    zeros = {x: (0.0 if c is UNDEFINED else c) for x, c in contribs.items()}
+    zeros = {}
+    for x in range(len(names)):
+        if x != t:
+            c = contribs.get(x, 0.0)  # 0.0 for an argument the order skips
+            zeros[names[x]] = 0.0 if c is UNDEFINED else c
     return True, {"strength_delta": delta, "contributions": zeros}, ""
 
 
-def _quant_contribution_existence(cache, cfg, t, base, contrib):
+def _quant_contribution_existence(cache, cfg, t, base, contrib, order):
     """Violated when the contributions of all other arguments fail to sum to
     the topic's strength delta."""
     delta = base - _initial(cache, t)
     total = 0.0
-    for x in range(len(cache.graph)):
-        if x != t:
-            c = contrib(x)
-            if c is not UNDEFINED:
-                total += c
+    for x in order:
+        c = contrib(x)
+        if c is not UNDEFINED:
+            total += c
     gap = total - delta
     return abs(gap) > cfg.eq_tol, {"strength_delta": delta, "contribution_sum": total, "gap": gap}, ""
 
 
-def _proximity(cache, cfg, t, base, contrib):
+def _proximity(cache, cfg, t, base, contrib, order):
     """Violated when an argument that sits on every path from a farther
     contributor to the topic nevertheless contributes strictly less in
     magnitude."""
@@ -282,13 +297,18 @@ def _probe_row(cache, cfg, x):
         at = [k for k, p in enumerate(points) if 0.0 <= p <= 1.0]
         columns = cache.sweep(x, tuple([points[k] for k in at]))
         base = cache.strengths()
-        row = table[x] = []
-        for t in range(len(base)):
-            column = columns[t] if t in columns else repeat(base[t])
-            padded = [None] * len(points)
-            for k, strength in zip(at, column):
-                padded[k] = strength
-            row.append(tuple(padded))
+        if len(at) == len(points):
+            # nothing to pad: a reached topic's entry is its sweep column
+            row = [columns[t] if t in columns else (base[t],) * len(at) for t in range(len(base))]
+        else:
+            row = []
+            for t in range(len(base)):
+                column = columns[t] if t in columns else repeat(base[t])
+                padded = [None] * len(points)
+                for k, strength in zip(at, column):
+                    padded[k] = strength
+                row.append(tuple(padded))
+        table[x] = row
     return row
 
 
@@ -474,6 +494,9 @@ def _first_contradictions(cache, t, base, x, points, eq_tol):
 # resolver or None, whether the test visits only non-ancestors of the topic,
 # note); exactly one of rule and test is set.  A table resolver maps (cache,
 # cfg) to the cache's store the test reads, indexed by topic or contributor.
+# Every other part visits the topic's ancestors under a built-in method,
+# whose cell of any other argument is an exact 0.0, on which each test finds
+# nothing, and every other argument under a callable method.
 _PLANS = {
     PrincipleId.CONTRIBUTION_EXISTENCE: (_contribution_existence, None, None, False, ""),
     PrincipleId.QUANT_CONTRIBUTION_EXISTENCE: (_quant_contribution_existence, None, None, False, ""),
@@ -489,19 +512,19 @@ _PLANS = {
 
 class _Plan:
     """What a check resolves once per (cache, principle, cfg, semantics):
-    the full-graph strengths, the visit orders, the principle's part and
-    table, and the tolerances; and, once per method on top of that, the
-    method's per-topic cell columns (the list the cache fills, or None when
-    its cells are never memoized) and the report fields that do not depend
-    on the topic.  The cache keeps the last plan in a one-entry
-    slot, matched by identity, so a loop with topics innermost resolves
-    everything once per (principle, method), and a change of method alone
-    re-resolves only the method's part.  A plan holds no reference to its
-    cache: the two form no reference cycle, so a dropped cache is freed at
-    once, not by the cycle collector."""
+    the full-graph strengths, the principle's part and table, and the
+    tolerances; and, once per method on top of that, the method's per-topic
+    cell columns (the list the cache fills, or None when its cells are never
+    memoized), the visit orders, which depend on the method's kind, and the
+    report fields that do not depend on the topic.  The cache keeps the last
+    plan in a one-entry slot, matched by identity, so a loop with topics
+    innermost resolves everything once per (principle, method), and a change
+    of method alone re-resolves only the method's part.  A plan holds no
+    reference to its cache: the two form no reference cycle, so a dropped
+    cache is freed at once, not by the cycle collector."""
 
     __slots__ = (
-        "principle", "cfg", "semantics", "strengths", "orders", "non_ancestors_only", "rule",
+        "principle", "cfg", "semantics", "strengths", "visit", "orders", "non_ancestors_only", "rule",
         "test", "table", "zero_tol", "eq_tol", "fields", "method", "columns",
     )
 
@@ -513,7 +536,6 @@ class _Plan:
         self.principle = principle
         self.cfg = cfg
         self.semantics = semantics
-        self.orders = _table(cache, "visit-non-ancestors" if non_ancestors_only else "visit-others")
         self.non_ancestors_only = non_ancestors_only
         self.rule = rule
         self.test = test
@@ -538,21 +560,31 @@ class _Plan:
         fields = self.fields.copy()
         fields["method"] = method_name(method)
         self.columns = cache.columns(method)
+        if self.non_ancestors_only:
+            self.visit = "visit-non-ancestors"
+        else:
+            self.visit = "visit-others" if self.columns is None else "visit-ancestors"
+        self.orders = _table(cache, self.visit)
         self.fields = fields
         self.method = method
 
 
-_VIOLATION = Verdict.VIOLATION
-_SATISFIED = Verdict.SATISFIED_ON_INSTANCE
 _new_object = object.__new__
 _set_attribute = object.__setattr__
 
 
-def _visit_order(cache, t, non_ancestors_only):
-    """The contributors a per-contributor test visits for topic ``t``, in
-    list order: every other argument, or only those with no path to it."""
-    skip = (cache.ancestors(t) if non_ancestors_only else 0) | 1 << t
-    return tuple([x for x in range(len(cache.graph)) if not (skip >> x) & 1])
+def _visit_order(cache, t, visit):
+    """The contributors a check on topic ``t`` visits, in list order: its
+    ancestors ("visit-ancestors"), the other arguments with no path to it
+    ("visit-non-ancestors"), or every other argument ("visit-others")."""
+    reach = cache.ancestors(t)
+    if visit == "visit-ancestors":
+        keep = reach
+    elif visit == "visit-non-ancestors":
+        keep = ~(reach | 1 << t)
+    else:
+        keep = ~(1 << t)
+    return tuple([x for x in range(len(cache.graph)) if (keep >> x) & 1])
 
 
 def run_check(
@@ -566,12 +598,18 @@ def run_check(
     cache: EvaluationCache | None = None,
 ) -> PrincipleReport:
     """Run one principle checker on one instance.  A per-contributor test
-    visits the other arguments in list order and stops at the first
-    witness; contributions are read from the topic's cell column and
-    computed only for the contributors it visits.  Everything that does not
-    depend on the topic is resolved once into the cache's plan slot and
-    reused while (principle, cfg, semantics) and the method stay the same
-    objects; an exact Shapley method with another cap is another object."""
+    visits contributors in list order and stops at the first witness:
+    directionality the arguments with no path to the topic, every other
+    test the topic's ancestors under a built-in method and every other
+    argument under a callable one.  A built-in method gives any other
+    argument an exact 0.0, on which no test finds a witness, so skipping it
+    changes no report.  The existence rules likewise read the cells of the
+    contributors a test would visit, and count every other one as 0.0.
+    Contributions are read from the topic's cell column and computed only
+    for the contributors read.  Everything that does not depend on the
+    topic is resolved once into the cache's plan slot and reused while
+    (principle, cfg, semantics) and the method stay the same objects; an
+    exact Shapley method with another cap is another object."""
     try:
         t = graph._index[topic]
     except KeyError:
@@ -589,17 +627,17 @@ def run_check(
     if column is None:
         column = cache.column(method, t)
     fields = plan.fields.copy()
+    order = plan.orders[t]
+    if order is None:
+        order = plan.orders[t] = _visit_order(cache, t, plan.visit)
     if plan.rule is not None:
 
         def contrib(x: int) -> ContributionValue:
             c = column[x]
             return cache.cell(method, t, x) if c is _UNSET else c
 
-        violated, witness, fields["note"] = plan.rule(cache, cfg, t, base, contrib)
+        violated, witness, fields["note"] = plan.rule(cache, cfg, t, base, contrib, order)
     else:
-        order = plan.orders[t]
-        if order is None:
-            order = plan.orders[t] = _visit_order(cache, t, plan.non_ancestors_only)
         test = plan.test
         violated, witness = False, {}
         for x in order:

@@ -810,7 +810,9 @@ def test_local_faithfulness_checks_fill_no_single_perturbation(monkeypatch):
                 for method in METHODS:
                     for topic in g.arguments:
                         run_check(g, semantics, method, principle, topic, cache=cache)
-            assert cache._sweeps
+            # a built-in method's checks visit only the topic's ancestors, so
+            # they sweep exactly where some topic has one
+            assert bool(cache._sweeps) == any(cache.ancestors(t) for t in range(len(g)))
 
 
 def test_a_long_sweep_holds_points_times_cone():
@@ -910,9 +912,9 @@ def test_cache_stores_stay_within_their_documented_bounds():
                 assert len(store) == n
                 for x, changed in enumerate(store):
                     assert changed is None or set(changed) == set(cache._descendants_of(x))
-            # one sweep per (argument, grid or in-range probe points), with
-            # one column per topic the argument reaches
-            allowed = {(x, tuple(j / (p - 1) for j in range(p))) for x in range(n) for p in grids}
+            # one sweep per (argument, grid point count or in-range probe
+            # points), with one column per topic the argument reaches
+            allowed = {(x, p) for x in range(n) for p in grids}
             for x, tau in enumerate(g._tau):
                 for schedule in schedules:
                     points = [p for d in schedule for p in (tau + d, tau - d)]
@@ -922,9 +924,9 @@ def test_cache_stores_stay_within_their_documented_bounds():
                 assert set(columns) == {x, *cache._descendants_of(x)}
             assert len(cache._columns) <= len(METHODS) + 1
             assert all(len(columns) == n for columns in cache._columns.values())
-            # two visit orders, n x n contradictions per (grid_points, eq_tol),
-            # and n x n probe columns and signed probes per eps schedule
-            assert len(cache.derived) <= 2 + len(tables) + 2 * len(schedules)
+            # three visit orders, n x n contradictions per (grid_points,
+            # eq_tol), and n x n probe columns and signed probes per eps schedule
+            assert len(cache.derived) <= 3 + len(tables) + 2 * len(schedules)
             for key, rows in cache.derived.items():
                 assert len(rows) == n and all(row is None or len(row) <= n for row in rows), key
             tracemalloc.start()
@@ -1058,6 +1060,60 @@ def test_a_failure_off_the_topics_ancestors_leaves_its_results_defined():
     with pytest.raises(DomainError, match=re.escape("got aggregate 1.0")):
         cache.contribution(Removal(), 2, 3)
     assert cache._removed[3][2].__class__ is DomainError
+
+
+BUILT_IN_METHODS = (Removal(), IntrinsicRemoval(), ShapleyExact(), ShapleySampled(20, 7), Gradient())
+# the presets, and linear influences whose domain many pool graphs leave
+DIRECTIONALITY_SEMANTICS = (
+    *PRESETS.values(),
+    *(GradualSemantics(kind, Linear(k)) for kind in Aggregation for k in (0.5, 1.0, 1.5)),
+)
+
+
+def test_every_built_in_method_gives_non_ancestors_an_exact_zero():
+    # each cell of an argument that does not reach the topic is +0.0, asked
+    # for first on a fresh cache and after the topic's other cells; where
+    # the graphs it reads are defined, it equals the definitions' values:
+    # the full graph's strength minus the graph's without the contributor,
+    # and the plain reverse pass
+    pairs = undefined = 0
+    for g in random_graphs(seed=1009, count=30, max_args=6):
+        n = len(g)
+        for semantics in DIRECTIONALITY_SEMANTICS:
+            try:
+                base = strength_vector(g, semantics)
+            except DomainError:
+                base = None
+                undefined += 1
+            for t in range(n):
+                reach = EvaluationCache(g, semantics).ancestors(t)
+                outside = [x for x in range(n) if x != t and not (reach >> x) & 1]
+                for method in BUILT_IN_METHODS:
+                    first = EvaluationCache(g, semantics)
+                    cells = [first.contribution(method, t, x) for x in outside]
+                    last = EvaluationCache(g, semantics)
+                    for x in range(n):
+                        if x not in outside:
+                            try:
+                                last.contribution(method, t, x)
+                            except DomainError:
+                                pass
+                    cells += [last.contribution(method, t, x) for x in outside]
+                    assert all(c == 0.0 and math.copysign(1.0, c) == 1.0 for c in cells), (g, semantics.label(), t, method)
+                if base is None:
+                    continue
+                topic = g.arguments[t]
+                partials = gradient_of_topic(g, semantics, topic)
+                for x in outside:
+                    name = g.arguments[x]
+                    assert partials[name] == 0.0
+                    try:
+                        without = evaluate(restrict(g, [a for a in g.arguments if a != name]), semantics)[topic]
+                    except DomainError:
+                        continue
+                    assert base[t] - without == 0.0
+                    pairs += 1
+    assert pairs > 1000 and undefined
 
 
 def test_a_cone_entry_holds_the_error_of_the_first_failing_node_it_reads():

@@ -44,6 +44,7 @@ from qbag import (
     run_check,
     with_initial_strength,
 )
+from qbag import principles
 from qbag.corpus import load_example
 from qbag.semantics import PRESETS
 
@@ -740,3 +741,91 @@ class TestPlanResolution:
                 # one resolution per (principle, method), and one removal
                 # table per counterfactuality principle
                 assert len(resolved) == len(PrincipleId) * len(methods) + 2
+
+
+# ------------------------------------- what checks visit under built-in methods
+
+_BUILT_IN_METHODS = (
+    Removal(),
+    IntrinsicRemoval(),
+    ShapleyExact(),
+    ShapleyExact(3),
+    ShapleySampled(20, 7),
+    Gradient(),
+)
+# the presets, and linear influences whose domain many pool graphs leave
+_DIRECTIONALITY_SEMANTICS = (
+    *PRESETS.values(),
+    *(GradualSemantics(kind, Linear(k)) for kind in Aggregation for k in (0.5, 1.0, 1.5)),
+)
+
+
+def _outcome(check):
+    """A check's verdict, witness and note, or the error it raises."""
+    try:
+        report = check()
+    except (DomainError, TooLarge) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((report.verdict, report.witness, report.note))
+
+
+def test_built_in_checks_read_only_ancestors_and_report_as_a_callable_would(monkeypatch):
+    # Under a built-in method every principle but directionality reads the
+    # contributions of the topic's ancestors only.  The same method wrapped
+    # in a callable is read at every other argument, and every check gives
+    # the same verdict, witness and note, or raises the same error.
+    visits = []
+
+    def recorded(rule, test):
+        def read_by_rule(cache, cfg, t, base, contrib, order):
+            return rule(cache, cfg, t, base, lambda x: visits.append((t, x)) or contrib(x), order)
+
+        def read_by_test(cache, plan, t, base, x, c):
+            visits.append((t, x))
+            return test(cache, plan, t, base, x, c)
+
+        return (rule and read_by_rule), (test and read_by_test)
+
+    for principle, (rule, test, *rest) in principles._PLANS.items():
+        monkeypatch.setitem(principles._PLANS, principle, (*recorded(rule, test), *rest))
+    checks = outside = 0
+    for g in random_graphs(seed=2029, count=10, max_args=6):
+        for semantics in _DIRECTIONALITY_SEMANTICS:
+            cache, wrapped_cache, callable_cache = (EvaluationCache(g, semantics) for _ in range(3))
+            for method in _BUILT_IN_METHODS:
+
+                def wrapped(graph, semantics, topic, contributor, method=method):
+                    return contribution(graph, semantics, method, topic, contributor, cache=wrapped_cache)
+
+                for principle in PrincipleId:
+                    for topic in g.arguments:
+                        t = g.index_of(topic)
+                        reach = cache.ancestors(t)
+                        visits.clear()
+                        got = _outcome(lambda: run_check(g, semantics, method, principle, topic, cache=cache))
+                        if principle is not PrincipleId.DIRECTIONALITY:
+                            assert all((reach >> x) & 1 for _, x in visits), (principle, method, topic)
+                        visits.clear()
+                        want = _outcome(lambda: run_check(g, semantics, wrapped, principle, topic, cache=callable_cache))
+                        outside += any(x != t and not (reach >> x) & 1 for _, x in visits)
+                        assert got == want, (g, semantics.label(), principle, method, topic)
+                        checks += 1
+    assert checks > 20_000 and outside > 1000, (checks, outside)
+
+
+def test_a_callable_is_still_asked_about_arguments_that_do_not_reach_the_topic():
+    # y supports t and x stands alone: a callable that gives y its removal
+    # effect and x 1.0 is still asked about x, whose removal moves nothing,
+    # so both counterfactuality checkers witness x, also on a cache whose
+    # removal checks visited y alone
+    g = QBAG([("y", 0.4), ("x", 0.5), ("t", 0.3)], supports=[("y", "t")])
+
+    def loud(graph, semantics, topic, contributor):
+        return 1.0 if contributor == "x" else contribution(graph, semantics, Removal(), topic, contributor)
+
+    cache = EvaluationCache(g, QE)
+    for principle in (PrincipleId.COUNTERFACTUALITY, PrincipleId.QUANT_COUNTERFACTUALITY):
+        assert run_check(g, QE, Removal(), principle, "t", cache=cache).satisfied
+        report = run_check(g, QE, loud, principle, "t", cache=cache)
+        assert report.witness["contributor"] == "x"
+        assert (report.witness["contribution"], report.witness["removal_delta"]) == (1.0, 0.0)
