@@ -345,26 +345,34 @@ class EvaluationCache:
         s = self._signal(index)
         return tuple(self._refold_cone(index, value if s is None else self._comp.value(value, s)))
 
-    def _sweep(self, index: int, values: Sequence[float]) -> dict[int, tuple]:
-        """:meth:`_sweep_columns`, unmemoized.  If it raises
-        :class:`DomainError`, each point is evaluated on its own by
-        :meth:`strengths_perturbed`, an undefined strength holds its error,
-        for the reader to raise, and the sweep is a :class:`_PointByPoint`."""
-        try:
-            return self._sweep_columns(index, values)
-        except DomainError:
-            rows = [self.strengths_perturbed(index, v) for v in values]
-            return _PointByPoint({t: tuple([r[t] for r in rows]) for t in (index, *self._descendants_of(index))})
+    def _sweep(self, index: int, values: int | tuple[float, ...]) -> dict[int, tuple]:
+        """:meth:`_sweep_columns` of argument ``index`` over ``values``, or
+        over the grid j / (values - 1), j = 0 .. values - 1, when ``values``
+        is a point count, computed once per (index, values) and kept in
+        ``_sweeps``.  If the column sweep raises :class:`DomainError`, each
+        point is evaluated on its own by :meth:`strengths_perturbed`, an
+        undefined strength holds its error, for the reader to raise, and the
+        sweep is a :class:`_PointByPoint`."""
+        key = (index, values)
+        columns = self._sweeps.get(key)
+        if columns is None:
+            if isinstance(values, int):
+                last = values - 1
+                values = [j / last for j in range(values)]
+            try:
+                columns = self._sweep_columns(index, values)
+            except DomainError:
+                rows = [self.strengths_perturbed(index, v) for v in values]
+                columns = _PointByPoint({t: tuple([r[t] for r in rows]) for t in (index, *self._descendants_of(index))})
+            self._sweeps[key] = columns
+        return columns
 
     def sweep(self, index: int, values: tuple[float, ...]) -> dict[int, tuple]:
         """The final strengths of argument ``index`` and of each of its
         descendants as its initial strength takes each of ``values``, as one
         column per reached topic, computed once per (argument, values); an
         undefined strength holds its error, for the reader to raise."""
-        columns = self._sweeps.get((index, values))
-        if columns is None:
-            columns = self._sweeps[index, values] = self._sweep(index, values)
-        return columns
+        return self._sweep(index, values)
 
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
@@ -375,10 +383,7 @@ class EvaluationCache:
         point-by-point sweep would."""
         if topic != index and not (self.ancestors(topic) >> index) & 1:
             return (self.strengths()[topic],) * points
-        columns = self._sweeps.get((index, points))
-        if columns is None:
-            last = points - 1
-            columns = self._sweeps[index, points] = self._sweep(index, [j / last for j in range(points)])
+        columns = self._sweep(index, points)
         column = columns[topic]
         if columns.__class__ is _PointByPoint:
             for strength in column:

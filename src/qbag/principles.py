@@ -145,22 +145,23 @@ def _initial(cache: EvaluationCache, x: int) -> float:
 
 # ------------------------------------------------------- whole-instance rules
 #
-# rule(cache, cfg, t, base, contrib, order) -> (violated, witness, note): ``t``
-# is the topic's index, ``base`` its final strength, ``contrib(x)`` the
-# contribution of argument index ``x`` to the topic (possibly UNDEFINED), and
-# ``order`` the other arguments whose contributions can be nonzero, in list
-# order: any other argument's is an exact 0.0.
+# rule(cache, plan, t, base, contrib) -> (violated, witness, note): ``t`` is
+# the topic's index, ``base`` its final strength, and ``contrib(x)`` the
+# contribution of argument index ``x`` to the topic (possibly UNDEFINED).  The
+# rule reads its tolerances from the plan, and ``plan.orders[t]`` holds the
+# other arguments whose contributions can be nonzero, in list order: any
+# other argument's is an exact 0.0.
 
 
-def _contribution_existence(cache, cfg, t, base, contrib, order):
+def _contribution_existence(cache, plan, t, base, contrib):
     """Violated when the topic's final strength moved away from its initial
     strength yet every other argument's contribution is zero."""
     names = cache.graph.arguments
     delta = base - _initial(cache, t)
-    if abs(delta) <= cfg.eq_tol:
+    if abs(delta) <= plan.eq_tol:
         return False, {"strength_delta": delta}, "final strength equals initial strength; nothing to explain"
-    contribs = {x: contrib(x) for x in order}
-    nonzero = [names[x] for x, c in contribs.items() if c is not UNDEFINED and abs(c) > cfg.zero_tol]
+    contribs = {x: contrib(x) for x in plan.orders[t]}
+    nonzero = [names[x] for x, c in contribs.items() if c is not UNDEFINED and abs(c) > plan.zero_tol]
     if nonzero:
         return False, {"strength_delta": delta, "nonzero_contributors": sorted(nonzero)}, ""
     zeros = {}
@@ -171,20 +172,20 @@ def _contribution_existence(cache, cfg, t, base, contrib, order):
     return True, {"strength_delta": delta, "contributions": zeros}, ""
 
 
-def _quant_contribution_existence(cache, cfg, t, base, contrib, order):
+def _quant_contribution_existence(cache, plan, t, base, contrib):
     """Violated when the contributions of all other arguments fail to sum to
     the topic's strength delta."""
     delta = base - _initial(cache, t)
     total = 0.0
-    for x in order:
+    for x in plan.orders[t]:
         c = contrib(x)
         if c is not UNDEFINED:
             total += c
     gap = total - delta
-    return abs(gap) > cfg.eq_tol, {"strength_delta": delta, "contribution_sum": total, "gap": gap}, ""
+    return abs(gap) > plan.eq_tol, {"strength_delta": delta, "contribution_sum": total, "gap": gap}, ""
 
 
-def _proximity(cache, cfg, t, base, contrib, order):
+def _proximity(cache, plan, t, base, contrib):
     """Violated when an argument that sits on every path from a farther
     contributor to the topic nevertheless contributes strictly less in
     magnitude."""
@@ -202,7 +203,7 @@ def _proximity(cache, cfg, t, base, contrib, order):
         far_mag = magnitude(j)
         if near_mag is UNDEFINED or far_mag is UNDEFINED:
             continue
-        if near_mag + cfg.eq_tol < far_mag:
+        if near_mag + plan.eq_tol < far_mag:
             witness = {
                 "nearer": names[i],
                 "farther": names[j],
@@ -297,18 +298,13 @@ def _probe_row(cache, cfg, x):
         at = [k for k, p in enumerate(points) if 0.0 <= p <= 1.0]
         columns = cache.sweep(x, tuple([points[k] for k in at]))
         base = cache.strengths()
-        if len(at) == len(points):
-            # nothing to pad: a reached topic's entry is its sweep column
-            row = [columns[t] if t in columns else (base[t],) * len(at) for t in range(len(base))]
-        else:
-            row = []
-            for t in range(len(base)):
-                column = columns[t] if t in columns else repeat(base[t])
-                padded = [None] * len(points)
-                for k, strength in zip(at, column):
-                    padded[k] = strength
-                row.append(tuple(padded))
-        table[x] = row
+        row = table[x] = []
+        for t in range(len(base)):
+            column = columns[t] if t in columns else repeat(base[t])
+            padded = [None] * len(points)
+            for k, strength in zip(at, column):
+                padded[k] = strength
+            row.append(tuple(padded))
     return row
 
 
@@ -524,7 +520,7 @@ class _Plan:
     cache is freed at once, not by the cycle collector."""
 
     __slots__ = (
-        "principle", "cfg", "semantics", "strengths", "visit", "orders", "non_ancestors_only", "rule",
+        "principle", "cfg", "semantics", "strengths", "visit", "orders", "rule",
         "test", "table", "zero_tol", "eq_tol", "fields", "method", "columns",
     )
 
@@ -532,11 +528,10 @@ class _Plan:
         # the full graph first: an undefined one fails every call, and no
         # plan is stored for it
         self.strengths = cache.strengths()
-        rule, test, table, non_ancestors_only, note = _PLANS[principle]
+        rule, test, table, _, note = _PLANS[principle]
         self.principle = principle
         self.cfg = cfg
         self.semantics = semantics
-        self.non_ancestors_only = non_ancestors_only
         self.rule = rule
         self.test = test
         self.table = None if table is None else table(cache, cfg)
@@ -560,7 +555,7 @@ class _Plan:
         fields = self.fields.copy()
         fields["method"] = method_name(method)
         self.columns = cache.columns(method)
-        if self.non_ancestors_only:
+        if _PLANS[self.principle][3]:  # the test visits only non-ancestors
             self.visit = "visit-non-ancestors"
         else:
             self.visit = "visit-others" if self.columns is None else "visit-ancestors"
@@ -636,7 +631,7 @@ def run_check(
             c = column[x]
             return cache.cell(method, t, x) if c is _UNSET else c
 
-        violated, witness, fields["note"] = plan.rule(cache, cfg, t, base, contrib, order)
+        violated, witness, fields["note"] = plan.rule(cache, plan, t, base, contrib)
     else:
         test = plan.test
         violated, witness = False, {}

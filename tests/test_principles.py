@@ -777,8 +777,8 @@ def test_built_in_checks_read_only_ancestors_and_report_as_a_callable_would(monk
     visits = []
 
     def recorded(rule, test):
-        def read_by_rule(cache, cfg, t, base, contrib, order):
-            return rule(cache, cfg, t, base, lambda x: visits.append((t, x)) or contrib(x), order)
+        def read_by_rule(cache, plan, t, base, contrib):
+            return rule(cache, plan, t, base, lambda x: visits.append((t, x)) or contrib(x))
 
         def read_by_test(cache, plan, t, base, x, c):
             visits.append((t, x))
