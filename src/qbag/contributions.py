@@ -56,9 +56,9 @@ expectations, other callers and a sweep that fails, and are not memoized.  A
 gradient column is filled whole by one reverse pass over the memoized
 full-graph vector, and an exact Shapley column by one coalition table.
 Removing, severing, perturbing or sweeping one argument re-folds only that
-argument's descendants, starting from the full-graph vector (a removal with
-the argument dropped from the kept set), which gives bit-identical results;
-a descendant that fails, and every descendant that reads it, holds its
+argument's descendants, starting from the full-graph vector (a removal
+writes the argument's entry as +0.0), which gives bit-identical results; a
+descendant that fails, and every descendant that reads it, holds its
 error in place of a strength, which only a reader of that entry raises.  A
 sweep folds each node of the cone once for all its points, so it never
 holds a full-length vector per point.  Cells of callable methods are never
@@ -246,7 +246,6 @@ class EvaluationCache:
         self.graph = graph
         self.semantics = semantics
         self._comp = _Compiled(graph, semantics)
-        self.full_mask = (1 << len(graph)) - 1
         self._full: tuple[float, ...] | None = None
         self._removed: list[dict[int, float] | None] = [None] * len(graph)
         self._severed: list[dict[int, float] | None] = [None] * len(graph)
@@ -275,10 +274,10 @@ class EvaluationCache:
             descendants = self._descendants[index] = descendant_cone(self.graph, index)[1:]
         return descendants
 
-    def _refold_cone(self, index: int, entry: float, mask: int = -1) -> list:
+    def _refold_cone(self, index: int, entry: float, removed: int = 0) -> list:
         """The full-graph vector with argument ``index``'s final strength set
-        to ``entry`` and its descendants re-folded over the parents kept in
-        ``mask``.  A descendant that leaves the domain holds its
+        to ``entry`` and its descendants re-folded by :meth:`_Compiled.refold`
+        with ``removed``.  A descendant that leaves the domain holds its
         :class:`DomainError` in place of a strength, and so does every
         descendant that reads it: the error of the first failing node, in
         topological order, that it reads."""
@@ -286,36 +285,36 @@ class EvaluationCache:
         out = list(self.strengths())
         out[index] = entry
         try:
-            return comp.refold(out, cone, mask)
+            return comp.refold(out, cone, removed)
         except DomainError:
             failed = []
         for d in cone:
             parents = chain(comp.attackers[d], comp.supporters[d])
-            errors = [out[p] for p in parents if (mask >> p) & 1 and out[p].__class__ is DomainError]
+            errors = [out[p] for p in parents if out[p].__class__ is DomainError]
             if errors:
                 out[d] = min(errors, key=failed.index)
                 continue
             try:
-                comp.refold(out, (d,), mask)
+                comp.refold(out, (d,), removed)
             except DomainError as exc:
                 out[d] = exc.with_traceback(None)
                 failed.append(out[d])
         return out
 
-    def _changed(self, store: list, index: int, entry: float, mask: int = -1) -> dict[int, float]:
+    def _changed(self, store: list, index: int, entry: float, removed: int = 0) -> dict[int, float]:
         """Argument ``index``'s entry of ``store``: its descendants'
         strengths from :meth:`_refold_cone`, by descendant."""
         hit = store[index]
         if hit is None:
-            out = self._refold_cone(index, entry, mask)
+            out = self._refold_cone(index, entry, removed)
             hit = store[index] = {d: out[d] for d in self._descendants_of(index)}
         return hit
 
     def _signal(self, index: int) -> float | None:
         """Argument ``index``'s aggregate in the full graph, None when it has
         no parent: its final strength is then its initial one."""
-        comp = self._comp
-        return comp.fold(self.strengths(), comp.attackers[index], comp.supporters[index], -1)
+        atts, sups = self._comp.attackers[index], self._comp.supporters[index]
+        return self._comp.fold(self.strengths(), atts, sups) if atts or sups else None
 
     def _sweep_columns(self, index: int, values: Sequence[float]) -> dict[int, tuple[float, ...]]:
         """The final strength of argument ``index`` and of each of its
@@ -473,13 +472,11 @@ class EvaluationCache:
         if topic == contributor:
             value = UNDEFINED
         elif kind is Removal or kind is IntrinsicRemoval:
-            base = with_x = self.strengths()[topic]
+            # the contributor strictly reaches the topic: both stores hold it
+            with_x = self.strengths()[topic]
             if kind is IntrinsicRemoval:
-                with_x = self._changed(self._severed, contributor, self._comp.tau[contributor]).get(topic, base)
-            # the contributor is dropped from the kept set, so its
-            # descendants never read it as a 0.0-strength parent
-            without = self._changed(self._removed, contributor, 0.0, self.full_mask & ~(1 << contributor))
-            without = without.get(topic, base)
+                with_x = self._changed(self._severed, contributor, self._comp.tau[contributor])[topic]
+            without = self._changed(self._removed, contributor, 0.0, 1 << contributor)[topic]
             for strength in (with_x, without):
                 if strength.__class__ is DomainError:
                     raise strength.with_traceback(None)
@@ -570,20 +567,19 @@ def _coalition_table(cache: EvaluationCache, t: int, ancestors: list[int]) -> ar
     """The topic's final strength with each subset of its ancestors removed,
     at the subset's rank (bit j for ``ancestors[j]``): 2^m floats for m
     ancestors, filled by one walk in Gray-code order.  Each step toggles one
-    ancestor and re-folds its descendants among the ancestors and the topic,
-    and the ancestor itself when it is put back; every other argument is
-    irrelevant to the topic's strength.  Each node folds the same kept
-    parents in the same order as a masked full pass, so every entry equals
-    that pass' value bit for bit.  A step that fails raises its error: the
-    walk's first undefined coalition of the ancestors and the topic."""
+    ancestor, writes its entry as +0.0, and re-folds it (unless removed) and
+    its descendants among the ancestors and the topic; every other argument
+    is irrelevant to the topic's strength.  A removed parent's +0.0 leaves
+    every aggregate unchanged bit for bit, so every entry equals a full pass
+    of the restricted graph.  A step that fails raises its error: the walk's
+    first undefined coalition of the ancestors and the topic."""
     # imported here: a CLI process that fills no exact Shapley column would
     # map the array extension for nothing
     from array import array
 
     comp = cache._comp
     inside = cache.ancestors(t) | 1 << t
-    cones = [tuple([d for d in cache._descendants_of(a) if (inside >> d) & 1]) for a in ancestors]
-    back = [(a, *cone) for a, cone in zip(ancestors, cones)]
+    cones = [(a, *[d for d in cache._descendants_of(a) if (inside >> d) & 1]) for a in ancestors]
     out = list(cache.strengths())
     table = array("d", [out[t]]) * (1 << len(ancestors))
     removed = 0
@@ -591,7 +587,8 @@ def _coalition_table(cache: EvaluationCache, t: int, ancestors: list[int]) -> ar
         j = (step & -step).bit_length() - 1
         a = ancestors[j]
         removed ^= 1 << a
-        comp.refold(out, cones[j] if (removed >> a) & 1 else back[j], ~removed)
+        out[a] = 0.0
+        comp.refold(out, cones[j], removed)
         table[step ^ (step >> 1)] = out[t]
     return table
 
@@ -653,14 +650,14 @@ def contrib_shapley_sampled(
 
 def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, seed: int) -> float:
     """Each permutation shuffles the topic's ancestors, in argument-list
-    order, and re-folds its two kept sets on one vector, unmemoized, within
-    the ancestors and the topic: all of them, then x's cone within them with
-    x dropped.  Each raises the error of the first node that fails there,
-    and no other argument is evaluated, so the full graph may be undefined.
-    x's cone within them comes from one forward pass over them: every path
-    from x to one of them runs inside them."""
+    order, and re-folds its two coalitions on one vector, unmemoized, within
+    the ancestors and the topic: all of them but the players before x, held
+    at +0.0, then x's cone within them with x at +0.0 too.  Each raises the
+    error of the first node that fails there, and no other argument is
+    evaluated, so the full graph may be undefined.  x's cone within them
+    comes from one forward pass over them: every path from x to one of them
+    runs inside them."""
     comp = cache._comp
-    full = cache.full_mask
     scope = cache.ancestors(t) | 1 << t
     nodes = [i for i in comp.order if (scope >> i) & 1]
     reached = 1 << x
@@ -675,11 +672,13 @@ def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, 
     total = 0.0
     for _ in range(permutations):
         rng.shuffle(players)
-        kept = full
+        removed = 0
         for i in players[:players.index(x)]:
-            kept ^= 1 << i
-        with_x = comp.refold(out, nodes, kept)[t]
-        total += with_x - comp.refold(out, cone, kept & ~(1 << x))[t]
+            removed |= 1 << i
+            out[i] = 0.0
+        with_x = comp.refold(out, nodes, removed)[t]
+        out[x] = 0.0
+        total += with_x - comp.refold(out, cone, removed | 1 << x)[t]
     return total / permutations
 
 

@@ -14,7 +14,7 @@ Aggregations (attacker strengths ``A``, supporter strengths ``S``):
     top       max({0} | S) - max({0} | A)
 
 Each aggregation is written once, as a (fold, backprop, column fold) triple
-in ``_AGGREGATIONS``: the fold computes the aggregate over an argument's kept
+in ``_AGGREGATIONS``: the fold computes the aggregate over an argument's
 parents, the backprop spreads an adjoint over its parents, and the column
 fold computes the aggregate at many points at once, by one pass per parent
 in the fold's parent order, so each point's value is the fold's bit for bit.
@@ -174,8 +174,7 @@ def aggregate(kind: Aggregation, att_strengths: Sequence[float], supp_strengths:
     """Fold attacker and supporter strengths into one adjustment signal."""
     values = [*att_strengths, *supp_strengths]
     split = len(att_strengths)
-    signal = _AGGREGATIONS[kind][0](values, range(split), range(split, len(values)), -1)
-    return 0.0 if signal is None else signal
+    return _AGGREGATIONS[kind][0](values, range(split), range(split, len(values)))
 
 
 def influence(kind: Influence, initial: float, signal: float) -> float:
@@ -291,8 +290,10 @@ def _influence_functions(
 
 # ---------------------------------------------------------------- aggregations
 #
-# fold(out, atts, sups, mask): the aggregate over the parents whose bit is set
-# in ``mask``, or None when no parent is kept.
+# fold(out, atts, sups): the aggregate over every parent.  A parent of
+# strength +0.0 leaves it unchanged bit for bit (s + 0.0, s - 0.0,
+# pa * (1 - 0.0), and a max that starts at 0.0), which is how a removed
+# argument is read; only a node with no parent left needs its own rule.
 # backprop(adjoint, out, atts, sups, scale): adds scale * d aggregate / d out[p]
 # to every parent's adjoint.
 # fold_column(out, columns, atts, sups, points): the aggregate over every
@@ -302,18 +303,13 @@ def _influence_functions(
 # fold's order and with its operations, so each point's value is the fold's.
 
 
-def _fold_sum(out, atts, sups, mask):
+def _fold_sum(out, atts, sups):
     s = 0.0
-    kept = False
     for p in sups:
-        if (mask >> p) & 1:
-            s += out[p]
-            kept = True
+        s += out[p]
     for p in atts:
-        if (mask >> p) & 1:
-            s -= out[p]
-            kept = True
-    return s if kept else None
+        s -= out[p]
+    return s
 
 
 def _fold_sum_column(out, columns, atts, sups, points):
@@ -332,19 +328,14 @@ def _backprop_sum(adjoint, out, atts, sups, scale):
         adjoint[p] -= scale
 
 
-def _fold_product(out, atts, sups, mask):
+def _fold_product(out, atts, sups):
     pa = 1.0
     ps = 1.0
-    kept = False
     for p in atts:
-        if (mask >> p) & 1:
-            pa *= 1.0 - out[p]
-            kept = True
+        pa *= 1.0 - out[p]
     for p in sups:
-        if (mask >> p) & 1:
-            ps *= 1.0 - out[p]
-            kept = True
-    return pa - ps if kept else None
+        ps *= 1.0 - out[p]
+    return pa - ps
 
 
 def _fold_product_column(out, columns, atts, sups, points):
@@ -367,21 +358,16 @@ def _backprop_product(adjoint, out, atts, sups, scale):
             adjoint[p] += sign * scale * rest
 
 
-def _fold_top(out, atts, sups, mask):
+def _fold_top(out, atts, sups):
     ms = 0.0
     ma = 0.0
-    kept = False
     for p in sups:
-        if (mask >> p) & 1:
-            kept = True
-            if out[p] > ms:
-                ms = out[p]
+        if out[p] > ms:
+            ms = out[p]
     for p in atts:
-        if (mask >> p) & 1:
-            kept = True
-            if out[p] > ma:
-                ma = out[p]
-    return ms - ma if kept else None
+        if out[p] > ma:
+            ma = out[p]
+    return ms - ma
 
 
 def _fold_top_column(out, columns, atts, sups, points):
@@ -422,13 +408,14 @@ _AGGREGATIONS = {
 class _Compiled:
     """Index-based evaluator bound to one (graph, semantics) pair.
 
-    ``refold`` is the one forward loop, over the parents kept in a bitmask:
-    ``strengths`` runs it over every node, and removing, severing or
-    perturbing one argument runs it over that argument's descendants only,
-    on a copy of the full-graph vector.  ``gradient`` reverse-accumulates
-    over a finished full-graph vector.  Together they cover every
-    restriction/modification the contribution and principle machinery needs
-    without rebuilding graphs.
+    ``refold`` is the one forward loop: ``strengths`` runs it over every
+    node, and removing, severing or perturbing one argument runs it over
+    that argument's descendants only, on a copy of the full-graph vector.
+    A removed argument holds +0.0, which no fold can tell from an absent
+    parent, so removing any set of arguments is a write per argument.
+    ``gradient`` reverse-accumulates over a finished full-graph vector.
+    Together they cover every restriction/modification the contribution
+    and principle machinery needs without rebuilding graphs.
     """
 
     __slots__ = (
@@ -446,27 +433,32 @@ class _Compiled:
         self.fold, self.backprop, self.fold_column = _AGGREGATIONS[semantics.aggregation]
         self.value, self.d_signal, self.d_initial = _influence_functions(semantics.influence)
 
-    def refold(self, out: list[float], nodes: Sequence[int], mask: int = -1) -> list[float]:
-        """Re-fold ``nodes`` (in topological order) on ``out`` in place over
-        the parents kept in ``mask``, and return ``out``.  A dropped node is
-        skipped; a node with no kept parent keeps its initial strength.
-        Every other entry of ``out`` is read as final."""
+    def refold(self, out: list[float], nodes: Sequence[int], removed: int = 0) -> list[float]:
+        """Re-fold ``nodes`` (in topological order) on ``out`` in place, and
+        return ``out``.  A node in the bitmask ``removed`` is skipped and
+        must already hold +0.0; a node none of whose parents is left keeps
+        its initial strength.  Every other entry of ``out`` is read as
+        final."""
         taus = self.tau
         fold = self.fold
         value = self.value
         attackers = self.attackers
         supporters = self.supporters
         for i in nodes:
-            if not (mask >> i) & 1:
+            if (removed >> i) & 1:
                 continue
-            s = fold(out, attackers[i], supporters[i], mask)
-            out[i] = taus[i] if s is None else value(taus[i], s)
+            atts, sups = attackers[i], supporters[i]
+            for p in atts + sups:
+                if not (removed >> p) & 1:
+                    out[i] = value(taus[i], fold(out, atts, sups))
+                    break
+            else:
+                out[i] = taus[i]
         return out
 
-    def strengths(self, mask: int = -1) -> list[float]:
-        """Final strengths of the kept subgraph (entries of dropped arguments
-        are meaningless zeros)."""
-        return self.refold([0.0] * self.n, self.order, mask)
+    def strengths(self) -> list[float]:
+        """The full graph's final strengths."""
+        return self.refold([0.0] * self.n, self.order)
 
     def gradient(self, topic: int, out: Sequence[float]) -> list[float]:
         """Reverse accumulation of d sigma(topic) / d tau(x) for every x over
@@ -482,14 +474,15 @@ class _Compiled:
             a_i = adjoint[i]
             if a_i == 0.0:
                 continue
-            signal = self.fold(out, self.attackers[i], self.supporters[i], -1)
-            if signal is None:
+            atts, sups = self.attackers[i], self.supporters[i]
+            if not (atts or sups):
                 partials[i] = a_i
                 continue
+            signal = self.fold(out, atts, sups)
             partials[i] = a_i * self.d_initial(self.tau[i], signal)
             scale = a_i * self.d_signal(self.tau[i], signal)
             if scale != 0.0:
-                self.backprop(adjoint, out, self.attackers[i], self.supporters[i], scale)
+                self.backprop(adjoint, out, atts, sups, scale)
         return partials
 
 
@@ -523,9 +516,9 @@ def kink_margin(graph: QBAG, semantics: GradualSemantics) -> float:
     infl = semantics.influence
     kinked_influence = isinstance(infl, Linear) or (isinstance(infl, PMax) and infl.p == 1)
     for i in range(comp.n):
-        signal = comp.fold(out, comp.attackers[i], comp.supporters[i], -1)
-        if signal is None:
+        if not (comp.attackers[i] or comp.supporters[i]):
             continue
+        signal = comp.fold(out, comp.attackers[i], comp.supporters[i])
         if kinked_influence:
             margin = min(margin, abs(signal))
         if semantics.aggregation is Aggregation.TOP:

@@ -6,7 +6,9 @@ factorial weights over explicitly restricted graphs, sampled Shapley cells
 by replaying the sampler's shuffles on restricted graphs, and gradients are
 checked against finite differences of the plain evaluator.  The exact
 Shapley cells are also checked to within 1e-12 against the submask
-enumeration they replaced, kept here verbatim.
+enumeration they replaced, kept here verbatim, and so is the kept-set
+forward pass it read, :func:`kept_strengths`, whose folds read only the kept
+parents where the library writes +0.0 for a removed one.
 
 A quantity about a topic t is undefined exactly when evaluating the graph
 it reads restricted to t's ancestors and t fails: :func:`strength_within`
@@ -23,7 +25,7 @@ import pytest
 from qbag import QBAG, FuzzConfig, evaluate, random_qbag, reaches, restrict, with_initial_strength
 from qbag.contributions import _shapley_weights
 from qbag.rng import SplitMix64
-from qbag.semantics import PRESETS
+from qbag.semantics import PRESETS, Aggregation
 
 
 @pytest.fixture(scope="session")
@@ -80,14 +82,80 @@ def shapley_sampled_reference(graph: QBAG, semantics, topic: str, contributor: s
     return total / permutations
 
 
+def _fold_sum(out, atts, sups, mask):
+    s = 0.0
+    kept = False
+    for p in sups:
+        if (mask >> p) & 1:
+            s += out[p]
+            kept = True
+    for p in atts:
+        if (mask >> p) & 1:
+            s -= out[p]
+            kept = True
+    return s if kept else None
+
+
+def _fold_product(out, atts, sups, mask):
+    pa = 1.0
+    ps = 1.0
+    kept = False
+    for p in atts:
+        if (mask >> p) & 1:
+            pa *= 1.0 - out[p]
+            kept = True
+    for p in sups:
+        if (mask >> p) & 1:
+            ps *= 1.0 - out[p]
+            kept = True
+    return pa - ps if kept else None
+
+
+def _fold_top(out, atts, sups, mask):
+    ms = 0.0
+    ma = 0.0
+    kept = False
+    for p in sups:
+        if (mask >> p) & 1:
+            kept = True
+            if out[p] > ms:
+                ms = out[p]
+    for p in atts:
+        if (mask >> p) & 1:
+            kept = True
+            if out[p] > ma:
+                ma = out[p]
+    return ms - ma if kept else None
+
+
+_KEPT_FOLDS = {Aggregation.SUM: _fold_sum, Aggregation.PRODUCT: _fold_product, Aggregation.TOP: _fold_top}
+
+
+def kept_strengths(cache, kept: int) -> list[float]:
+    """Final strengths of the subgraph of the arguments in the bitmask
+    ``kept`` (entries of dropped arguments are meaningless zeros), by the
+    kept-set forward pass the library used before a removed argument became
+    a +0.0 entry: each fold reads only the kept parents and gives None when
+    none is kept, and such a node keeps its initial strength."""
+    comp = cache._comp
+    fold = _KEPT_FOLDS[cache.semantics.aggregation]
+    out = [0.0] * comp.n
+    for i in comp.order:
+        if not (kept >> i) & 1:
+            continue
+        s = fold(out, comp.attackers[i], comp.supporters[i], kept)
+        out[i] = comp.tau[i] if s is None else comp.value(comp.tau[i], s)
+    return out
+
+
 def shapley_submask_sum(cache, t: int, x: int) -> float:
     """One exact Shapley cell as the library computed it before its
     coalition table: the removed sets run over the submasks of the other
-    arguments in increasing order, and each marginal reads two kept-set
-    passes of ``cache._comp.strengths``, unmemoized.  The library now sums
-    each cell's terms in another grouping, so the cells may differ from this
-    in their last digits."""
-    full = cache.full_mask
+    arguments in increasing order, and each marginal reads two
+    :func:`kept_strengths` passes, unmemoized.  The library now sums each
+    cell's terms in another grouping, so the cells may differ from this in
+    their last digits."""
+    full = (1 << len(cache.graph)) - 1
     weights = _shapley_weights(len(cache.graph) - 1)
     x_bit = 1 << x
     others = full & ~(1 << t) & ~x_bit
@@ -96,7 +164,7 @@ def shapley_submask_sum(cache, t: int, x: int) -> float:
     while True:
         # removed runs over the submasks of others in increasing order
         kept = full & ~removed
-        marginal = cache._comp.strengths(kept)[t] - cache._comp.strengths(kept & ~x_bit)[t]
+        marginal = kept_strengths(cache, kept)[t] - kept_strengths(cache, kept & ~x_bit)[t]
         total += weights[removed.bit_count()] * marginal
         if removed == others:
             return total

@@ -40,6 +40,7 @@ from qbag import (
     contribution_table,
     evaluate,
     gradient_of_topic,
+    influence,
     random_qbag,
     reaches,
     restrict,
@@ -56,6 +57,7 @@ from qbag.principles import _first_contradictions, _probe_row
 from qbag.semantics import PRESETS, _Compiled
 
 from conftest import (
+    kept_strengths,
     random_graphs,
     shapley_bruteforce,
     shapley_sampled_reference,
@@ -124,7 +126,11 @@ def perturbed_vector(g, semantics, x, value):
 
 
 def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
-    for g in random_graphs(seed=7, count=25, max_args=8):
+    # removing x leaves d with no parent, so d keeps its initial 0.3, which
+    # EB's value(0.3, 0.0) is not: removal needs the all-parents-gone rule
+    lone = QBAG([("x", 0.5), ("d", 0.3), ("t", 0.6)], supports=[("x", "d"), ("d", "t")])
+    assert influence(EB.influence, 0.3, 0.0) != 0.3
+    for g in [*random_graphs(seed=7, count=25, max_args=8), lone]:
         for semantics in PRESETS.values():
             cache = EvaluationCache(g, semantics)
             shapley_first = EvaluationCache(g, semantics)
@@ -135,12 +141,11 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
                 sweep = [perturbed_vector(g, semantics, x, j / 10) for j in range(11)]
                 for t in range(len(g)):
                     assert cache.sweep_column(x, t, 11) == tuple(v[t] for v in sweep)
-                # a removal re-folds x's descendants with x dropped from the
-                # kept set, and severing x re-folds them with x at its initial
-                # strength: each cell equals the full passes bit for bit,
-                # whether or not Shapley has re-folded coalitions first
-                mask = cache.full_mask & ~(1 << x)
-                removed = _Compiled(g, semantics).strengths(mask)
+                # a removal re-folds x's descendants with x at +0.0, and
+                # severing x re-folds them with x at its initial strength:
+                # each cell equals the full passes bit for bit, whether or
+                # not Shapley has re-folded coalitions first
+                removed = kept_strengths(cache, (1 << len(g)) - 1 & ~(1 << x))
                 others = [a for a in g.arguments if a != g.arguments[x]]
                 assert removed[:x] + removed[x + 1:] == strength_vector(restrict(g, others), semantics)
                 severed = strength_vector(remove_incoming(g, g.arguments[x]), semantics)
@@ -153,11 +158,11 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
                     assert cache.contribution(IntrinsicRemoval(), t, x) == severed[t] - removed[t]
                 assert shapley_first.strengths() == base
     # removing x lifts d's sum aggregate from 0.1 to 0.9, outside [-0.5, 0.5]:
-    # the removal cell fails with the masked pass' error
+    # the removal cell fails with the kept-set pass' error
     g = QBAG([("x", 0.8), ("y", 0.9), ("d", 0.2), ("e", 0.3)], [("x", "d")], [("y", "d"), ("d", "e")])
     semantics = GradualSemantics(Aggregation.SUM, Linear(0.5))
     with pytest.raises(DomainError) as masked:
-        _Compiled(g, semantics).strengths(0b1110)
+        kept_strengths(EvaluationCache(g, semantics), 0b1110)
     with pytest.raises(DomainError) as cell:
         EvaluationCache(g, semantics).contribution(Removal(), 3, 0)
     assert str(cell.value) == str(masked.value)
@@ -175,8 +180,7 @@ def test_cone_reevaluation_is_bit_identical_to_a_full_pass():
     # d never keeps every argument and needs no full-graph vector
     g = QBAG([("x", 0.5), ("y", 0.3), ("d", 0.2)], [], [("x", "d"), ("y", "d")])
     cache = EvaluationCache(g, semantics)
-    comp = _Compiled(g, semantics)
-    marginal = comp.strengths(0b101)[2] - comp.strengths(0b100)[2]
+    marginal = kept_strengths(cache, 0b101)[2] - kept_strengths(cache, 0b100)[2]
     assert cache.contribution(ShapleySampled(3, 8), 2, 0) == (marginal + marginal + marginal) / 3 == 0.8000000000000002
     with pytest.raises(DomainError):
         cache.strengths()
@@ -509,7 +513,7 @@ def shapley_bit_by_bit(cache, t, x):
     n = len(cache.graph)
     others = [i for i in range(n) if i != t and i != x]
     weights = _shapley_weights(n - 1)
-    full = cache.full_mask
+    full = (1 << n) - 1
     total = 0.0
     for subset in range(1 << len(others)):
         removed = 0
@@ -517,7 +521,7 @@ def shapley_bit_by_bit(cache, t, x):
             if (subset >> j) & 1:
                 removed |= 1 << i
         kept = full & ~removed
-        marginal = cache._comp.strengths(kept)[t] - cache._comp.strengths(kept & ~(1 << x))[t]
+        marginal = kept_strengths(cache, kept)[t] - kept_strengths(cache, kept & ~(1 << x))[t]
         total += weights[subset.bit_count()] * marginal
     return total
 
@@ -643,12 +647,12 @@ def test_null_players_leave_every_exact_shapley_cell_unchanged():
 
 
 def counted_passes(monkeypatch):
-    """The masks of every full pass ``_Compiled.strengths`` makes from now
-    on, -1 for the full graph."""
-    masks = []
+    """The evaluator of every full pass ``_Compiled.strengths`` makes from
+    now on."""
+    passes = []
     full_pass = _Compiled.strengths
-    monkeypatch.setattr(_Compiled, "strengths", lambda self, mask=-1: masks.append(mask) or full_pass(self, mask))
-    return masks
+    monkeypatch.setattr(_Compiled, "strengths", lambda self: passes.append(self) or full_pass(self))
+    return passes
 
 
 def test_the_coalition_table_fills_the_column_without_a_kept_set_pass(monkeypatch):
@@ -668,7 +672,7 @@ def test_the_coalition_table_fills_the_column_without_a_kept_set_pass(monkeypatc
     finally:
         tracemalloc.stop()
     assert kept < 64 * len(g) ** 2, kept
-    assert passes == [-1]  # the full-graph vector, and no kept set
+    assert len(passes) == 1  # the full-graph vector, and no other pass
     column = cache.column(ShapleyExact(), 0)
     assert _UNSET not in column and column[0] is UNDEFINED
     reference = EvaluationCache(g, semantics)
@@ -677,7 +681,7 @@ def test_the_coalition_table_fills_the_column_without_a_kept_set_pass(monkeypatc
     # a whole table walks each topic's ancestors once, and makes one pass
     passes.clear()
     contribution_table(g, semantics, ShapleyExact(), cache=EvaluationCache(g, semantics))
-    assert passes == [-1]
+    assert len(passes) == 1
 
 
 def test_an_exact_shapley_column_holds_one_table_of_its_topic_ancestors():
@@ -906,7 +910,7 @@ def test_cache_stores_stay_within_their_documented_bounds():
             # the stores the class docstring lists, none indexed by coalition
             stores = {"_full", "_removed", "_severed", "_sweeps", "_columns", "_descendants", "_ancestors"}
             stores |= {"_closer_pairs", "_walk_errors", "derived", "plan"}
-            assert set(vars(cache)) == {"graph", "semantics", "_comp", "full_mask", *stores}
+            assert set(vars(cache)) == {"graph", "semantics", "_comp", *stores}
             assert cache._full == tuple(_Compiled(g, semantics).strengths())
             for store in (cache._removed, cache._severed):
                 assert len(store) == n
@@ -1007,7 +1011,7 @@ def test_a_sum_bounded_by_its_parents_strengths_fills_the_coalition_table(monkey
     cache, reference = EvaluationCache(g, semantics), EvaluationCache(g, semantics)
     passes = counted_passes(monkeypatch)
     column = [cache.contribution(ShapleyExact(), 0, x) for x in range(len(g))]
-    assert passes == [-1]
+    assert len(passes) == 1
     assert column[0] is UNDEFINED
     assert all(abs(column[x] - shapley_submask_sum(reference, 0, x)) <= 1e-12 for x in range(1, len(g)))
     # with an attacker of 0.05 the full graph's aggregate is 0.7, but the
@@ -1022,7 +1026,7 @@ def test_a_sum_bounded_by_its_parents_strengths_fills_the_coalition_table(monkey
     for x in (2, 1, 16):
         with pytest.raises(DomainError, match=re.escape(str(want.value))):
             cache.contribution(ShapleyExact(), 0, x)
-    assert passes == [-1]
+    assert len(passes) == 1
 
 
 def test_a_failure_off_the_topics_ancestors_leaves_its_results_defined():
@@ -1152,5 +1156,5 @@ def test_a_failing_coalition_table_raises_every_cell_from_one_walk(monkeypatch):
     for x in range(1, 19):
         with pytest.raises(DomainError, match=re.escape("got aggregate 0.8400000000000003")):
             cache.contribution(ShapleyExact(), 0, x)
-    assert walks == [0] and passes == [-1]
+    assert walks == [0] and len(passes) == 1
     assert cache.column(ShapleyExact(), 0) == [_UNSET] * 19
