@@ -20,11 +20,8 @@ from .contributions import (
     ShapleySampled,
     UNDEFINED,
     Undefined,
-    contrib_gradient,
     contrib_intrinsic_removal,
     contrib_removal,
-    contrib_shapley_exact,
-    contrib_shapley_sampled,
     contribution,
     contribution_table,
     method_by_name,
@@ -60,15 +57,6 @@ from .principles import (
     PrincipleId,
     PrincipleReport,
     Verdict,
-    check_contribution_existence,
-    check_counterfactuality,
-    check_directionality,
-    check_local_faithfulness,
-    check_proximity,
-    check_quant_contribution_existence,
-    check_quant_counterfactuality,
-    check_quant_local_faithfulness,
-    check_strong_faithfulness,
     principle_by_name,
     run_check,
 )

@@ -134,7 +134,9 @@ def _integer(owner, field: str) -> int:
 
 @dataclass(frozen=True)
 class ShapleyExact:
-    """Exact enumeration, for a topic that with its ancestors counts at most ``cap`` arguments."""
+    """Exact enumeration, for a topic that with its ancestors counts at most
+    ``cap`` arguments; the cap bounds the topic and its ancestors on every
+    call, memoized or not."""
 
     cap: int = DEFAULT_EXACT_CAP
 
@@ -145,6 +147,9 @@ class ShapleyExact:
 
 @dataclass(frozen=True)
 class ShapleySampled:
+    """Unbiased permutation-sampling estimate of the exact Shapley value,
+    deterministic given the seed."""
+
     permutations: int
     seed: int
 
@@ -344,10 +349,12 @@ class EvaluationCache:
         s = self._signal(index)
         return tuple(self._refold_cone(index, value if s is None else self._comp.value(value, s)))
 
-    def _sweep(self, index: int, values: int | tuple[float, ...]) -> dict[int, tuple]:
-        """:meth:`_sweep_columns` of argument ``index`` over ``values``, or
-        over the grid j / (values - 1), j = 0 .. values - 1, when ``values``
-        is a point count, computed once per (index, values) and kept in
+    def sweep(self, index: int, values: int | tuple[float, ...]) -> dict[int, tuple]:
+        """The final strengths of argument ``index`` and of each of its
+        descendants as its initial strength takes each of ``values``, or each
+        grid point j / (values - 1), j = 0 .. values - 1, when ``values`` is a
+        point count, as one column per reached topic from
+        :meth:`_sweep_columns`, computed once per (index, values) and kept in
         ``_sweeps``.  If the column sweep raises :class:`DomainError`, each
         point is evaluated on its own by :meth:`strengths_perturbed`, an
         undefined strength holds its error, for the reader to raise, and the
@@ -366,13 +373,6 @@ class EvaluationCache:
             self._sweeps[key] = columns
         return columns
 
-    def sweep(self, index: int, values: tuple[float, ...]) -> dict[int, tuple]:
-        """The final strengths of argument ``index`` and of each of its
-        descendants as its initial strength takes each of ``values``, as one
-        column per reached topic, computed once per (argument, values); an
-        undefined strength holds its error, for the reader to raise."""
-        return self._sweep(index, values)
-
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
         takes the values j / (points - 1), j = 0 .. points - 1, computed once
@@ -382,7 +382,7 @@ class EvaluationCache:
         point-by-point sweep would."""
         if topic != index and not (self.ancestors(topic) >> index) & 1:
             return (self.strengths()[topic],) * points
-        columns = self._sweep(index, points)
+        columns = self.sweep(index, points)
         column = columns[topic]
         if columns.__class__ is _PointByPoint:
             for strength in column:
@@ -541,28 +541,6 @@ def _shapley_weights(num_players: int) -> list[float]:
     return weights
 
 
-def contrib_shapley_exact(
-    graph: QBAG,
-    semantics: GradualSemantics,
-    topic: str,
-    contributor: str,
-    *,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-    cache: EvaluationCache | None = None,
-) -> ContributionValue:
-    """Exact coalition-game attribution (undefined on itself).
-
-    Sums, over every subset X of the arguments other than topic and
-    contributor, the weighted marginal effect of removing the contributor
-    from the graph already restricted by removing X.  Only the topic's
-    ancestors can change its strength, so the sum runs over the subsets of
-    the other ancestors with the m-player weights, exactly rounded.  The
-    cap, ``ShapleyExact(exact_cap)``, bounds the topic and its ancestors,
-    m + 1, on every call, memoized or not.
-    """
-    return contribution(graph, semantics, ShapleyExact(exact_cap), topic, contributor, cache=cache)
-
-
 def _coalition_table(cache: EvaluationCache, t: int, ancestors: list[int]) -> array:
     """The topic's final strength with each subset of its ancestors removed,
     at the subset's rank (bit j for ``ancestors[j]``): 2^m floats for m
@@ -626,28 +604,6 @@ def _shapley_column(cache: EvaluationCache, t: int) -> list:
     return column
 
 
-def contrib_shapley_sampled(
-    graph: QBAG,
-    semantics: GradualSemantics,
-    topic: str,
-    contributor: str,
-    permutations: int,
-    seed: int,
-    *,
-    cache: EvaluationCache | None = None,
-) -> ContributionValue:
-    """Unbiased permutation-sampling estimate of the exact Shapley value.
-
-    Each sample draws a uniform ordering of the topic's ancestors (the
-    other arguments are null players) and takes the marginal effect of
-    removing the contributor after the prefix preceding it was removed.
-    Deterministic given the seed.
-    """
-    return contribution(
-        graph, semantics, ShapleySampled(permutations, seed), topic, contributor, cache=cache
-    )
-
-
 def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, seed: int) -> float:
     """Each permutation shuffles the topic's ancestors, in argument-list
     order, and re-folds its two coalitions on one vector, unmemoized, within
@@ -680,19 +636,6 @@ def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, 
         out[x] = 0.0
         total += with_x - comp.refold(out, cone, removed | 1 << x)[t]
     return total / permutations
-
-
-def contrib_gradient(
-    graph: QBAG,
-    semantics: GradualSemantics,
-    topic: str,
-    contributor: str,
-    *,
-    cache: EvaluationCache | None = None,
-) -> ContributionValue:
-    """Partial derivative of the topic's strength w.r.t. the contributor's
-    initial strength; total, including the self-contribution."""
-    return contribution(graph, semantics, Gradient(), topic, contributor, cache=cache)
 
 
 def contribution(

@@ -164,11 +164,6 @@ class QBAG:
         return self._names
 
     @property
-    def initial_strengths(self) -> dict[str, float]:
-        """Fresh name -> initial strength mapping."""
-        return dict(zip(self._names, self._tau))
-
-    @property
     def attacks(self) -> tuple[Edge, ...]:
         return self._attack_edges
 

@@ -17,8 +17,7 @@ Every principle runs through one checker loop, :func:`run_check`.  A
 principle supplies only its own part: either a per-contributor test, which
 sees one contributor's index and defined contribution and returns None or
 the witness entries beyond the contributor and its contribution, or a
-whole-instance rule (the two existence principles and proximity).  The nine
-``check_*`` functions are bindings of ``run_check``.
+whole-instance rule (the two existence principles and proximity).
 
 Directionality holds exactly for every built-in method: an argument with no
 path to the topic contributes an exact 0.0, on which no other principle's
@@ -435,9 +434,9 @@ def _first_contradictions(cache, t, base, x, points, eq_tol):
     nan difference contradicts nothing.  Below tau, a strictly higher
     strength (diff > eq_tol) contradicts signs 0 and +1, a strictly lower
     one signs 0 and -1, and an equal one (within eq_tol) both nonzero signs;
-    above tau, higher and lower swap roles.  Where x does not reach t every
-    diff is 0.0, so the first grid point off tau contradicts both nonzero
-    signs and nothing contradicts sign 0."""
+    above tau, higher and lower swap roles.  Where x does not reach t the
+    column is t's base strength at every point, so the first grid point off
+    tau contradicts both nonzero signs and nothing contradicts sign 0."""
     last = points - 1
     base_tau = _initial(cache, x)
     # Every grid point but the nearest is at least half a step from tau, so
@@ -447,12 +446,6 @@ def _first_contradictions(cache, t, base, x, points, eq_tol):
     skip = abs(near / last - base_tau) <= 1e-12
     below = near + (not skip and near / last < base_tau)
     above = near + (skip or near / last < base_tau)
-    if x != t and not (cache.ancestors(t) >> x) & 1:
-        diff = base - base
-        j = 0 if below else above
-        if diff != diff or j == points:
-            return [None, None, None]
-        return [{"epsilon": j / last, "strength_diff": diff}, None, {"epsilon": j / last, "strength_diff": diff}]
     column = cache.sweep_column(x, t, points)
     found = [None, None, None]
     for start, stop, higher, lower in ((0, below, 2, 0), (above, points, 0, 2)):
@@ -652,25 +645,3 @@ def run_check(
     _set_attribute(report, "__dict__", fields)
     return report
 
-
-def _binding(principle: PrincipleId) -> Callable[..., PrincipleReport]:
-    rule, test, _, _, _ = _PLANS[principle]
-    part = rule or test
-
-    def check(graph, semantics, method, topic, cfg=None, *, cache=None):
-        return run_check(graph, semantics, method, principle, topic, cfg, cache=cache)
-
-    check.__name__ = check.__qualname__ = "check" + part.__name__
-    check.__doc__ = part.__doc__
-    return check
-
-
-check_contribution_existence = _binding(PrincipleId.CONTRIBUTION_EXISTENCE)
-check_quant_contribution_existence = _binding(PrincipleId.QUANT_CONTRIBUTION_EXISTENCE)
-check_directionality = _binding(PrincipleId.DIRECTIONALITY)
-check_strong_faithfulness = _binding(PrincipleId.STRONG_FAITHFULNESS)
-check_local_faithfulness = _binding(PrincipleId.LOCAL_FAITHFULNESS)
-check_quant_local_faithfulness = _binding(PrincipleId.QUANT_LOCAL_FAITHFULNESS)
-check_counterfactuality = _binding(PrincipleId.COUNTERFACTUALITY)
-check_quant_counterfactuality = _binding(PrincipleId.QUANT_COUNTERFACTUALITY)
-check_proximity = _binding(PrincipleId.PROXIMITY)

@@ -57,7 +57,7 @@ from operator import add, mul, sub
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, UnknownArgument
-from .graph import QBAG
+from .graph import QBAG, topological_order
 
 _DOMAIN_SLACK = 1e-12
 
@@ -490,7 +490,7 @@ def evaluate(graph: QBAG, semantics: GradualSemantics) -> StrengthAssignment:
     """Final strengths by one forward pass in topological order.  Arguments
     without attackers or supporters keep their initial strength."""
     values = _Compiled(graph, semantics).strengths()
-    order = tuple(graph.arguments[i] for i in graph._topo)
+    order = tuple(topological_order(graph))
     return StrengthAssignment({name: values[i] for i, name in enumerate(graph.arguments)}, order)
 
 

@@ -76,6 +76,54 @@ MUTANTS = (
 """,
         ("tests/test_evaluation_cache.py::test_shapley_digest_on_a_fixed_fuzz_pool",),
     ),
+    Mutant(
+        "checks-visit-every-other-argument",
+        "src/qbag/principles.py",
+        """        if _PLANS[self.principle][3]:  # the test visits only non-ancestors
+            self.visit = "visit-non-ancestors"
+        else:
+            self.visit = "visit-others" if self.columns is None else "visit-ancestors"
+""",
+        """        self.visit = "visit-others"
+""",
+        ("tests/test_principles.py::test_built_in_checks_read_only_ancestors_and_report_as_a_callable_would",),
+    ),
+    Mutant(
+        "checks-visit-only-ancestors",
+        "src/qbag/principles.py",
+        """        if _PLANS[self.principle][3]:  # the test visits only non-ancestors
+            self.visit = "visit-non-ancestors"
+        else:
+            self.visit = "visit-others" if self.columns is None else "visit-ancestors"
+""",
+        """        self.visit = "visit-ancestors"
+""",
+        ("tests/test_principles.py::test_a_callable_is_still_asked_about_arguments_that_do_not_reach_the_topic",),
+    ),
+    Mutant(
+        "quant-existence-sums-every-other-argument",
+        "src/qbag/principles.py",
+        """    total = 0.0
+    for x in plan.orders[t]:
+""",
+        """    total = 0.0
+    for x in [y for y in range(len(cache.graph)) if y != t]:
+""",
+        ("tests/test_principles.py::test_built_in_checks_read_only_ancestors_and_report_as_a_callable_would",),
+    ),
+    Mutant(
+        "null-cell-is-negative-zero",
+        "src/qbag/contributions.py",
+        """                if not (skip >> x) & 1:
+                    column[x] = 0.0
+            return 0.0
+""",
+        """                if not (skip >> x) & 1:
+                    column[x] = -0.0
+            return 0.0
+""",
+        ("tests/test_evaluation_cache.py::test_every_built_in_method_gives_non_ancestors_an_exact_zero",),
+    ),
 )
 
 

@@ -31,15 +31,14 @@ from qbag import (
     PrincipleId,
     Removal,
     ShapleyExact,
-    contrib_gradient,
     contrib_intrinsic_removal,
     contrib_removal,
-    contrib_shapley_exact,
     contribution,
     contribution_table,
     evaluate,
     gradient_of_topic,
     kink_margin,
+    method_by_name,
     random_qbag,
     run_check,
 )
@@ -86,14 +85,8 @@ def test_criterion_1_reference_table(capsys):
         ("gradient", "c", "c"): 1.0,
         ("gradient", "c", "a"): -0.25,
     }
-    fns = {
-        "removal": contrib_removal,
-        "intrinsic-removal": contrib_intrinsic_removal,
-        "shapley": contrib_shapley_exact,
-        "gradient": contrib_gradient,
-    }
     for (method, x, a), value in expected.items():
-        assert fns[method](g, sem, a, x) == pytest.approx(value, abs=1e-9)
+        assert contribution(g, sem, method_by_name(method), a, x) == pytest.approx(value, abs=1e-9)
     with capsys.disabled():
         _report(1, "reference contribution table exact to 1e-9", started, 1.0)
 
@@ -147,10 +140,10 @@ def test_criterion_3_violation_witnesses(capsys):
     ri = contrib_intrinsic_removal(faith_qe, qe, "a", "d")
     assert r == ri
     assert r == pytest.approx(-0.01122, abs=1e-4)
-    assert contrib_gradient(faith_qe, qe, "a", "d") == pytest.approx(0.02987, abs=1e-4)
+    assert contribution(faith_qe, qe, Gradient(), "a", "d") == pytest.approx(0.02987, abs=1e-4)
 
     fan = load_example("cf-shapley-qe").graph
-    shap = contrib_shapley_exact(fan, qe, "a", "e")
+    shap = contribution(fan, qe, ShapleyExact(), "a", "e")
     assert _rel(shap, 4.9326e-05) < 1e-2
     assert contrib_removal(fan, qe, "a", "e") == pytest.approx(-0.0149, abs=1e-4)
 
@@ -161,7 +154,7 @@ def test_criterion_3_violation_witnesses(capsys):
 
     ebt = semantics_by_name("ebt")
     sh_ebt = load_example("cf-shapley-ebt").graph
-    assert _rel(contrib_shapley_exact(sh_ebt, ebt, "a", "f"), -2.7043e-05) < 1e-2
+    assert _rel(contribution(sh_ebt, ebt, ShapleyExact(), "a", "f"), -2.7043e-05) < 1e-2
     assert _rel(contrib_removal(sh_ebt, ebt, "a", "f"), 7.3331e-05) < 1e-2
 
     ce = load_example("fig-ce-negative").graph
@@ -172,7 +165,7 @@ def test_criterion_3_violation_witnesses(capsys):
     assert eb_delta == pytest.approx(-0.2025, abs=1e-4)
     assert sum(contrib_removal(ce, eb, "a", x) for x in "bc") == pytest.approx(-0.138, abs=1e-4)
     assert sum(contrib_intrinsic_removal(ce, eb, "a", x) for x in "bc") == pytest.approx(-0.138, abs=1e-4)
-    assert sum(contrib_gradient(ce, eb, "a", x) for x in "bc") == pytest.approx(-0.089, abs=1e-4)
+    assert sum(contribution(ce, eb, Gradient(), "a", x) for x in "bc") == pytest.approx(-0.089, abs=1e-4)
 
     # every example carrying a violation verdict replays cleanly
     witnessed = 0
@@ -378,8 +371,8 @@ def test_criterion_7_proximity_counterexamples(capsys):
 
     eb = semantics_by_name("eb")
     wide = load_example("prox-gradient-eb").graph
-    near = abs(contrib_gradient(wide, eb, "a", "b"))
-    far = abs(contrib_gradient(wide, eb, "a", "d"))
+    near = abs(contribution(wide, eb, Gradient(), "a", "b"))
+    far = abs(contribution(wide, eb, Gradient(), "a", "d"))
     assert near < far
     assert near == pytest.approx(0.0083, abs=1e-3) and far == pytest.approx(0.0101, abs=1e-3)
 
@@ -394,9 +387,9 @@ def test_criterion_8_supporter_separation(capsys):
     started = time.perf_counter()
     g = supporters_graph(10)
     qe = semantics_by_name("qe")
-    shapley = contrib_shapley_exact(g, qe, "a", "b1")
+    shapley = contribution(g, qe, ShapleyExact(), "a", "b1")
     removal = contrib_removal(g, qe, "a", "b1")
-    gradient = contrib_gradient(g, qe, "a", "b1")
+    gradient = contribution(g, qe, Gradient(), "a", "b1")
     assert shapley > 0.04
     assert removal < 0.01
     assert gradient < 0.01

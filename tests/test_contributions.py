@@ -17,11 +17,8 @@ from qbag import (
     TooLarge,
     UNDEFINED,
     UnknownArgument,
-    contrib_gradient,
     contrib_intrinsic_removal,
     contrib_removal,
-    contrib_shapley_exact,
-    contrib_shapley_sampled,
     contribution,
     contribution_table,
     evaluate,
@@ -115,7 +112,7 @@ class TestShapleyExact:
                     if x == topic:
                         continue
                     expected = shapley_bruteforce(g, sem, topic, x)
-                    assert contrib_shapley_exact(g, sem, topic, x) == pytest.approx(
+                    assert contribution(g, sem, ShapleyExact(), topic, x) == pytest.approx(
                         expected, abs=1e-12
                     )
 
@@ -127,14 +124,14 @@ class TestShapleyExact:
                         if x == topic:
                             continue
                         expected = shapley_bruteforce(g, sem, topic, x)
-                        assert contrib_shapley_exact(g, sem, topic, x) == pytest.approx(
+                        assert contribution(g, sem, ShapleyExact(), topic, x) == pytest.approx(
                             expected, abs=1e-10
                         )
 
     def test_two_argument_graph_equals_removal(self):
         g = QBAG([("a", 0.5), ("x", 0.8)], supports=[("x", "a")])
         for sem in PRESETS.values():
-            assert contrib_shapley_exact(g, sem, "a", "x") == pytest.approx(
+            assert contribution(g, sem, ShapleyExact(), "a", "x") == pytest.approx(
                 contrib_removal(g, sem, "a", "x"), abs=1e-12
             )
 
@@ -144,7 +141,7 @@ class TestShapleyExact:
             attacks=[("b", "a"), ("c", "a")],
             supports=[("d", "a"), ("e", "b"), ("e", "c"), ("e", "d"), ("f", "e")],
         )
-        assert contrib_shapley_exact(g, QE, "a", "e") == pytest.approx(4.9326e-05, abs=1e-8)
+        assert contribution(g, QE, ShapleyExact(), "a", "e") == pytest.approx(4.9326e-05, abs=1e-8)
 
     def test_efficiency_on_random_graphs(self):
         for g in random_graphs(seed=23, count=25, max_args=8):
@@ -153,7 +150,7 @@ class TestShapleyExact:
                 sigma = evaluate(g, sem)
                 for topic in g.arguments:
                     total = sum(
-                        contrib_shapley_exact(g, sem, topic, x, cache=cache)
+                        contribution(g, sem, ShapleyExact(), topic, x, cache=cache)
                         for x in g.arguments
                         if x != topic
                     )
@@ -168,12 +165,13 @@ class TestShapleyExact:
         g = QBAG([(f"x{i}", 0.5) for i in range(21)] + [("y", 0.5)], supports=supports)
         for cap in (20, 21):
             with pytest.raises(TooLarge, match=f"capped at {cap} arguments, topic x0 with its ancestors has 22$"):
-                contrib_shapley_exact(g, QE, "x0", "x1", exact_cap=cap)
+                contribution(g, QE, ShapleyExact(cap), "x0", "x1")
         removal = contrib_removal(g, QE, "x1", "y")
         assert removal > 0.0
-        assert contrib_shapley_exact(g, QE, "x1", "y") == contrib_shapley_exact(g, QE, "x1", "y", exact_cap=2) == removal
+        for method in (ShapleyExact(), ShapleyExact(2)):
+            assert contribution(g, QE, method, "x1", "y") == removal
         with pytest.raises(TooLarge, match="capped at 1 arguments, topic x1 with its ancestors has 2$"):
-            contrib_shapley_exact(g, QE, "x1", "y", exact_cap=1)
+            contribution(g, QE, ShapleyExact(1), "x1", "y")
 
     def test_cache_and_fresh_agree(self):
         g = chain_graph()
@@ -182,9 +180,8 @@ class TestShapleyExact:
             for x in g.arguments:
                 if x == topic:
                     continue
-                assert contrib_shapley_exact(g, QE, topic, x, cache=cache) == contrib_shapley_exact(
-                    g, QE, topic, x
-                )
+                fresh = contribution(g, QE, ShapleyExact(), topic, x)
+                assert contribution(g, QE, ShapleyExact(), topic, x, cache=cache) == fresh
 
 
 class TestShapleySampled:
@@ -194,8 +191,8 @@ class TestShapleySampled:
             for x in g.arguments:
                 if x == topic:
                     continue
-                exact = contrib_shapley_exact(g, DFQUAD, topic, x)
-                estimate = contrib_shapley_sampled(g, DFQUAD, topic, x, 100_000, seed=77)
+                exact = contribution(g, DFQUAD, ShapleyExact(), topic, x)
+                estimate = contribution(g, DFQUAD, ShapleySampled(100_000, 77), topic, x)
                 assert estimate == pytest.approx(exact, abs=0.01)
 
     def test_estimates_lie_within_five_exact_standard_errors(self):
@@ -239,23 +236,20 @@ class TestShapleySampled:
 
     def test_deterministic_given_seed(self):
         g = chain_graph()
-        one = contrib_shapley_sampled(g, DFQUAD, "a", "b", 1, seed=123)
-        two = contrib_shapley_sampled(g, DFQUAD, "a", "b", 1, seed=123)
+        one = contribution(g, DFQUAD, ShapleySampled(1, 123), "a", "b")
+        two = contribution(g, DFQUAD, ShapleySampled(1, 123), "a", "b")
         assert one == two  # bit for bit
-        assert contrib_shapley_sampled(g, DFQUAD, "a", "b", 500, seed=5) == contrib_shapley_sampled(
-            g, DFQUAD, "a", "b", 500, seed=5
-        )
+        method = ShapleySampled(500, 5)
+        assert contribution(g, DFQUAD, method, "a", "b") == contribution(g, DFQUAD, method, "a", "b")
 
     def test_unreachable_contributor_is_exactly_zero(self):
         g = QBAG(
             [("a", 0.5), ("b", 0.7), ("z", 0.9)], attacks=[("b", "a")], supports=[("a", "z")]
         )
         assert not reaches(g, "z", "a")
-        assert contrib_shapley_sampled(g, QE, "a", "z", 50, seed=3) == 0.0
+        assert contribution(g, QE, ShapleySampled(50, 3), "a", "z") == 0.0
 
     def test_rejects_zero_permutations(self):
-        with pytest.raises(ValueError):
-            contrib_shapley_sampled(chain_graph(), QE, "a", "b", 0, seed=1)
         with pytest.raises(ValueError):
             ShapleySampled(0, 1)
 
@@ -271,9 +265,9 @@ class TestShapleySampled:
 class TestGradientContribution:
     def test_total_including_self(self):
         g = chain_graph()
-        assert contrib_gradient(g, DFQUAD, "a", "a") == pytest.approx(0.25, abs=1e-12)
-        assert contrib_gradient(g, DFQUAD, "c", "c") == 1.0
-        assert contrib_gradient(g, DFQUAD, "b", "b") == pytest.approx(0.5, abs=1e-12)
+        assert contribution(g, DFQUAD, Gradient(), "a", "a") == pytest.approx(0.25, abs=1e-12)
+        assert contribution(g, DFQUAD, Gradient(), "c", "c") == 1.0
+        assert contribution(g, DFQUAD, Gradient(), "b", "b") == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDispatchAndTables:

@@ -6,8 +6,9 @@ from qbag import (
     QE,
     UNDEFINED,
     CheckConfig,
+    ShapleyExact,
     UnknownExample,
-    contrib_shapley_exact,
+    contribution,
     evaluate,
     parse_graph,
 )
@@ -213,7 +214,7 @@ class TestSupportersFamily:
             g = supporters_graph(n)
             sigma = evaluate(g, QE)
             expected = (sigma["a"] - 0.5) / n
-            assert contrib_shapley_exact(g, QE, "a", "b1", exact_cap=21) == pytest.approx(
+            assert contribution(g, QE, ShapleyExact(21), "a", "b1") == pytest.approx(
                 expected, abs=1e-12
             )
 

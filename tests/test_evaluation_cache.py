@@ -35,7 +35,6 @@ from qbag import (
     ShapleySampled,
     TooLarge,
     UNDEFINED,
-    contrib_shapley_exact,
     contribution,
     contribution_table,
     evaluate,
@@ -194,19 +193,17 @@ def test_memoized_shapley_cell_still_enforces_the_cap():
     cache = EvaluationCache(g, QE)
     t = g.index_of(topic)
     scope = cache.ancestors(t).bit_count() + 1
-    value = contrib_shapley_exact(g, QE, topic, contributor, cache=cache)
+    value = contribution(g, QE, ShapleyExact(), topic, contributor, cache=cache)
     assert contribution(g, QE, ShapleyExact(scope), topic, contributor, cache=cache) == value
     small = ShapleyExact(scope - 1)
     message = f"exact enumeration is capped at {scope - 1} arguments, topic {topic} with its ancestors has {scope}"
     for _ in range(2):
         with pytest.raises(TooLarge, match=message):
-            contrib_shapley_exact(g, QE, topic, contributor, exact_cap=scope - 1, cache=cache)
-        with pytest.raises(TooLarge, match=message):
             contribution(g, QE, small, topic, contributor, cache=cache)
         with pytest.raises(TooLarge, match=message):
             run_check(g, QE, small, PrincipleId.DIRECTIONALITY, topic, cache=cache)
         assert all(cell is _UNSET for cell in cache.column(small, t))
-        assert contrib_shapley_exact(g, QE, topic, contributor, cache=cache) == value
+        assert contribution(g, QE, ShapleyExact(), topic, contributor, cache=cache) == value
 
 
 def test_callable_methods_are_never_memoized():
@@ -592,8 +589,8 @@ def test_the_exact_cap_counts_the_topic_and_its_ancestors_not_the_graph():
     cache = EvaluationCache(wide, EB)
     for topic, scope_size in (("a", 38), ("b", 37)):
         with pytest.raises(TooLarge, match=f"capped at 20 arguments, topic {topic} with its ancestors has {scope_size}$"):
-            contrib_shapley_exact(wide, EB, topic, "c8", cache=cache)
-    assert contrib_shapley_exact(wide, EB, "c8", "a", cache=cache) == 0.0
+            contribution(wide, EB, ShapleyExact(), topic, "c8", cache=cache)
+    assert contribution(wide, EB, ShapleyExact(), "c8", "a", cache=cache) == 0.0
 
 
 def test_exact_shapley_enumerates_where_a_coalition_may_be_undefined():

@@ -28,15 +28,6 @@ from qbag import (
     TooLarge,
     UnknownArgument,
     Verdict,
-    check_contribution_existence,
-    check_counterfactuality,
-    check_directionality,
-    check_local_faithfulness,
-    check_proximity,
-    check_quant_contribution_existence,
-    check_quant_counterfactuality,
-    check_quant_local_faithfulness,
-    check_strong_faithfulness,
     contribution,
     kink_margin,
     principle_by_name,
@@ -61,30 +52,30 @@ def intro_graph():
 
 class TestContributionExistence:
     def test_violation_under_linear_rule(self):
-        report = check_contribution_existence(saturated_attackers(), DFQUAD, Removal(), "a")
+        report = run_check(saturated_attackers(), DFQUAD, Removal(), PrincipleId.CONTRIBUTION_EXISTENCE, "a")
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["strength_delta"] == pytest.approx(-0.5)
 
     def test_satisfied_under_quadratic_rule(self):
-        report = check_contribution_existence(saturated_attackers(), QE, Removal(), "a")
+        report = run_check(saturated_attackers(), QE, Removal(), PrincipleId.CONTRIBUTION_EXISTENCE, "a")
         assert report.satisfied
         assert report.witness["nonzero_contributors"] == ["b", "c"]
 
     def test_vacuous_on_edgeless_graph(self):
         g = QBAG([("a", 0.5), ("b", 0.7)])
         for method in (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()):
-            assert check_contribution_existence(g, QE, method, "a").satisfied
+            assert run_check(g, QE, method, PrincipleId.CONTRIBUTION_EXISTENCE, "a").satisfied
 
 
 class TestQuantContributionExistence:
     def test_removal_gap_on_saturated_attackers(self):
-        report = check_quant_contribution_existence(saturated_attackers(), QE, Removal(), "a")
+        report = run_check(saturated_attackers(), QE, Removal(), PrincipleId.QUANT_CONTRIBUTION_EXISTENCE, "a")
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["contribution_sum"] == pytest.approx(-0.3, abs=1e-9)
         assert report.witness["strength_delta"] == pytest.approx(-0.4, abs=1e-9)
 
     def test_gradient_gap_under_exponential_rule(self):
-        report = check_quant_contribution_existence(saturated_attackers(), EB, Gradient(), "a")
+        report = run_check(saturated_attackers(), EB, Gradient(), PrincipleId.QUANT_CONTRIBUTION_EXISTENCE, "a")
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["contribution_sum"] == pytest.approx(-0.089, abs=1e-4)
         assert report.witness["strength_delta"] == pytest.approx(-0.2025, abs=1e-4)
@@ -94,8 +85,8 @@ class TestQuantContributionExistence:
             for sem in PRESETS.values():
                 cache = EvaluationCache(g, sem)
                 for topic in g.arguments:
-                    report = check_quant_contribution_existence(
-                        g, sem, ShapleyExact(), topic, cache=cache
+                    report = run_check(
+                        g, sem, ShapleyExact(), PrincipleId.QUANT_CONTRIBUTION_EXISTENCE, topic, cache=cache
                     )
                     assert report.satisfied
 
@@ -105,8 +96,8 @@ class TestQuantContributionExistence:
                 continue  # beyond a sensible exact-enumeration test budget
             cache = EvaluationCache(example.graph, sem)
             for topic in example.graph.arguments:
-                report = check_quant_contribution_existence(
-                    example.graph, sem, ShapleyExact(), topic, cache=cache
+                report = run_check(
+                    example.graph, sem, ShapleyExact(), PrincipleId.QUANT_CONTRIBUTION_EXISTENCE, topic, cache=cache
                 )
                 assert report.satisfied, (example.id, sem.label(), topic)
 
@@ -115,7 +106,7 @@ class TestDirectionality:
     def test_satisfied_on_chain_for_every_method(self):
         g = load_example("table-example").graph
         for method in (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()):
-            assert check_directionality(g, DFQUAD, method, "a").satisfied
+            assert run_check(g, DFQUAD, method, PrincipleId.DIRECTIONALITY, "a").satisfied
 
     def test_satisfied_on_random_graphs(self):
         for g in random_graphs(seed=32, count=15):
@@ -123,17 +114,19 @@ class TestDirectionality:
                 cache = EvaluationCache(g, sem)
                 for method in (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()):
                     for topic in g.arguments:
-                        assert check_directionality(g, sem, method, topic, cache=cache).satisfied
+                        assert run_check(g, sem, method, PrincipleId.DIRECTIONALITY, topic, cache=cache).satisfied
 
     def test_checker_flags_a_synthetic_constant_method(self):
         stub = lambda g, sem, topic, contributor: 1.0  # noqa: E731
-        report = check_directionality(load_example("table-example").graph, DFQUAD, stub, "c")
+        report = run_check(load_example("table-example").graph, DFQUAD, stub, PrincipleId.DIRECTIONALITY, "c")
         assert report.verdict is Verdict.VIOLATION
 
 
 class TestCounterfactuality:
     def test_intrinsic_removal_violation(self):
-        report = check_counterfactuality(load_example("cf-ri-chain").graph, DFQUAD, IntrinsicRemoval(), "a")
+        report = run_check(
+            load_example("cf-ri-chain").graph, DFQUAD, IntrinsicRemoval(), PrincipleId.COUNTERFACTUALITY, "a"
+        )
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["contributor"] == "b"
         assert report.witness["contribution"] == 0.0
@@ -144,10 +137,10 @@ class TestCounterfactuality:
             for sem in PRESETS.values():
                 cache = EvaluationCache(g, sem)
                 for topic in g.arguments:
-                    assert check_counterfactuality(g, sem, Removal(), topic, cache=cache).satisfied
+                    assert run_check(g, sem, Removal(), PrincipleId.COUNTERFACTUALITY, topic, cache=cache).satisfied
 
     def test_gradient_violation_on_intro_graph(self):
-        report = check_counterfactuality(intro_graph(), DFQUAD, Gradient(), "a")
+        report = run_check(intro_graph(), DFQUAD, Gradient(), PrincipleId.COUNTERFACTUALITY, "a")
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["contributor"] == "e"
         assert report.witness["contribution"] == 0.0
@@ -160,20 +153,26 @@ class TestQuantCounterfactuality:
             for sem in PRESETS.values():
                 cache = EvaluationCache(g, sem)
                 for topic in g.arguments:
-                    assert check_quant_counterfactuality(g, sem, Removal(), topic, cache=cache).satisfied
+                    assert run_check(
+                        g, sem, Removal(), PrincipleId.QUANT_COUNTERFACTUALITY, topic, cache=cache
+                    ).satisfied
 
     def test_intrinsic_removal_micro_violation(self):
-        report = check_quant_counterfactuality(load_example("cf-ri-eb").graph, EB, IntrinsicRemoval(), "a")
+        report = run_check(
+            load_example("cf-ri-eb").graph, EB, IntrinsicRemoval(), PrincipleId.QUANT_COUNTERFACTUALITY, "a"
+        )
         assert report.verdict is Verdict.VIOLATION
 
     def test_shapley_violation_under_top_rule(self):
-        report = check_quant_counterfactuality(load_example("cf-shapley-ebt").graph, EBT, ShapleyExact(), "a")
+        report = run_check(
+            load_example("cf-shapley-ebt").graph, EBT, ShapleyExact(), PrincipleId.QUANT_COUNTERFACTUALITY, "a"
+        )
         assert report.verdict is Verdict.VIOLATION
 
 
 class TestLocalFaithfulness:
     def test_removal_violation_with_opposite_slope(self):
-        report = check_local_faithfulness(load_example("faith-qe").graph, QE, Removal(), "a")
+        report = run_check(load_example("faith-qe").graph, QE, Removal(), PrincipleId.LOCAL_FAITHFULNESS, "a")
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["contributor"] == "d"
 
@@ -184,15 +183,15 @@ class TestLocalFaithfulness:
                     continue
                 cache = EvaluationCache(g, sem)
                 for topic in g.arguments:
-                    assert check_local_faithfulness(g, sem, Gradient(), topic, cache=cache).satisfied
+                    assert run_check(g, sem, Gradient(), PrincipleId.LOCAL_FAITHFULNESS, topic, cache=cache).satisfied
 
     def test_shapley_violation_with_opposite_slope(self):
-        report = check_local_faithfulness(load_example("faith-sqe").graph, QE, ShapleyExact(), "a")
+        report = run_check(load_example("faith-sqe").graph, QE, ShapleyExact(), PrincipleId.LOCAL_FAITHFULNESS, "a")
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["contributor"] == "d"
 
     def test_report_notes_probe_resolution(self):
-        report = check_local_faithfulness(intro_graph(), DFQUAD, Gradient(), "a")
+        report = run_check(intro_graph(), DFQUAD, Gradient(), PrincipleId.LOCAL_FAITHFULNESS, "a")
         assert "resolution" in report.note
 
 
@@ -200,21 +199,21 @@ class TestStrongFaithfulness:
     def test_intro_graph_with_weak_source_violates_for_every_method(self):
         g = with_initial_strength(intro_graph(), "e", 0.2)
         for method in (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()):
-            report = check_strong_faithfulness(g, DFQUAD, method, "a")
+            report = run_check(g, DFQUAD, method, PrincipleId.STRONG_FAITHFULNESS, "a")
             assert report.verdict is Verdict.VIOLATION
 
     def test_plateau_violation(self):
         g = load_example("faith-sd").graph
-        report = check_strong_faithfulness(g, SD_DFQUAD, Removal(), "a")
+        report = run_check(g, SD_DFQUAD, Removal(), PrincipleId.STRONG_FAITHFULNESS, "a")
         assert report.verdict is Verdict.VIOLATION
         # the positive contribution of d meets a plateau in the sweep
         assert contribution(g, SD_DFQUAD, Removal(), "a", "d") == pytest.approx(0.1398, abs=1e-4)
 
     def test_satisfied_on_two_node_graph_with_gradient(self):
         edgeless = QBAG([("a", 0.5), ("b", 0.3)])
-        assert check_strong_faithfulness(edgeless, DFQUAD, Gradient(), "a").satisfied
+        assert run_check(edgeless, DFQUAD, Gradient(), PrincipleId.STRONG_FAITHFULNESS, "a").satisfied
         linear = QBAG([("a", 0.5), ("b", 0.3)], supports=[("b", "a")])
-        assert check_strong_faithfulness(linear, DFQUAD, Gradient(), "a").satisfied
+        assert run_check(linear, DFQUAD, Gradient(), PrincipleId.STRONG_FAITHFULNESS, "a").satisfied
 
 
 class TestQuantLocalFaithfulness:
@@ -222,36 +221,36 @@ class TestQuantLocalFaithfulness:
         for example_id in ("fig-intro", "table-example", "faith-qe", "cf-ri-eb"):
             example = load_example(example_id)
             sem = PRESETS[example.semantics]
-            report = check_quant_local_faithfulness(example.graph, sem, Gradient(), "a")
+            report = run_check(example.graph, sem, Gradient(), PrincipleId.QUANT_LOCAL_FAITHFULNESS, "a")
             assert report.satisfied
 
     def test_removal_violation_from_wrong_slope(self):
-        report = check_quant_local_faithfulness(load_example("faith-qe").graph, QE, Removal(), "a")
+        report = run_check(load_example("faith-qe").graph, QE, Removal(), PrincipleId.QUANT_LOCAL_FAITHFULNESS, "a")
         assert report.verdict is Verdict.VIOLATION
         ratios = report.witness["error_ratios"]
         assert ratios[-1] > 1e-3
 
     def test_unreachable_contributor_has_zero_error(self):
         g = QBAG([("a", 0.5), ("z", 0.9)], attacks=[("a", "z")])
-        report = check_quant_local_faithfulness(g, QE, Gradient(), "a")
+        report = run_check(g, QE, Gradient(), PrincipleId.QUANT_LOCAL_FAITHFULNESS, "a")
         assert report.satisfied
 
 
 class TestProximity:
     def test_removal_violation_on_attack_chain(self):
-        report = check_proximity(load_example("prox-removal-qe").graph, QE, Removal(), "a")
+        report = run_check(load_example("prox-removal-qe").graph, QE, Removal(), PrincipleId.PROXIMITY, "a")
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["nearer"] == "b" and report.witness["farther"] == "c"
         assert report.witness["nearer_magnitude"] == pytest.approx(0.0012, abs=1e-3)
         assert report.witness["farther_magnitude"] == pytest.approx(0.0037, abs=1e-3)
 
     def test_gradient_satisfied_on_chain(self):
-        report = check_proximity(load_example("table-example").graph, DFQUAD, Gradient(), "a")
+        report = run_check(load_example("table-example").graph, DFQUAD, Gradient(), PrincipleId.PROXIMITY, "a")
         assert report.satisfied
 
     def test_vacuous_without_strictly_closer_pairs(self):
         g = QBAG([("a", 0.5), ("b", 0.9), ("c", 0.9)], attacks=[("b", "a")], supports=[("c", "a")])
-        assert check_proximity(g, QE, Removal(), "a").satisfied
+        assert run_check(g, QE, Removal(), PrincipleId.PROXIMITY, "a").satisfied
 
 
 class TestCheckerPlumbing:
@@ -286,7 +285,7 @@ class TestCheckerPlumbing:
 
     def test_unknown_topic(self):
         with pytest.raises(UnknownArgument):
-            check_directionality(intro_graph(), QE, Removal(), "zz")
+            run_check(intro_graph(), QE, Removal(), PrincipleId.DIRECTIONALITY, "zz")
 
     def test_violation_witnesses_replay_bit_for_bit(self):
         cases = [
@@ -337,12 +336,12 @@ class TestImplicationChains:
                 cache = EvaluationCache(g, sem)
                 for method in (Removal(), ShapleyExact(), Gradient()):
                     for topic in g.arguments:
-                        strong = check_quant_contribution_existence(g, sem, method, topic, cache=cache)
+                        strong = run_check(g, sem, method, PrincipleId.QUANT_CONTRIBUTION_EXISTENCE, topic, cache=cache)
                         if not strong.satisfied:
                             continue
                         if not self._clear(strong.witness["strength_delta"], 1e-9):
                             continue
-                        weak = check_contribution_existence(g, sem, method, topic, cache=cache)
+                        weak = run_check(g, sem, method, PrincipleId.CONTRIBUTION_EXISTENCE, topic, cache=cache)
                         assert weak.satisfied
 
     def test_quant_counterfactuality_implies_counterfactuality(self):
@@ -351,7 +350,7 @@ class TestImplicationChains:
                 cache = EvaluationCache(g, sem)
                 for method in (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()):
                     for topic in g.arguments:
-                        strong = check_quant_counterfactuality(g, sem, method, topic, cache=cache)
+                        strong = run_check(g, sem, method, PrincipleId.QUANT_COUNTERFACTUALITY, topic, cache=cache)
                         if not strong.satisfied:
                             continue
                         clear = all(
@@ -361,7 +360,7 @@ class TestImplicationChains:
                         )
                         if not clear:
                             continue
-                        weak = check_counterfactuality(g, sem, method, topic, cache=cache)
+                        weak = run_check(g, sem, method, PrincipleId.COUNTERFACTUALITY, topic, cache=cache)
                         assert weak.satisfied
 
     def test_stronger_faithfulness_checks_imply_local_faithfulness(self):
@@ -379,11 +378,11 @@ class TestImplicationChains:
                         ]
                         if not all(self._clear(c, 1e-9) for c in contribs):
                             continue
-                        weak = check_local_faithfulness(g, sem, method, topic, cache=cache)
-                        strong = check_strong_faithfulness(g, sem, method, topic, cache=cache)
+                        weak = run_check(g, sem, method, PrincipleId.LOCAL_FAITHFULNESS, topic, cache=cache)
+                        strong = run_check(g, sem, method, PrincipleId.STRONG_FAITHFULNESS, topic, cache=cache)
                         if strong.satisfied:
                             assert weak.satisfied
-                        quant = check_quant_local_faithfulness(g, sem, method, topic, cache=cache)
+                        quant = run_check(g, sem, method, PrincipleId.QUANT_LOCAL_FAITHFULNESS, topic, cache=cache)
                         if quant.satisfied and all(
                             abs(c) > 1e-2 or abs(c) <= 1e-10 for c in contribs
                         ):
@@ -397,9 +396,11 @@ class TestImplicationChains:
             cache = EvaluationCache(g, sem)
             for method in (Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()):
                 for topic in g.arguments:
-                    qce = check_quant_contribution_existence(g, sem, method, topic, cache=cache)
+                    qce = run_check(g, sem, method, PrincipleId.QUANT_CONTRIBUTION_EXISTENCE, topic, cache=cache)
                     if qce.satisfied and self._clear(qce.witness["strength_delta"], 1e-9):
-                        assert check_contribution_existence(g, sem, method, topic, cache=cache).satisfied
+                        assert run_check(
+                            g, sem, method, PrincipleId.CONTRIBUTION_EXISTENCE, topic, cache=cache
+                        ).satisfied
 
     @pytest.mark.slow
     def test_chains_hold_at_scale(self):
@@ -425,20 +426,26 @@ class TestImplicationChains:
                             for x in g.arguments
                             if x != topic
                         ]
-                        qce = check_quant_contribution_existence(g, sem, method, topic, cfg, cache=cache)
+                        qce = run_check(
+                            g, sem, method, PrincipleId.QUANT_CONTRIBUTION_EXISTENCE, topic, cfg, cache=cache
+                        )
                         if qce.satisfied and self._clear(qce.witness["strength_delta"], cfg.eq_tol):
-                            assert check_contribution_existence(g, sem, method, topic, cfg, cache=cache).satisfied
-                        qcf = check_quant_counterfactuality(g, sem, method, topic, cfg, cache=cache)
+                            assert run_check(
+                                g, sem, method, PrincipleId.CONTRIBUTION_EXISTENCE, topic, cfg, cache=cache
+                            ).satisfied
+                        qcf = run_check(g, sem, method, PrincipleId.QUANT_COUNTERFACTUALITY, topic, cfg, cache=cache)
                         if qcf.satisfied and all(self._clear(c, cfg.zero_tol) for c in contribs):
-                            assert check_counterfactuality(g, sem, method, topic, cfg, cache=cache).satisfied
+                            assert run_check(
+                                g, sem, method, PrincipleId.COUNTERFACTUALITY, topic, cfg, cache=cache
+                            ).satisfied
                         if not smooth or not all(self._clear(c, cfg.zero_tol) for c in contribs):
                             continue
-                        weak = check_local_faithfulness(g, sem, method, topic, cfg, cache=cache)
+                        weak = run_check(g, sem, method, PrincipleId.LOCAL_FAITHFULNESS, topic, cfg, cache=cache)
                         if weak.satisfied:
                             continue  # nothing to falsify
-                        strong = check_strong_faithfulness(g, sem, method, topic, cfg, cache=cache)
+                        strong = run_check(g, sem, method, PrincipleId.STRONG_FAITHFULNESS, topic, cfg, cache=cache)
                         assert not strong.satisfied
-                        quant = check_quant_local_faithfulness(g, sem, method, topic, cfg, cache=cache)
+                        quant = run_check(g, sem, method, PrincipleId.QUANT_LOCAL_FAITHFULNESS, topic, cfg, cache=cache)
                         if all(abs(c) > 1e-2 or abs(c) <= 1e-10 for c in contribs):
                             assert not quant.satisfied
 
