@@ -204,6 +204,13 @@ def method_by_name(name: str, *, permutations: int = DEFAULT_PERMUTATIONS, seed:
 _UNSET = object()
 
 
+def _point_count(points: int) -> int:
+    """``points``, when a grid sweep can have that many points; else ValueError."""
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise ValueError(f"a sweep has between 2 and {MAX_SWEEP_POINTS} points, got {points}")
+    return points
+
+
 class _PointByPoint(dict):
     """A stored sweep whose column sweep failed and whose points were then
     evaluated one by one: the only sweep whose columns can hold errors."""
@@ -233,7 +240,7 @@ class EvaluationCache:
     - ``derived``: the principle checkers' tables: three visit orders per
       topic (its ancestors, the other arguments, and those of them with no
       path to it), n x n strong-faithfulness entries per (grid_points, eq_tol),
-      and n x n probe columns and signed probe rows per eps schedule.
+      and n x n probe columns per eps schedule for both local checkers.
     - ``plan``: one slot, the last principle check's resolved plan; a check
       with another (principle, method, configuration) replaces it.
 
@@ -353,17 +360,17 @@ class EvaluationCache:
         """The final strengths of argument ``index`` and of each of its
         descendants as its initial strength takes each of ``values``, or each
         grid point j / (values - 1), j = 0 .. values - 1, when ``values`` is a
-        point count, as one column per reached topic from
-        :meth:`_sweep_columns`, computed once per (index, values) and kept in
-        ``_sweeps``.  If the column sweep raises :class:`DomainError`, each
-        point is evaluated on its own by :meth:`strengths_perturbed`, an
-        undefined strength holds its error, for the reader to raise, and the
-        sweep is a :class:`_PointByPoint`."""
+        point count (2 to ``MAX_SWEEP_POINTS``, else ValueError), as one
+        column per reached topic from :meth:`_sweep_columns`, computed once
+        per (index, values) and kept in ``_sweeps``.  If the column sweep
+        raises :class:`DomainError`, each point is evaluated on its own by
+        :meth:`strengths_perturbed`, an undefined strength holds its error,
+        for the reader to raise, and the sweep is a :class:`_PointByPoint`."""
         key = (index, values)
         columns = self._sweeps.get(key)
         if columns is None:
             if isinstance(values, int):
-                last = values - 1
+                last = _point_count(values) - 1
                 values = [j / last for j in range(values)]
             try:
                 columns = self._sweep_columns(index, values)
@@ -376,12 +383,12 @@ class EvaluationCache:
     def sweep_column(self, index: int, topic: int, points: int) -> tuple[float, ...]:
         """The topic's final strength as argument ``index``'s initial strength
         takes the values j / (points - 1), j = 0 .. points - 1, computed once
-        per (argument, points).  A topic the argument does not reach keeps
-        its unmodified strength, and nothing is evaluated for it.  An
-        undefined point raises the error of the first undefined point, as a
-        point-by-point sweep would."""
+        per (argument, points), 2 to ``MAX_SWEEP_POINTS``.  A topic the
+        argument does not reach keeps its unmodified strength, and nothing
+        is evaluated for it.  An undefined point raises the error of the
+        first undefined point, as a point-by-point sweep would."""
         if topic != index and not (self.ancestors(topic) >> index) & 1:
-            return (self.strengths()[topic],) * points
+            return (self.strengths()[topic],) * _point_count(points)
         columns = self.sweep(index, points)
         column = columns[topic]
         if columns.__class__ is _PointByPoint:
@@ -610,18 +617,13 @@ def _shapley_sampled(cache: EvaluationCache, t: int, x: int, permutations: int, 
     the ancestors and the topic: all of them but the players before x, held
     at +0.0, then x's cone within them with x at +0.0 too.  Each raises the
     error of the first node that fails there, and no other argument is
-    evaluated, so the full graph may be undefined.  x's cone within them
-    comes from one forward pass over them: every path from x to one of them
-    runs inside them."""
+    evaluated, so the full graph may be undefined.  x's cone within them is
+    its descendants among them, as in :func:`_coalition_table`: every path
+    from x to one of them runs inside them."""
     comp = cache._comp
     scope = cache.ancestors(t) | 1 << t
     nodes = [i for i in comp.order if (scope >> i) & 1]
-    reached = 1 << x
-    cone = []
-    for i in nodes:
-        if any((reached >> p) & 1 for p in chain(comp.attackers[i], comp.supporters[i])):
-            reached |= 1 << i
-            cone.append(i)
+    cone = [d for d in cache._descendants_of(x) if (scope >> d) & 1]
     out = [0.0] * comp.n
     rng = SplitMix64(seed)
     players = [i for i in range(comp.n) if (scope >> i) & 1 and i != t]

@@ -8,6 +8,7 @@ A graph file is a UTF-8 JSON document with three top-level keys:
       "supports":  [["c", "b"], ...]
     }
 
+An argument id is a non-empty string without whitespace or commas.
 Argument order in the file is the graph's argument order.  Numbers may be
 written in decimal or scientific notation.  A key given twice in one object,
 at any level, is rejected.  Parsing applies the full graph
@@ -22,7 +23,7 @@ import json
 from pathlib import Path
 
 from .errors import GraphFormatError
-from .graph import QBAG
+from .graph import QBAG, _check_name
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -57,8 +58,10 @@ def parse_graph(text: str) -> QBAG:
     for entry in doc["arguments"]:
         if not isinstance(entry, dict) or "id" not in entry or "initial" not in entry:
             raise GraphFormatError(f"argument entries need 'id' and 'initial', got {entry!r}")
-        if not isinstance(entry["id"], str):
-            raise GraphFormatError(f"argument id must be a string, got {entry['id']!r}")
+        try:
+            _check_name(entry["id"])
+        except ValueError as exc:
+            raise GraphFormatError(f"argument id: {exc}") from None
         if not isinstance(entry["initial"], (int, float)) or isinstance(entry["initial"], bool):
             raise GraphFormatError(f"initial strength must be a number, got {entry['initial']!r}")
         arguments.append((entry["id"], entry["initial"]))

@@ -281,14 +281,14 @@ def _probe_table(cache, cfg):
 
 
 def _probe_row(cache, cfg, x):
-    """x's entry of the probe table: per topic, its final strength at every
-    faithfulness probe point of x's initial strength tau, where position 2k
-    holds tau + eps_schedule[k] and position 2k + 1 holds tau -
-    eps_schedule[k].  The points inside [0, 1] come from one
-    :meth:`EvaluationCache.sweep`, and a point outside is None.  An
-    undefined point holds its error, for the reader to raise: a probe that
-    is never read must not fail the check.  A topic x does not reach keeps
-    its strength at every point inside [0, 1], as on a grid."""
+    """x's entry of the probe table both local-faithfulness checkers read:
+    per topic, its final strength at every probe point of x's initial
+    strength tau, where position 2k holds tau + eps_schedule[k] and
+    position 2k + 1 holds tau - eps_schedule[k].  The points inside [0, 1]
+    come from one :meth:`EvaluationCache.sweep`, and a point outside is
+    None.  An undefined point holds its error, for the reader to raise: a
+    probe that is never read must not fail the check.  A topic x does not
+    reach keeps its strength at every point inside [0, 1], as on a grid."""
     table = _probe_table(cache, cfg)
     row = table[x]
     if row is None:
@@ -355,18 +355,23 @@ def _quant_local_faithfulness(cache, plan, t, base, x, c):
     """Violated when the linearisation error e(eps) = sigma_perturbed -
     (sigma + eps * contribution) fails to vanish faster than eps: the final
     |e/eps| stays above 1e-3 and the ratios do not keep shrinking as the
-    schedule refines.  eps is read as a signed perturbation of the
-    contributor's initial strength."""
-    row = plan.table[x]
-    if row is None:
-        row = plan.table[x] = _signed_probes(cache, plan.cfg, x)
-    for direction, steps, strengths, error in row[t]:
-        if error is not None:
-            raise error.with_traceback(None)
+    schedule refines.  eps is a signed perturbation of the contributor's
+    initial strength, read from :func:`_probe_row` direction + then -."""
+    schedule = plan.cfg.eps_schedule
+    columns = plan.table[x]
+    column = (_probe_row(cache, plan.cfg, x) if columns is None else columns)[t]
+    for direction, start in ((1.0, 0), (-1.0, 1)):
+        probes = []
+        for delta, strength in zip(schedule, column[start::2]):
+            if strength is None:
+                continue  # the probe leaves [0, 1]
+            if strength.__class__ is DomainError:
+                raise strength.with_traceback(None)
+            probes.append((direction * delta, strength))
         # the last ratio first: the others matter only when it stays high
-        if not steps or abs((strengths[-1] - (base + steps[-1] * c)) / steps[-1]) <= _RATIO_FLOOR:
+        if not probes or abs((probes[-1][1] - (base + probes[-1][0] * c)) / probes[-1][0]) <= _RATIO_FLOOR:
             continue
-        ratios = [abs((strength - (base + eps * c)) / eps) for eps, strength in zip(steps, strengths)]
+        ratios = [abs((strength - (base + eps * c)) / eps) for eps, strength in probes]
         earlier = ratios[0]
         for later in ratios[1:]:
             # not shrinking, nan included
@@ -374,35 +379,6 @@ def _quant_local_faithfulness(cache, plan, t, base, x, c):
                 return {"direction": direction, "error_ratios": ratios}
             earlier = later
     return None
-
-
-def _signed_probes(cache, cfg, x):
-    """Per topic, per direction + then -: (direction, the signed steps eps
-    and the topic's strengths at the probes tau(x) + eps inside [0, 1] that
-    precede the direction's first undefined probe, and that probe's error or
-    None), read from :func:`_probe_row`.  Which probes leave [0, 1] does
-    not depend on the topic; which are undefined does."""
-    schedule = cfg.eps_schedule
-    rows = []
-    for column in _probe_row(cache, cfg, x):
-        row = []
-        for direction, start in ((1.0, 0), (-1.0, 1)):
-            steps, strengths, error = [], [], None
-            for k in range(start, len(column), 2):
-                strength = column[k]
-                if strength.__class__ is DomainError:
-                    error = strength
-                    break
-                if strength is not None:  # else the probe leaves [0, 1]
-                    steps.append(direction * schedule[k // 2])
-                    strengths.append(strength)
-            row.append((direction, steps, strengths, error))
-        rows.append(row)
-    return rows
-
-
-def _signed_probe_table(cache, cfg):
-    return _table(cache, ("quantitative-local-faithfulness", cfg.eps_schedule))
 
 
 def _contradiction_table(cache, cfg):
@@ -493,7 +469,7 @@ _PLANS = {
     PrincipleId.DIRECTIONALITY: (None, _directionality, None, True, ""),
     PrincipleId.STRONG_FAITHFULNESS: (None, _strong_faithfulness, _contradiction_table, False, ""),
     PrincipleId.LOCAL_FAITHFULNESS: (None, _local_faithfulness, _probe_table, False, _LF_NOTE),
-    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (None, _quant_local_faithfulness, _signed_probe_table, False, _LF_NOTE),
+    PrincipleId.QUANT_LOCAL_FAITHFULNESS: (None, _quant_local_faithfulness, _probe_table, False, _LF_NOTE),
     PrincipleId.COUNTERFACTUALITY: (None, _counterfactuality, _removal_columns, False, ""),
     PrincipleId.QUANT_COUNTERFACTUALITY: (None, _quant_counterfactuality, _removal_columns, False, ""),
 }

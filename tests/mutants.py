@@ -124,6 +124,26 @@ MUTANTS = (
 """,
         ("tests/test_evaluation_cache.py::test_every_built_in_method_gives_non_ancestors_an_exact_zero",),
     ),
+    Mutant(
+        "qlf-reads-past-undefined-probe",
+        "src/qbag/principles.py",
+        """                raise strength.with_traceback(None)
+            probes.append((direction * delta, strength))
+""",
+        """                break
+            probes.append((direction * delta, strength))
+""",
+        ("tests/test_evaluation_cache.py::test_quantitative_local_faithfulness_raises_where_the_probe_scan_did",),
+    ),
+    Mutant(
+        "qlf-directions-swapped",
+        "src/qbag/principles.py",
+        """    for direction, start in ((1.0, 0), (-1.0, 1)):
+""",
+        """    for direction, start in ((1.0, 1), (-1.0, 0)):
+""",
+        ("tests/test_principles.py::TestQuantLocalFaithfulness::test_gradient_ratio_vanishes",),
+    ),
 )
 
 

@@ -926,8 +926,9 @@ def test_cache_stores_stay_within_their_documented_bounds():
             assert len(cache._columns) <= len(METHODS) + 1
             assert all(len(columns) == n for columns in cache._columns.values())
             # three visit orders, n x n contradictions per (grid_points,
-            # eq_tol), and n x n probe columns and signed probes per eps schedule
-            assert len(cache.derived) <= 3 + len(tables) + 2 * len(schedules)
+            # eq_tol), and one n x n probe table per eps schedule, which both
+            # local-faithfulness checkers read
+            assert len(cache.derived) <= 3 + len(tables) + len(schedules)
             for key, rows in cache.derived.items():
                 assert len(rows) == n and all(row is None or len(row) <= n for row in rows), key
             tracemalloc.start()
@@ -966,6 +967,27 @@ def test_a_failing_grid_sweep_is_computed_once(monkeypatch):
     assert calls == {"_sweep_columns": 1, "strengths_perturbed": 101}
     # a stored error is raised without the tracebacks of its earlier raises
     assert len(set(depths)) == 1, depths
+
+
+@pytest.mark.parametrize("points", [-1, 0, 1, contributions.MAX_SWEEP_POINTS + 1])
+def test_a_grid_sweep_needs_two_to_max_sweep_points(points, monkeypatch):
+    # a grid needs two points (j / (points - 1)), and a stored sweep holds
+    # points floats per reached topic: a count outside [2, MAX_SWEEP_POINTS]
+    # raises ValueError, for a topic x reaches and for one it does not,
+    # before anything is evaluated or kept
+    monkeypatch.setattr(EvaluationCache, "_sweep_columns", None)
+    g = QBAG([("x", 0.3), ("u", 0.1), ("d", 0.1)], [], [("x", "d")])
+    cache = EvaluationCache(g, QE)
+    message = f"a sweep has between 2 and {contributions.MAX_SWEEP_POINTS} points, got {points}"
+    reads = (
+        lambda: cache.sweep(0, points),
+        lambda: cache.sweep_column(0, 2, points),  # x reaches d
+        lambda: cache.sweep_column(0, 1, points),  # but not u
+    )
+    for read in reads:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read()
+    assert cache._sweeps == {}
 
 
 def test_unreached_topics_read_base_grids_and_base_probes():

@@ -40,6 +40,9 @@ class TestParsing:
             '{"arguments": [{"id": "a", "initial": "x"}], "attacks": [], "supports": []}',
             '{"arguments": [{"id": "a", "initial": true}], "attacks": [], "supports": []}',
             '{"arguments": [{"id": "a", "initial": 0.5}], "attacks": [["a"]], "supports": []}',
+            '{"arguments": [{"id": "a b", "initial": 0.5}], "attacks": [], "supports": []}',
+            '{"arguments": [{"id": "a,b", "initial": 0.5}], "attacks": [], "supports": []}',
+            '{"arguments": [{"id": "", "initial": 0.5}], "attacks": [], "supports": []}',
             pytest.param("[" * 200_000 + "]" * 200_000, id="deeply-nested"),
         ],
     )
