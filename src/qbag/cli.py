@@ -73,8 +73,8 @@ _SEMANTICS_FLAGS = (
     ("--semantics", {"help": "preset name: qe, dfquad, sd-dfquad, eb, ebt"}),
     ("--aggregation", {"choices": ["sum", "product", "top"], "help": "custom aggregation"}),
     ("--influence", {"choices": ["linear", "euler-based", "p-max"], "help": "custom influence"}),
-    ("--k", {"type": float, "default": 1.0, "help": "k parameter for linear / p-max"}),
-    ("--p", {"type": int, "default": 2, "help": "p parameter for p-max"}),
+    ("--k", {"type": float, "help": "k parameter for --influence linear / p-max (default 1.0)"}),
+    ("--p", {"type": int, "help": "p parameter for --influence p-max (default 2)"}),
 )
 _METHOD_FLAGS = (
     ("--method", {"required": True, "help": "removal | intrinsic-removal | shapley | shapley-sampled | gradient"}),
@@ -96,17 +96,22 @@ def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
 
 
 def _resolve_semantics(args: argparse.Namespace) -> GradualSemantics:
+    if args.semantics and (args.aggregation or args.influence):
+        raise ValueError("--semantics and --aggregation/--influence are mutually exclusive")
+    if args.k is not None and args.influence not in ("linear", "p-max"):
+        raise ValueError("--k applies only to --influence linear or p-max")
+    if args.p is not None and args.influence != "p-max":
+        raise ValueError("--p applies only to --influence p-max")
     if args.semantics:
-        if args.aggregation or args.influence:
-            raise ValueError("--semantics and --aggregation/--influence are mutually exclusive")
         return semantics_by_name(args.semantics)
     if args.aggregation and args.influence:
+        k = 1.0 if args.k is None else args.k
         if args.influence == "linear":
-            influence = Linear(args.k)
+            influence = Linear(k)
         elif args.influence == "euler-based":
             influence = EulerBased()
         else:
-            influence = PMax(args.p, args.k)
+            influence = PMax(2 if args.p is None else args.p, k)
         return GradualSemantics(Aggregation(args.aggregation), influence)
     raise ValueError("pass --semantics NAME or both --aggregation and --influence")
 
@@ -128,9 +133,9 @@ def _check_config(args: argparse.Namespace) -> CheckConfig | None:
     return CheckConfig(**fields) if fields else None
 
 
-def _replay_command(args: argparse.Namespace, topic: str) -> str:
+def _replay_command(args: argparse.Namespace, semantics: GradualSemantics, topic: str) -> str:
     """The ``qbag check`` command that replays a fuzz witness: the fuzz run's
-    semantics (with ``--k``/``--p`` where its influence uses them), every
+    semantics (with its ``--k``/``--p`` where its influence uses them), every
     required method and check flag, and every other one whose value differs
     from its default.  A set ``QBAG_EXACT_CAP`` is carried as a prefix: it
     decides whether an exact Shapley check runs at all."""
@@ -139,9 +144,9 @@ def _replay_command(args: argparse.Namespace, topic: str) -> str:
     else:
         words = ["--aggregation", args.aggregation, "--influence", args.influence]
         if args.influence in ("linear", "p-max"):
-            words += ["--k", str(args.k)]
+            words += ["--k", str(semantics.influence.k)]
         if args.influence == "p-max":
-            words += ["--p", str(args.p)]
+            words += ["--p", str(semantics.influence.p)]
     for flag, options in _METHOD_FLAGS + _CHECK_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if options.get("required") or value != options.get("default"):
@@ -270,7 +275,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"  {key}: {witness.report.witness[key]}")
     print("graph file:")
     print(serialize_graph(witness.graph), end="")
-    print(f"reproduce: save the graph above and run `{_replay_command(args, witness.topic)}`")
+    print(f"reproduce: save the graph above and run `{_replay_command(args, semantics, witness.topic)}`")
     return 1
 
 

@@ -363,9 +363,9 @@ class EvaluationCache:
         point count (2 to ``MAX_SWEEP_POINTS``, else ValueError), as one
         column per reached topic from :meth:`_sweep_columns`, computed once
         per (index, values) and kept in ``_sweeps``.  If the column sweep
-        raises :class:`DomainError`, each point is evaluated on its own by
-        :meth:`strengths_perturbed`, an undefined strength holds its error,
-        for the reader to raise, and the sweep is a :class:`_PointByPoint`."""
+        raises :class:`DomainError`, the sweep is a :class:`_PointByPoint`:
+        each point is evaluated by :meth:`strengths_perturbed` and only its
+        cone's entries are kept, an undefined one holding its error."""
         key = (index, values)
         columns = self._sweeps.get(key)
         if columns is None:
@@ -375,8 +375,9 @@ class EvaluationCache:
             try:
                 columns = self._sweep_columns(index, values)
             except DomainError:
-                rows = [self.strengths_perturbed(index, v) for v in values]
-                columns = _PointByPoint({t: tuple([r[t] for r in rows]) for t in (index, *self._descendants_of(index))})
+                cone = (index, *self._descendants_of(index))
+                rows = [[row[t] for t in cone] for row in map(self.strengths_perturbed, repeat(index), values)]
+                columns = _PointByPoint(zip(cone, zip(*rows)))
             self._sweeps[key] = columns
         return columns
 
@@ -509,6 +510,20 @@ class EvaluationCache:
         computed by :meth:`cell` when missing."""
         value = self.column(method, topic)[contributor]
         return self.cell(method, topic, contributor) if value is _UNSET else value
+
+
+def _cache_for(graph: QBAG, semantics: GradualSemantics, cache: EvaluationCache | None) -> EvaluationCache:
+    """``cache``, or a new one when it is None.  A cache built for another
+    graph (neither ``graph`` nor equal to it), or for another aggregation or
+    influence than ``semantics`` has, raises ValueError."""
+    if cache is None:
+        return EvaluationCache(graph, semantics)
+    if cache.graph is not graph and cache.graph != graph:
+        raise ValueError("the cache was built for another graph")
+    own = cache.semantics
+    if own is not semantics and (own.aggregation, own.influence) != (semantics.aggregation, semantics.influence):
+        raise ValueError(f"the cache was built for the semantics {own.label()}, not {semantics.label()}")
+    return cache
 
 
 def contrib_removal(
@@ -653,7 +668,7 @@ def contribution(
     callable ``(graph, semantics, topic, contributor) -> value`` is accepted
     in place of a method, which lets tests probe the principle checkers with
     synthetic contribution functions; its values are never memoized."""
-    cache = cache or EvaluationCache(graph, semantics)
+    cache = _cache_for(graph, semantics, cache)
     return cache.contribution(method, graph.index_of(topic), graph.index_of(contributor))
 
 
@@ -689,7 +704,7 @@ def contribution_table(
 ) -> ContributionTable:
     """Full contribution matrix under one method; deterministic in argument
     list order, sharing a single evaluation cache across all cells."""
-    cache = cache or EvaluationCache(graph, semantics)
+    cache = _cache_for(graph, semantics, cache)
     n = len(graph)
     cells = tuple(tuple(cache.contribution(method, t, x) for t in range(n)) for x in range(n))
     return ContributionTable(graph.arguments, method_name(method), semantics.label(), cells)

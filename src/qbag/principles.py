@@ -49,6 +49,7 @@ from .contributions import (
     ContributionValue,
     EvaluationCache,
     Removal,
+    _cache_for,
     _integer,
     method_name,
 )
@@ -187,29 +188,14 @@ def _quant_contribution_existence(cache, plan, t, base, contrib):
 def _proximity(cache, plan, t, base, contrib):
     """Violated when an argument that sits on every path from a farther
     contributor to the topic nevertheless contributes strictly less in
-    magnitude."""
+    magnitude: |near| + eq_tol < |far| for a strictly-closer pair whose
+    contributions are both defined."""
     names = cache.graph.arguments
-    magnitudes: dict[int, ContributionValue] = {}
-
-    def magnitude(x: int) -> ContributionValue:
-        if x not in magnitudes:
-            c = contrib(x)
-            magnitudes[x] = c if c is UNDEFINED else abs(c)
-        return magnitudes[x]
-
     for i, j in cache.closer_pairs(t):
-        near_mag = magnitude(i)
-        far_mag = magnitude(j)
-        if near_mag is UNDEFINED or far_mag is UNDEFINED:
-            continue
-        if near_mag + plan.eq_tol < far_mag:
-            witness = {
-                "nearer": names[i],
-                "farther": names[j],
-                "nearer_magnitude": near_mag,
-                "farther_magnitude": far_mag,
-            }
-            return True, witness, ""
+        near, far = contrib(i), contrib(j)
+        if near is not UNDEFINED and far is not UNDEFINED and abs(near) + plan.eq_tol < abs(far):
+            magnitudes = {"nearer_magnitude": abs(near), "farther_magnitude": abs(far)}
+            return True, {"nearer": names[i], "farther": names[j], **magnitudes}, ""
     return False, {}, ""
 
 
@@ -237,13 +223,17 @@ def _removal_columns(cache, cfg):
     return cache.columns(_REMOVAL)
 
 
+def _removal_delta(cache, plan, t, x):
+    """x's removal cell on topic t: the strength change that removing x causes."""
+    column = plan.table[t]
+    delta = _UNSET if column is None else column[x]
+    return cache.cell(_REMOVAL, t, x) if delta is _UNSET else delta
+
+
 def _counterfactuality(cache, plan, t, base, x, c):
     """Violated when a contribution's sign disagrees with the sign of the
     strength change caused by actually removing the contributor."""
-    column = plan.table[t]
-    delta = _UNSET if column is None else column[x]
-    if delta is _UNSET:
-        delta = cache.cell(_REMOVAL, t, x)
+    delta = _removal_delta(cache, plan, t, x)
     zero_tol, eq_tol = plan.zero_tol, plan.eq_tol
     if (c > zero_tol) - (c < -zero_tol) != (delta > eq_tol) - (delta < -eq_tol):
         return {"removal_delta": delta}
@@ -253,10 +243,7 @@ def _counterfactuality(cache, plan, t, base, x, c):
 def _quant_counterfactuality(cache, plan, t, base, x, c):
     """Violated when a contribution differs numerically from the strength
     change caused by removing the contributor."""
-    column = plan.table[t]
-    delta = _UNSET if column is None else column[x]
-    if delta is _UNSET:
-        delta = cache.cell(_REMOVAL, t, x)
+    delta = _removal_delta(cache, plan, t, x)
     if abs(c - delta) > plan.eq_tol:
         return {"removal_delta": delta, "gap": c - delta}
     return None
@@ -310,74 +297,62 @@ def _probe_row(cache, cfg, x):
 def _local_faithfulness(cache, plan, t, base, x, c):
     """Violated when some argument with a nonzero contribution fails, at
     every probed radius, to move the topic's strength in the direction its
-    sign promises.  Probes leaving [0, 1] are skipped, and so are probe radii
-    whose expected first-order response ``|contribution| * radius`` cannot
-    clear ``eq_tol``: below that the strict comparisons cannot distinguish a
-    genuine plateau from rounding noise, so nothing can be witnessed."""
+    sign promises: ``sign * direction * response > eq_tol`` for every probe
+    at tau(x) + direction * radius.  Probes leaving [0, 1] are skipped, and
+    so are radii whose expected first-order response ``|contribution| *
+    radius`` cannot clear ``eq_tol``: below that the strict comparisons
+    cannot tell a plateau from rounding noise.  The witness is every probe
+    made, and a check that made none has no witness."""
     zero_tol, eq_tol = plan.zero_tol, plan.eq_tol
     sign = (c > zero_tol) - (c < -zero_tol)
     if sign == 0:
         return None
-    schedule = plan.cfg.eps_schedule
     columns = plan.table[x]
     column = (_probe_row(cache, plan.cfg, x) if columns is None else columns)[t]
     base_tau = _initial(cache, x)
-    probed = False
     probes = []
-    for delta, up, down in zip(schedule, column[::2], column[1::2]):
+    for delta, up, down in zip(plan.cfg.eps_schedule, column[::2], column[1::2]):
         if abs(c) * delta <= _PROBE_HEADROOM * eq_tol:
             continue  # unresolvable at this radius
-        ok = True
-        any_direction = False
+        consistent = []
         for direction, strength in ((1.0, up), (-1.0, down)):
             if strength is None:
                 continue  # the probe leaves [0, 1]
             if strength.__class__ is DomainError:
                 raise strength.with_traceback(None)
-            any_direction = True
-            eps = base_tau + direction * delta
             response = strength - base
-            probes.append((eps, response))
-            # positive contribution: strength rises with tau(x); negative: falls
-            expected_up = (sign > 0) == (direction > 0)
-            if expected_up:
-                ok = ok and response > eq_tol
-            else:
-                ok = ok and response < -eq_tol
-        if any_direction:
-            probed = True
-            if ok:
-                return None  # consistent at this radius
-    return {"probes": probes} if probed else None
+            probes.append((base_tau + direction * delta, response))
+            consistent.append(sign * direction * response > eq_tol)
+        if consistent and all(consistent):
+            return None  # consistent at this radius
+    return {"probes": probes} if probes else None
 
 
 def _quant_local_faithfulness(cache, plan, t, base, x, c):
     """Violated when the linearisation error e(eps) = sigma_perturbed -
-    (sigma + eps * contribution) fails to vanish faster than eps: the final
-    |e/eps| stays above 1e-3 and the ratios do not keep shrinking as the
-    schedule refines.  eps is a signed perturbation of the contributor's
-    initial strength, read from :func:`_probe_row` direction + then -."""
-    schedule = plan.cfg.eps_schedule
+    (sigma + eps * contribution) fails to vanish faster than eps, in one
+    direction of the schedule: the final ratio |e/eps| is not at most 1e-3,
+    and some refinement does not at least halve the ratio before it (a nan
+    ratio counts as neither).  eps is a signed perturbation of the
+    contributor's initial strength, read from :func:`_probe_row` direction +
+    then -."""
     columns = plan.table[x]
     column = (_probe_row(cache, plan.cfg, x) if columns is None else columns)[t]
     for direction, start in ((1.0, 0), (-1.0, 1)):
         probes = []
-        for delta, strength in zip(schedule, column[start::2]):
+        for delta, strength in zip(plan.cfg.eps_schedule, column[start::2]):
             if strength is None:
                 continue  # the probe leaves [0, 1]
             if strength.__class__ is DomainError:
                 raise strength.with_traceback(None)
             probes.append((direction * delta, strength))
-        # the last ratio first: the others matter only when it stays high
-        if not probes or abs((probes[-1][1] - (base + probes[-1][0] * c)) / probes[-1][0]) <= _RATIO_FLOOR:
-            continue
         ratios = [abs((strength - (base + eps * c)) / eps) for eps, strength in probes]
-        earlier = ratios[0]
-        for later in ratios[1:]:
-            # not shrinking, nan included
-            if not later <= _RATIO_DECAY * earlier + 1e-15:
-                return {"direction": direction, "error_ratios": ratios}
-            earlier = later
+        if (
+            ratios
+            and not ratios[-1] <= _RATIO_FLOOR
+            and any(not later <= _RATIO_DECAY * earlier + 1e-15 for earlier, later in zip(ratios, ratios[1:]))
+        ):
+            return {"direction": direction, "error_ratios": ratios}
     return None
 
 
@@ -573,16 +548,19 @@ def run_check(
     for the contributors read.  Everything that does not depend on the
     topic is resolved once into the cache's plan slot and reused while
     (principle, cfg, semantics) and the method stay the same objects; an
-    exact Shapley method with another cap is another object."""
+    exact Shapley method with another cap is another object.  A ``cache``
+    must have been built for this graph and semantics: its graph is checked
+    on every call, its semantics when the plan is resolved."""
     try:
         t = graph._index[topic]
     except KeyError:
         t = graph.index_of(topic)  # raises UnknownArgument
     cfg = cfg or _DEFAULT_CONFIG
-    cache = cache or EvaluationCache(graph, semantics)
+    if cache is None or cache.graph is not graph:
+        cache = _cache_for(graph, semantics, cache)
     plan = cache.plan
     if plan is None or plan.principle is not principle or plan.cfg is not cfg or plan.semantics is not semantics:
-        plan = cache.plan = _Plan(cache, principle, cfg, semantics)
+        plan = cache.plan = _Plan(_cache_for(graph, semantics, cache), principle, cfg, semantics)
     if plan.method is not method:
         plan.use(cache, method)
     base = plan.strengths[t]

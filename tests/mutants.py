@@ -144,6 +144,33 @@ MUTANTS = (
 """,
         ("tests/test_principles.py::TestQuantLocalFaithfulness::test_gradient_ratio_vanishes",),
     ),
+    Mutant(
+        "lf-ignores-the-sign",
+        "src/qbag/principles.py",
+        """            consistent.append(sign * direction * response > eq_tol)
+""",
+        """            consistent.append(direction * response > eq_tol)
+""",
+        ("tests/test_reference_checker.py::test_reference_checker_agrees_with_run_check",),
+    ),
+    Mutant(
+        "proximity-compares-signed-values",
+        "src/qbag/principles.py",
+        """abs(near) + plan.eq_tol < abs(far):
+""",
+        """near + plan.eq_tol < far:
+""",
+        ("tests/test_reference_checker.py::test_reference_checker_agrees_with_run_check",),
+    ),
+    Mutant(
+        "qlf-nan-last-ratio-vanishes",
+        "src/qbag/principles.py",
+        """            and not ratios[-1] <= _RATIO_FLOOR
+""",
+        """            and ratios[-1] > _RATIO_FLOOR
+""",
+        ("tests/test_principles.py::TestQuantLocalFaithfulness::test_a_nan_contribution_is_a_witness",),
+    ),
 )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -141,6 +142,25 @@ class TestEval:
     def test_missing_semantics_is_an_error(self, corpus_dir, capsys):
         code, _, err = run(capsys, "eval", str(corpus_dir / "fig-intro.json"))
         assert code == 2 and "semantics" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--semantics qe --k 0.5", "--k applies only to --influence linear or p-max"),
+            ("--semantics dfquad --p 2", "--p applies only to --influence p-max"),
+            ("--aggregation sum --influence euler-based --k 9 --p 7", "--k applies only to --influence linear or p-max"),
+            ("--aggregation sum --influence euler-based --p 7", "--p applies only to --influence p-max"),
+            ("--aggregation product --influence linear --k 1.0 --p 2", "--p applies only to --influence p-max"),
+            ("--semantics qe --aggregation sum", "--semantics and --aggregation/--influence are mutually exclusive"),
+        ],
+    )
+    def test_a_flag_the_semantics_does_not_read_exits_2(self, corpus_dir, capsys, flags, message):
+        # a dropped --k or --p would print another semantics' strengths
+        code, out, err = run(capsys, "eval", str(corpus_dir / "fig-intro.json"), *flags.split())
+        assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
+        code, out, err = run(capsys, "fuzz", *flags.split(), "--method", "removal", "--principle", "directionality",
+                             "--seed", "1", "--trials", "1")
+        assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
 
 
 class TestContrib:
@@ -491,31 +511,41 @@ class TestReproduce:
         code, _, err = run(capsys, "reproduce", "--example", "nope")
         assert code == 2 and "UnknownExample" in err
 
+    def test_a_failed_expectation_is_listed_and_exits_1(self, capsys, monkeypatch):
+        from qbag import corpus
+
+        report = corpus.verify_example("table-example")
+        first = report.results[0]
+        failed = dataclasses.replace(first, ok=False, actual=0.25, delta=0.25 - first.expected)
+        broken = dataclasses.replace(report, passed=False, results=(failed, *report.results[1:]))
+        monkeypatch.setattr(corpus, "verify_example", lambda example_id: broken)
+        code, out, _ = run(capsys, "reproduce", "--example", "table-example")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL table-example (1 of 42 expectations)",
+            f"  {first.expectation}: expected {first.expected}, actual 0.25, delta {0.25 - first.expected}",
+            "summary: 1 examples, 42 expectations, 1 failures",
+        ]
+
 
 class TestFuzzCommand:
     def test_known_violation_prints_witness_and_exits_1(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "fuzz",
-            "--semantics",
-            "dfquad",
-            "--method",
-            "removal",
-            "--principle",
-            "contribution-existence",
-            "--seed",
-            "7",
-            "--trials",
-            "2000",
-        )
-        assert code == 1
-        assert "violation at trial" in out
-        assert '"arguments"' in out
-        topic = out.splitlines()[0].rsplit(" ", 1)[1]
-        assert out.splitlines()[-1] == (
-            "reproduce: save the graph above and run `qbag check GRAPH.json --semantics dfquad "
-            f"--method removal --principle contribution-existence --topic {topic}`"
-        )
+        # the replay carries a linear influence's k even where the run left
+        # it at its default
+        for flags, replayed in (
+            ("--semantics dfquad", "--semantics dfquad"),
+            ("--aggregation product --influence linear", "--aggregation product --influence linear --k 1.0"),
+        ):
+            argv = ["fuzz", *flags.split(), "--method", "removal", "--principle", "contribution-existence"]
+            code, out, _ = run(capsys, *argv, "--seed", "7", "--trials", "2000")
+            assert code == 1
+            assert "violation at trial" in out
+            assert '"arguments"' in out
+            topic = out.splitlines()[0].rsplit(" ", 1)[1]
+            assert out.splitlines()[-1] == (
+                f"reproduce: save the graph above and run `qbag check GRAPH.json {replayed} "
+                f"--method removal --principle contribution-existence --topic {topic}`"
+            )
 
     def test_domain_error_names_trial_and_topic(self, tmp_path, capsys):
         # a custom linear influence is undefined where an aggregate leaves

@@ -293,6 +293,9 @@ class TestDispatchAndTables:
         gradient = contribution_table(g, QE, Gradient())
         assert gradient.value("a", "a") == 1.0 and gradient.value("b", "b") == 1.0
         assert gradient.value("a", "b") == 0.0
+        for contributor, topic in (("zz", "a"), ("a", "zz")):
+            with pytest.raises(UnknownArgument, match="zz"):
+                removal.value(contributor, topic)
 
     def test_directionality_of_all_methods(self):
         methods = [Removal(), IntrinsicRemoval(), ShapleyExact(), Gradient()]

@@ -223,6 +223,39 @@ def test_callable_methods_are_never_memoized():
     assert len(calls) == 2 + 2 * (len(g) - 1)
 
 
+def test_a_cache_built_for_another_graph_or_semantics_is_refused():
+    # a cache answers for the (graph, semantics) it was built for: QE's
+    # removal cell is -0.2238 where DFQuAD's is -0.45, and a supporting b of
+    # strength 0.1 contributes 0.00495, not the attacking b's -0.2238
+    g = QBAG([("a", 0.5), ("b", 0.9)], attacks=[("b", "a")])
+    supported = QBAG([("a", 0.5), ("b", 0.1)], supports=[("b", "a")])
+    assert contribution(g, DFQUAD, Removal(), "a", "b") == pytest.approx(-0.45)
+    assert contribution(supported, QE, Removal(), "a", "b") == pytest.approx(0.00495, abs=1e-5)
+    principle = PrincipleId.COUNTERFACTUALITY
+    reads = (
+        lambda graph, semantics, cache: contribution(graph, semantics, Removal(), "a", "b", cache=cache),
+        lambda graph, semantics, cache: contribution_table(graph, semantics, Removal(), cache=cache),
+        lambda graph, semantics, cache: run_check(graph, semantics, Removal(), principle, "a", cache=cache),
+    )
+    for read in reads:
+        with pytest.raises(ValueError, match="^the cache was built for the semantics QE, not DFQuAD$"):
+            read(g, DFQUAD, EvaluationCache(g, QE))
+        with pytest.raises(ValueError, match="^the cache was built for another graph$"):
+            read(supported, QE, EvaluationCache(g, QE))
+        # an equal graph, and a semantics that differs only in its name, are
+        # the cache's own
+        equal = QBAG([("a", 0.5), ("b", 0.9)], attacks=[("b", "a")])
+        renamed = dataclasses.replace(DFQUAD, name="renamed")
+        assert repr(read(equal, renamed, EvaluationCache(g, DFQUAD))) == repr(read(equal, renamed, None))
+    # a check whose plan the cache already holds still checks the graph
+    cache = EvaluationCache(g, QE)
+    run_check(g, QE, Removal(), principle, "a", cache=cache)
+    with pytest.raises(ValueError, match="another graph"):
+        run_check(supported, QE, Removal(), principle, "a", cache=cache)
+    with pytest.raises(ValueError, match="not DFQuAD"):
+        run_check(g, DFQUAD, Removal(), principle, "a", cache=cache)
+
+
 def test_sampled_cells_are_memoized_per_seed():
     g, topic, contributor = linked_pair(11)
     cache = EvaluationCache(g, QE)
@@ -816,32 +849,61 @@ def test_local_faithfulness_checks_fill_no_single_perturbation(monkeypatch):
             assert bool(cache._sweeps) == any(cache.ancestors(t) for t in range(len(g)))
 
 
-def test_a_long_sweep_holds_points_times_cone():
+_CHAIN = [f"b{i}" for i in range(400)]
+_UNRELATED = [f"o{i}" for i in range(2000)]
+# (arguments, supports, semantics, x's cone, bytes allowed per stored entry)
+_LONG_SWEEPS = (
     # 400 arguments in a supporting chain beside x -> y -> z: x's cone has
     # three arguments, so a 10,001-point sweep must hold about 3 x 10,001
     # values, not 10,001 vectors of 403
-    names = [f"b{i}" for i in range(400)]
-    g = QBAG(
-        [(name, 0.5) for name in names] + [("x", 0.5), ("y", 0.4), ("z", 0.3)],
-        [("x", "y")],
-        [(a, b) for a, b in zip(names, names[1:])] + [("y", "z")],
-    )
+    (
+        [(name, 0.5) for name in _CHAIN] + [("x", 0.5), ("y", 0.4), ("z", 0.3)],
+        [*zip(_CHAIN, _CHAIN[1:]), ("x", "y"), ("y", "z")],
+        QE,
+        "xyz",
+        100,
+    ),
+    # x (0.1) and s (0.3) support d (0.5) beside 2,000 unrelated arguments:
+    # under sum + Linear(0.5), d leaves the domain once x passes 0.2, so the
+    # sweep goes point by point and about 8,000 entries hold an error; it
+    # must still keep only x's and d's entries of each point
+    (
+        [("x", 0.1), ("s", 0.3), ("d", 0.5)] + [(name, 0.5) for name in _UNRELATED],
+        [("x", "d"), ("s", "d")],
+        LINEAR_HALF,
+        "xd",
+        400,
+    ),
+)
+
+
+def test_a_long_sweep_holds_points_times_cone():
     points = 10_001
-    probes = (0, 1234, points - 1)
-    want = [tuple(strength_vector(with_initial_strength(g, "x", j / (points - 1)), QE)[-3:]) for j in probes]
-    x, y, z = (g.index_of(a) for a in "xyz")
-    cache = EvaluationCache(g, QE)
-    cache.strengths()
-    tracemalloc.start()
-    try:
-        column = cache.sweep_column(x, z, points)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    cone = 3
-    assert peak < 100 * points * cone, peak
-    for j, vector in zip(probes, want):
-        assert (cache.sweep_column(x, x, points)[j], cache.sweep_column(x, y, points)[j], column[j]) == vector
+    for arguments, supports, semantics, cone, per_entry in _LONG_SWEEPS:
+        g = QBAG(arguments, supports=supports)
+        x = g.index_of("x")
+        cache = EvaluationCache(g, semantics)
+        cache.strengths()
+        tracemalloc.start()
+        try:
+            columns = cache.sweep(x, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(columns) == sorted(g.index_of(a) for a in cone)
+        assert peak < per_entry * points * len(cone), (cone, peak)
+        for j in (0, 1234, points - 1):
+            try:
+                want = strength_vector(with_initial_strength(g, "x", j / (points - 1)), semantics)
+            except DomainError as exc:
+                # the last of the cone is undefined there and holds the error
+                # a full pass raises; x, with no parent, holds its initial
+                # strength
+                error = columns[g.index_of(cone[-1])][j]
+                assert error.__class__ is DomainError and str(error) == str(exc)
+                assert columns[x][j] == j / (points - 1)
+                continue
+            assert all(column[j] == want[t] for t, column in columns.items()), (cone, j)
 
 
 def test_removal_and_severing_keep_only_the_strengths_they_change():

@@ -52,6 +52,12 @@ class TestBuild:
         assert g.attacks == (("b", "a"),)
         assert g.supports == (("c", "b"),)
         assert g.initial_strength("b") == 0.5
+        assert list(g) == ["a", "b", "c"] and len(g) == 3
+        assert "b" in g and "z" not in g and 1 not in g
+        assert g == chain_graph() and hash(g) == hash(chain_graph())
+        assert g != QBAG([("a", 0.5), ("b", 0.5), ("c", 0.5)], attacks=[("b", "a")])
+        assert g.__eq__("a graph") is NotImplemented and g != "a graph"
+        assert repr(g) == "QBAG(a=0.5, b=0.5, c=0.5; attacks=1, supports=1)"
 
     def test_singleton_without_edges(self):
         g = QBAG([("a", 0.5)])

@@ -26,6 +26,7 @@ from qbag import (
     ShapleyExact,
     ShapleySampled,
     TooLarge,
+    UNDEFINED,
     UnknownArgument,
     Verdict,
     contribution,
@@ -235,6 +236,14 @@ class TestQuantLocalFaithfulness:
         report = run_check(g, QE, Gradient(), PrincipleId.QUANT_LOCAL_FAITHFULNESS, "a")
         assert report.satisfied
 
+    def test_a_nan_contribution_is_a_witness(self):
+        # every error ratio is nan, and a nan last ratio does not vanish
+        nan = lambda g, sem, topic, contributor: math.nan  # noqa: E731
+        report = run_check(load_example("faith-qe").graph, QE, nan, PrincipleId.QUANT_LOCAL_FAITHFULNESS, "a")
+        assert report.verdict is Verdict.VIOLATION
+        assert report.witness["direction"] == 1.0
+        assert len(report.witness["error_ratios"]) == 4 and all(map(math.isnan, report.witness["error_ratios"]))
+
 
 class TestProximity:
     def test_removal_violation_on_attack_chain(self):
@@ -251,6 +260,20 @@ class TestProximity:
     def test_vacuous_without_strictly_closer_pairs(self):
         g = QBAG([("a", 0.5), ("b", 0.9), ("c", 0.9)], attacks=[("b", "a")], supports=[("c", "a")])
         assert run_check(g, QE, Removal(), PrincipleId.PROXIMITY, "a").satisfied
+
+    def test_an_undefined_contribution_compares_nothing(self):
+        # c -> b -> a has one strictly-closer pair, (b, c), which removal
+        # violates; a callable that leaves either end undefined compares nothing
+        g = load_example("prox-removal-qe").graph
+        for undefined in ("b", "c", None):
+
+            def removal_but(graph, sem, topic, contributor):
+                if contributor == undefined:
+                    return UNDEFINED
+                return contribution(graph, sem, Removal(), topic, contributor)
+
+            report = run_check(g, QE, removal_but, PrincipleId.PROXIMITY, "a")
+            assert report.satisfied == (undefined is not None), undefined
 
 
 class TestCheckerPlumbing:

@@ -15,6 +15,7 @@ from qbag import (
     PMax,
     QE,
     SD_DFQUAD,
+    UnknownArgument,
     aggregate,
     evaluate,
     gradient_of_topic,
@@ -148,6 +149,8 @@ class TestEvaluate:
         assert sigma["a"] == pytest.approx(0.125, abs=1e-12)
         assert sigma["b"] == pytest.approx(0.75, abs=1e-12)
         assert sigma["c"] == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(UnknownArgument, match="'zz'"):
+            sigma["zz"]
 
     def test_edgeless_graph_is_stable(self):
         g = QBAG([("x", 0.3), ("y", 0.8)])
@@ -234,6 +237,8 @@ class TestGradient:
         assert grad_b["a"] == 0.0
         grad_c = gradient_of_topic(g, DFQUAD, "c")
         assert grad_c["c"] == 1.0
+        with pytest.raises(UnknownArgument, match="'zz'"):
+            grad_c["zz"]
 
     def test_isolated_argument_has_identity_gradient(self):
         g = QBAG([("a", 0.4), ("b", 0.6)])
