@@ -227,8 +227,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    # imported here, as in cmd_export_examples: building the corpus is a
-    # start-up cost that no other command needs
+    # imported here, as in cmd_export_examples: no other command needs the
+    # corpus, so none pays for its import
     from . import corpus
 
     if args.example:

@@ -171,6 +171,74 @@ MUTANTS = (
 """,
         ("tests/test_principles.py::TestQuantLocalFaithfulness::test_a_nan_contribution_is_a_witness",),
     ),
+    Mutant(
+        "config-accepts-a-zero-eq-tol",
+        "src/qbag/principles.py",
+        """0 < self.eq_tol < math.inf""",
+        """0 <= self.eq_tol < math.inf""",
+        ("tests/test_principles.py::TestCheckerPlumbing::test_config_validation",),
+    ),
+    Mutant(
+        "config-accepts-a-zero-eps-step",
+        "src/qbag/principles.py",
+        """all(0 < e < math.inf""",
+        """all(0 <= e < math.inf""",
+        ("tests/test_principles.py::TestCheckerPlumbing::test_config_validation",),
+    ),
+    Mutant(
+        "config-accepts-a-repeated-eps-step",
+        "src/qbag/principles.py",
+        """any(b >= a for a, b""",
+        """any(b > a for a, b""",
+        ("tests/test_principles.py::TestCheckerPlumbing::test_config_validation",),
+    ),
+    Mutant(
+        "config-refuses-two-grid-points",
+        "src/qbag/principles.py",
+        """not 2 <= _integer(self, "grid_points")""",
+        """not 2 < _integer(self, "grid_points")""",
+        ("tests/test_principles.py::TestCheckerPlumbing::test_config_validation",),
+    ),
+    Mutant(
+        "ce-witness-lists-only-the-topic",
+        "src/qbag/principles.py",
+        """        if x != t:
+""",
+        """        if x == t:
+""",
+        ("tests/test_principles.py::TestContributionExistence::test_violation_witness_lists_every_other_contribution_as_a_number",),
+    ),
+    Mutant(
+        "ce-witness-keeps-undefined",
+        "src/qbag/principles.py",
+        """zeros[names[x]] = 0.0 if c is UNDEFINED else c""",
+        """zeros[names[x]] = c""",
+        ("tests/test_principles.py::TestContributionExistence::test_violation_witness_lists_every_other_contribution_as_a_number",),
+    ),
+    Mutant(
+        "loader-keeps-undef-as-a-string",
+        "src/qbag/corpus.py",
+        """    if kind is Contribution and fields["expected"] == "undef":
+        fields["expected"] = UNDEFINED
+""",
+        """""",
+        ("tests/test_corpus.py::TestVerification::test_table_example_has_42_expectations",),
+    ),
+    Mutant(
+        "loader-drops-the-notes",
+        "src/qbag/corpus.py",
+        """tuple(doc["notes"]),""",
+        """(),""",
+        ("tests/test_corpus.py::TestShippedFiles::test_loaded_examples_serialize_to_the_shipped_bytes",),
+    ),
+    Mutant(
+        "loader-rereads-on-every-call",
+        "src/qbag/corpus.py",
+        """@lru_cache(maxsize=None)
+def _load(""",
+        """def _load(""",
+        ("tests/test_corpus.py::TestListing::test_examples_are_deeply_immutable",),
+    ),
 )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -11,8 +12,12 @@ from qbag import (
     contribution,
     evaluate,
     parse_graph,
+    serialize_graph,
 )
 from qbag.corpus import (
+    _ALIASES,
+    _DATA,
+    _IDS,
     Contribution,
     PrincipleVerdict,
     _check_expectation,
@@ -87,12 +92,54 @@ class TestListing:
     def test_aliases(self):
         assert load_example("fig-cf-shapley-qe").id == "cf-shapley-qe"
         assert load_example("fig-faith-qe").id == "faith-qe"
+        for alias, target in _ALIASES.items():
+            assert target in _IDS
+            assert load_example(alias).id == target
 
     def test_examples_are_deeply_immutable(self):
         example = load_example("fig-intro")
         with pytest.raises(dataclasses.FrozenInstanceError):
             example.id = "other"
         assert isinstance(example.expectations, tuple)
+        assert load_example("fig-intro") is example
+
+
+def sidecar_text(example) -> str:
+    """The serializer that wrote the shipped sidecars, kept as the loader's
+    oracle: the class name as ``kind``, then every field in order, with an
+    UNDEFINED contribution written as ``"undef"``."""
+    doc = {
+        "id": example.id,
+        "description": example.description,
+        "group": example.group,
+        "semantics": example.semantics,
+        "notes": list(example.notes),
+        "expectations": [
+            {
+                "kind": type(exp).__name__,
+                **{k: ("undef" if v is UNDEFINED else v) for k, v in dataclasses.asdict(exp).items()},
+            }
+            for exp in example.expectations
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestShippedFiles:
+    def test_the_files_are_exactly_the_listed_ids(self):
+        # unique ids, both files for each, no stray file, and each sidecar
+        # names its own id
+        assert len(set(_IDS)) == len(_IDS)
+        expected = {name for i in _IDS for name in (f"{i}.json", f"{i}.expect.json")}
+        assert {path.name for path in _DATA.iterdir()} == expected
+        for example_id in _IDS:
+            assert json.loads((_DATA / f"{example_id}.expect.json").read_text(encoding="utf-8"))["id"] == example_id
+
+    def test_loaded_examples_serialize_to_the_shipped_bytes(self):
+        for example_id in _IDS:
+            example = load_example(example_id)
+            assert sidecar_text(example).encode() == (_DATA / f"{example_id}.expect.json").read_bytes(), example_id
+            assert serialize_graph(example.graph).encode() == (_DATA / f"{example_id}.json").read_bytes(), example_id
 
 
 class TestVerification:
@@ -221,6 +268,7 @@ class TestSupportersFamily:
     def test_separation_at_ten_supporters(self):
         report = verify_example("fig-supporters")
         assert report.passed
+        assert load_example("fig-supporters").graph == supporters_graph(10)
 
     def test_rejects_zero_supporters(self):
         with pytest.raises(ValueError):
@@ -229,12 +277,13 @@ class TestSupportersFamily:
 
 class TestExport:
     def test_round_trip_and_sidecars(self, tmp_path):
-        written = export_examples(tmp_path)
+        # a copy of the shipped files, in listing order, into a new directory
+        destination = tmp_path / "corpus"
+        written = export_examples(destination)
         ids = [example_id for example_id, _, _ in list_examples()]
-        assert len(written) == 2 * len(ids)
+        names = [name for i in ids for name in (f"{i}.json", f"{i}.expect.json")]
+        assert written == [destination / name for name in names]
+        assert all(path.read_bytes() == (_DATA / path.name).read_bytes() for path in written)
         for example_id in ids:
-            graph_path = tmp_path / f"{example_id}.json"
-            sidecar = tmp_path / f"{example_id}.expect.json"
-            assert graph_path.exists() and sidecar.exists()
-            parsed = parse_graph(graph_path.read_text(encoding="utf-8"))
+            parsed = parse_graph((destination / f"{example_id}.json").read_text(encoding="utf-8"))
             assert parsed == load_example(example_id).graph

@@ -57,6 +57,16 @@ class TestContributionExistence:
         assert report.verdict is Verdict.VIOLATION
         assert report.witness["strength_delta"] == pytest.approx(-0.5)
 
+    def test_violation_witness_lists_every_other_contribution_as_a_number(self):
+        # the topic is absent, and a callable's UNDEFINED is reported as 0.0
+        def undefined_for_b(graph, semantics, topic, contributor):
+            return UNDEFINED if contributor == "b" else 0.0
+
+        for method in (Removal(), undefined_for_b):
+            report = run_check(saturated_attackers(), DFQUAD, method, PrincipleId.CONTRIBUTION_EXISTENCE, "a")
+            assert report.verdict is Verdict.VIOLATION
+            assert report.witness["contributions"] == {"b": 0.0, "c": 0.0}
+
     def test_satisfied_under_quadratic_rule(self):
         report = run_check(saturated_attackers(), QE, Removal(), PrincipleId.CONTRIBUTION_EXISTENCE, "a")
         assert report.satisfied
@@ -293,6 +303,10 @@ class TestCheckerPlumbing:
         with pytest.raises(ValueError, match="10001"):
             CheckConfig(grid_points=10_002)
         assert CheckConfig(grid_points=10_001).grid_points == 10_001
+        assert CheckConfig(grid_points=2).grid_points == 2
+        for fields in ({"eq_tol": 0.0}, {"eps_schedule": (1e-2, 0.0)}, {"eps_schedule": (1e-2, 1e-2)}):
+            with pytest.raises(ValueError):
+                CheckConfig(**fields)
         # NaN passes every "<= 0" test, so finiteness is checked on its own
         for fields in (
             {"zero_tol": math.nan},
