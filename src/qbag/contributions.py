@@ -68,11 +68,11 @@ memoized.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import fsum
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
+from ._frozen import Frozen
 from .errors import DomainError, TooLarge, UnknownArgument
 from .graph import QBAG, ancestor_mask, descendant_cone, strictly_closer_pairs
 from .rng import SplitMix64
@@ -110,13 +110,11 @@ UNDEFINED = Undefined()
 ContributionValue = Union[float, Undefined]
 
 
-@dataclass(frozen=True)
-class Removal:
+class Removal(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class IntrinsicRemoval:
+class IntrinsicRemoval(Frozen):
     pass
 
 
@@ -132,8 +130,7 @@ def _integer(owner, field: str) -> int:
     return number
 
 
-@dataclass(frozen=True)
-class ShapleyExact:
+class ShapleyExact(Frozen):
     """Exact enumeration, for a topic that with its ancestors counts at most
     ``cap`` arguments; the cap bounds the topic and its ancestors on every
     call, memoized or not."""
@@ -145,8 +142,7 @@ class ShapleyExact:
             raise ValueError("cap must be at least 1")
 
 
-@dataclass(frozen=True)
-class ShapleySampled:
+class ShapleySampled(Frozen):
     """Unbiased permutation-sampling estimate of the exact Shapley value,
     deterministic given the seed."""
 
@@ -160,8 +156,7 @@ class ShapleySampled:
             raise ValueError("seed must lie in [0, 2**64)")
 
 
-@dataclass(frozen=True)
-class Gradient:
+class Gradient(Frozen):
     pass
 
 
@@ -672,8 +667,7 @@ def contribution(
     return cache.contribution(method, graph.index_of(topic), graph.index_of(contributor))
 
 
-@dataclass(frozen=True)
-class ContributionTable:
+class ContributionTable(Frozen):
     """Contributor-by-topic matrix of contribution values.
 
     Rows are contributors and columns are topics, both in argument-list

@@ -28,11 +28,11 @@ the files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Union
 
+from ._frozen import Frozen
 from .contributions import UNDEFINED, EvaluationCache, Undefined, contribution, method_by_name
 from .errors import UnknownExample
 from .graph import QBAG
@@ -41,8 +41,7 @@ from .principles import CheckConfig, principle_by_name, run_check
 from .semantics import semantics_by_name
 
 
-@dataclass(frozen=True)
-class FinalStrength:
+class FinalStrength(Frozen):
     argument: str
     expected: float
     tol: float = 1e-4
@@ -50,8 +49,7 @@ class FinalStrength:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class InitialStrength:
+class InitialStrength(Frozen):
     argument: str
     expected: float
     tol: float = 1e-12
@@ -59,8 +57,7 @@ class InitialStrength:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(Frozen):
     method: str
     contributor: str
     topic: str
@@ -70,8 +67,7 @@ class Contribution:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class PrincipleVerdict:
+class PrincipleVerdict(Frozen):
     principle: str
     method: str
     topic: str
@@ -80,8 +76,7 @@ class PrincipleVerdict:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Frozen):
     topic: str
     vary: str
     epsilon: float
@@ -94,8 +89,7 @@ class SweepPoint:
 Expectation = Union[FinalStrength, InitialStrength, Contribution, PrincipleVerdict, SweepPoint]
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(Frozen):
     id: str
     description: str
     group: str
@@ -105,8 +99,7 @@ class Example:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
+class ExpectationResult(Frozen):
     expectation: Expectation
     ok: bool
     actual: object
@@ -114,8 +107,7 @@ class ExpectationResult:
     delta: float | None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     example_id: str
     passed: bool
     results: tuple[ExpectationResult, ...]
@@ -157,11 +149,6 @@ _IDS = (
     "prox-gradient-qe", "prox-gradient-sd", "prox-gradient-eb",
 )
 
-_ALIASES = {
-    "fig-cf-shapley-qe": "cf-shapley-qe",
-    "fig-table-example": "table-example",
-}
-
 _KINDS = {kind.__name__: kind for kind in (FinalStrength, InitialStrength, Contribution, PrincipleVerdict, SweepPoint)}
 
 
@@ -200,8 +187,6 @@ def _load(example_id: str) -> Example:
 def _resolve(example_id: str) -> str:
     if example_id in _IDS:
         return example_id
-    if example_id in _ALIASES:
-        return _ALIASES[example_id]
     if example_id.startswith("fig-") and example_id[4:] in _IDS:
         return example_id[4:]
     raise UnknownExample(f"no example registered under {example_id!r}")

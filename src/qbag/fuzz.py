@@ -24,9 +24,7 @@ names its trial and topic, so the graph can be regenerated with
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .contributions import ContributionMethod, EvaluationCache, _integer
 from .errors import DomainError, TooLarge
 from .graph import QBAG
@@ -41,8 +39,7 @@ DEFAULT_EDGE_PROB = 0.35
 DEFAULT_STRENGTH_GRID = 0.05
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(Frozen):
     seed: int
     trials: int
     max_args: int = DEFAULT_MAX_ARGS
@@ -67,7 +64,7 @@ class FuzzConfig:
 
 
 def _argument_names(n: int) -> list[str]:
-    letters = string.ascii_lowercase
+    letters = "abcdefghijklmnopqrstuvwxyz"
     if n <= len(letters):
         return [letters[i] for i in range(n)]
     return [f"a{i}" for i in range(n)]
@@ -99,8 +96,7 @@ def random_qbag(config: FuzzConfig, trial: int) -> QBAG:
     return QBAG(arguments, attacks, supports)
 
 
-@dataclass(frozen=True)
-class FuzzWitness:
+class FuzzWitness(Frozen):
     trial: int
     topic: str
     graph: QBAG

@@ -36,11 +36,11 @@ lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from typing import Callable
 
+from ._frozen import Fresh, Frozen
 from .contributions import (
     _UNSET,
     MAX_SWEEP_POINTS,
@@ -99,8 +99,7 @@ _VIOLATION = Verdict.VIOLATION
 _SATISFIED = Verdict.SATISFIED_ON_INSTANCE
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Frozen):
     """Numeric resolution of the checkers."""
 
     zero_tol: float = 1e-9
@@ -124,14 +123,13 @@ class CheckConfig:
 _DEFAULT_CONFIG = CheckConfig()
 
 
-@dataclass(frozen=True)
-class PrincipleReport:
+class PrincipleReport(Frozen):
     principle: PrincipleId
     verdict: Verdict
     topic: str
     method: str
     semantics: str
-    witness: dict = field(default_factory=dict)
+    witness: dict = Fresh(dict)
     note: str = ""
 
     @property
@@ -593,8 +591,8 @@ def run_check(
     fields["verdict"] = _VIOLATION if violated else _SATISFIED
     fields["topic"] = topic
     fields["witness"] = witness
-    # The same object PrincipleReport(...) builds, without the frozen
-    # __init__'s one object.__setattr__ call per field.
+    # The same object PrincipleReport(...) builds, without the constructor's
+    # argument binding: the fields are already in order.
     report = _new_object(PrincipleReport)
     _set_attribute(report, "__dict__", fields)
     return report

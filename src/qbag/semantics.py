@@ -50,12 +50,12 @@ convention is active.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import add, mul, sub
 from typing import Callable, Mapping, Sequence, Union
 
+from ._frozen import Frozen
 from .errors import DomainError, UnknownArgument
 from .graph import QBAG, topological_order
 
@@ -68,8 +68,7 @@ class Aggregation(Enum):
     TOP = "top"
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(Frozen):
     """Piecewise-linear influence over aggregates in [-k, k]."""
 
     k: float = 1.0
@@ -79,13 +78,11 @@ class Linear:
             raise ValueError("linear influence needs k > 0")
 
 
-@dataclass(frozen=True)
-class EulerBased:
+class EulerBased(Frozen):
     """Smooth exponential influence with range [w^2, 1]."""
 
 
-@dataclass(frozen=True)
-class PMax:
+class PMax(Frozen):
     """Saturating polynomial influence; p = 2, k = 1 is the quadratic energy rule."""
 
     p: int
@@ -101,8 +98,7 @@ class PMax:
 Influence = Union[Linear, EulerBased, PMax]
 
 
-@dataclass(frozen=True)
-class GradualSemantics:
+class GradualSemantics(Frozen):
     aggregation: Aggregation
     influence: Influence
     name: str | None = None
@@ -138,8 +134,7 @@ def semantics_by_name(name: str) -> GradualSemantics:
         ) from None
 
 
-@dataclass(frozen=True)
-class StrengthAssignment:
+class StrengthAssignment(Frozen):
     """Final strengths plus the topological order they were computed in."""
 
     sigma: Mapping[str, float]
@@ -152,8 +147,7 @@ class StrengthAssignment:
             raise UnknownArgument(f"unknown argument {name!r}") from None
 
 
-@dataclass(frozen=True)
-class GradientVector:
+class GradientVector(Frozen):
     """Partial derivatives of one argument's final strength w.r.t. every
     initial strength, evaluated at the graph's initial strengths."""
 

@@ -239,6 +239,27 @@ def _load(""",
         """def _load(""",
         ("tests/test_corpus.py::TestListing::test_examples_are_deeply_immutable",),
     ),
+    Mutant(
+        "record-eq-ignores-the-class",
+        "src/qbag/_frozen.py",
+        """        if type(other) is type(self):
+            return self.__dict__ == other.__dict__
+""",
+        """        if hasattr(other, "__dict__"):
+            return self.__dict__ == other.__dict__
+""",
+        ("tests/test_frozen.py::test_classes_with_no_fields_are_equal_only_to_their_own",),
+    ),
+    Mutant(
+        "record-init-skips-post-init",
+        "src/qbag/_frozen.py",
+        """        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
+""",
+        """        object.__setattr__(self, "__dict__", values)
+""",
+        ("tests/test_frozen.py::test_post_init_validation_still_runs",),
+    ),
 )
 
 

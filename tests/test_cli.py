@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -516,8 +515,8 @@ class TestReproduce:
 
         report = corpus.verify_example("table-example")
         first = report.results[0]
-        failed = dataclasses.replace(first, ok=False, actual=0.25, delta=0.25 - first.expected)
-        broken = dataclasses.replace(report, passed=False, results=(failed, *report.results[1:]))
+        failed = corpus.ExpectationResult(first.expectation, False, 0.25, first.expected, 0.25 - first.expected)
+        broken = corpus.VerificationReport(report.example_id, False, (failed, *report.results[1:]))
         monkeypatch.setattr(corpus, "verify_example", lambda example_id: broken)
         code, out, _ = run(capsys, "reproduce", "--example", "table-example")
         assert code == 1
@@ -801,6 +800,18 @@ def test_only_reproduce_and_export_load_the_corpus():
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.startswith("PASS fig-intro (")
+
+
+def test_import_adds_no_dataclasses_inspect_or_string():
+    # start-up cost: per-class method generation for the record types needs
+    # dataclasses and inspect, and a literal alphabet needs no string module;
+    # the interpreter's own start-up imports count on neither side
+    env = dict(os.environ, PYTHONPATH=str(Path(qbag.__file__).parents[1]))
+    code = "import sys; before = set(sys.modules); import qbag.cli; print(*sorted(set(sys.modules) - before))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(done.stdout.split())
+    assert "qbag.cli" in added
+    assert not added & {"dataclasses", "inspect", "string"}
 
 
 def test_console_entry_point_is_wired():

@@ -15,7 +15,6 @@ from qbag import (
     serialize_graph,
 )
 from qbag.corpus import (
-    _ALIASES,
     _DATA,
     _IDS,
     Contribution,
@@ -92,7 +91,7 @@ class TestListing:
     def test_aliases(self):
         assert load_example("fig-cf-shapley-qe").id == "cf-shapley-qe"
         assert load_example("fig-faith-qe").id == "faith-qe"
-        for alias, target in _ALIASES.items():
+        for alias, target in (("fig-cf-shapley-qe", "cf-shapley-qe"), ("fig-table-example", "table-example")):
             assert target in _IDS
             assert load_example(alias).id == target
 
@@ -117,7 +116,7 @@ def sidecar_text(example) -> str:
         "expectations": [
             {
                 "kind": type(exp).__name__,
-                **{k: ("undef" if v is UNDEFINED else v) for k, v in dataclasses.asdict(exp).items()},
+                **{k: ("undef" if v is UNDEFINED else v) for k, v in vars(exp).items()},
             }
             for exp in example.expectations
         ],

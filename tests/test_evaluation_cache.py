@@ -5,7 +5,6 @@ computation it replaces: fresh caches, full forward passes, and the
 pairwise ``strictly_closer`` definition.
 """
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -245,7 +244,7 @@ def test_a_cache_built_for_another_graph_or_semantics_is_refused():
         # an equal graph, and a semantics that differs only in its name, are
         # the cache's own
         equal = QBAG([("a", 0.5), ("b", 0.9)], attacks=[("b", "a")])
-        renamed = dataclasses.replace(DFQUAD, name="renamed")
+        renamed = GradualSemantics(DFQUAD.aggregation, DFQUAD.influence, "renamed")
         assert repr(read(equal, renamed, EvaluationCache(g, DFQUAD))) == repr(read(equal, renamed, None))
     # a check whose plan the cache already holds still checks the graph
     cache = EvaluationCache(g, QE)
@@ -996,7 +995,7 @@ def test_cache_stores_stay_within_their_documented_bounds():
             tracemalloc.start()
             try:
                 before, _ = tracemalloc.get_traced_memory()
-                copies = tuple(None if cfg is None else dataclasses.replace(cfg) for cfg in CONFIGS)
+                copies = tuple(None if cfg is None else CheckConfig(**vars(cfg)) for cfg in CONFIGS)
                 one_pass(cache, g, semantics, copies, METHODS + (ShapleySampled(permutations, 3),))
                 del copies
                 after, _ = tracemalloc.get_traced_memory()
